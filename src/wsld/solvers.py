@@ -43,22 +43,38 @@ __all__ = [
 ADI_VARIANTS = ("peaceman_rachford", "douglas")
 
 
-def _coefficient_array(values, n: int, name: str) -> np.ndarray:
+def _finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _coefficient_array(values, n: int, name: str) -> np.ndarray:
+    arr = _finite_array(values, (n,), name)
     if np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
     return arr
+
+
+def _check_schedule(t_final: float, n_steps: int) -> None:
+    if not (np.isfinite(t_final) and t_final >= 0.0):
+        raise ValueError("t_final must be finite and nonnegative")
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
 
 
 @dataclass
 class Problem1D:
     """1D fractional diffusion problem on the interior of a uniform grid.
 
-    ``d_plus``/``d_minus`` hold the nonnegative diffusion coefficients at the
-    interior nodes, ``forcing(x, t)`` must broadcast over node arrays, and
-    ``u0`` is the interior initial data.  ``tau = t_final / n_steps``.
+    ``d_plus``/``d_minus`` hold the finite, nonnegative diffusion
+    coefficients at the interior nodes, ``forcing(x, t)`` must broadcast over
+    node arrays, and ``u0`` is the finite interior initial data.  Non-finite
+    or negative data raise ``ValueError`` naming the argument.
+    ``tau = t_final / n_steps``.
     """
 
     grid: Grid1D
@@ -75,13 +91,8 @@ class Problem1D:
         n = self.grid.n_interior
         self.d_plus = _coefficient_array(self.d_plus, n, "d_plus")
         self.d_minus = _coefficient_array(self.d_minus, n, "d_minus")
-        self.u0 = np.asarray(self.u0, dtype=float)
-        if self.u0.shape != (n,):
-            raise ValueError(f"u0 must have shape ({n},)")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+        self.u0 = _finite_array(self.u0, (n,), "u0")
+        _check_schedule(self.t_final, self.n_steps)
 
     @property
     def tau(self) -> float:
@@ -96,7 +107,8 @@ class Problem2D:
     (this separability is what makes the two ADI sweep matrices independent
     of the slice index).  ``u0`` and the solution are arrays of shape
     ``(n_x - 1, n_y - 1)`` indexed ``[i, j] -> (x_i, y_j)``; ``forcing(x, y, t)``
-    must broadcast column-vector x against row-vector y.
+    must broadcast column-vector x against row-vector y.  Coefficients and
+    ``u0`` are validated as in ``Problem1D``.
     """
 
     grid_x: Grid1D
@@ -120,13 +132,8 @@ class Problem2D:
         self.d_minus = _coefficient_array(self.d_minus, nx, "d_minus")
         self.e_plus = _coefficient_array(self.e_plus, ny, "e_plus")
         self.e_minus = _coefficient_array(self.e_minus, ny, "e_minus")
-        self.u0 = np.asarray(self.u0, dtype=float)
-        if self.u0.shape != (nx, ny):
-            raise ValueError(f"u0 must have shape ({nx}, {ny})")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be nonnegative")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+        self.u0 = _finite_array(self.u0, (nx, ny), "u0")
+        _check_schedule(self.t_final, self.n_steps)
 
     @property
     def tau(self) -> float:
@@ -306,9 +313,10 @@ def step_adi(
         rhs = u_star + apply_adi_x(kx, u_star) + 0.5 * tau * f_mid
         return lu_solve(lu_y, rhs.T).T
     if variant == "douglas":
-        rhs = u + apply_adi_x(kx, u) + 2.0 * apply_adi_y(ky, u) + tau * f_mid
+        ay_u = apply_adi_y(ky, u)
+        rhs = u + apply_adi_x(kx, u) + 2.0 * ay_u + tau * f_mid
         u_star = lu_solve(lu_x, rhs)
-        rhs = u_star - apply_adi_y(ky, u)
+        rhs = u_star - ay_u
         return lu_solve(lu_y, rhs.T).T
     raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
 

@@ -56,6 +56,27 @@ def _two_sided_rl(alpha: float, s: np.ndarray) -> np.ndarray:
     return s**alpha * (left + 2.0 * right)
 
 
+def _node_memo(alpha: float) -> Callable[[np.ndarray], tuple]:
+    """One-slot cache of ``(profile(s), _two_sided_rl(alpha, s))``.
+
+    The slot is keyed on a private copy of the node array, compared by shape
+    and values, so a caller mutating its array in place or alternating grids
+    gets a fresh evaluation.  Key and value are stored as one tuple, and a
+    build that raises stores nothing.
+    """
+    slot: tuple | None = None
+
+    def spatial(s: np.ndarray) -> tuple:
+        nonlocal slot
+        entry = slot
+        if entry is None or not np.array_equal(entry[0], s):
+            entry = (s.copy(), (profile(s), _two_sided_rl(alpha, s)))
+            slot = entry
+        return entry[1]
+
+    return spatial
+
+
 @dataclass
 class ManufacturedCase:
     """A problem with a known exact solution and analytically built forcing.
@@ -111,16 +132,20 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
 
     The coefficients are ``d_plus = x**alpha``, ``d_minus = 2 x**alpha``
     (so the stability hypothesis holds with kappa = 2), and the forcing is
-    ``cos(t+1) B(x) - sin(t+1) * [two-sided derivative of B]``.
+    ``cos(t+1) B(x) - sin(t+1) * [two-sided derivative of B]``.  Its
+    time-independent factors, B(x) and the two-sided derivative, are
+    computed once per distinct node array (same shape and values); each
+    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``.
     """
     alpha = validate_order(alpha)
+    spatial = _node_memo(alpha)
 
     def exact(x, t):
         return np.sin(t + 1.0) * profile(np.asarray(x, dtype=float))
 
     def forcing(x, t):
-        x = np.asarray(x, dtype=float)
-        return np.cos(t + 1.0) * profile(x) - np.sin(t + 1.0) * _two_sided_rl(alpha, x)
+        p, r = spatial(np.asarray(x, dtype=float))
+        return np.cos(t + 1.0) * p - np.sin(t + 1.0) * r
 
     return ManufacturedCase(dimension=1, alpha=alpha, beta=None, exact=exact, forcing=forcing)
 
@@ -129,10 +154,14 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
     """2D benchmark: exact solution sin(t+1) B(x) B(y) on (0, 2)^2.
 
     The forcing splits along the product structure: the x-direction
-    two-sided derivative is multiplied by B(y) and vice versa.
+    two-sided derivative is multiplied by B(y) and vice versa.  As in 1D,
+    B and the two-sided derivative are computed once per distinct node
+    array, separately for x and for y.
     """
     alpha = validate_order(alpha)
     beta = validate_order(beta)
+    spatial_x = _node_memo(alpha)
+    spatial_y = _node_memo(beta)
 
     def exact(x, y, t):
         x = np.asarray(x, dtype=float)
@@ -140,11 +169,9 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
         return np.sin(t + 1.0) * profile(x) * profile(y)
 
     def forcing(x, y, t):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        px, py = profile(x), profile(y)
-        space = _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
-        return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * space
+        px, rx = spatial_x(np.asarray(x, dtype=float))
+        py, ry = spatial_y(np.asarray(y, dtype=float))
+        return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * (rx * py + px * ry)
 
     return ManufacturedCase(dimension=2, alpha=alpha, beta=beta, exact=exact, forcing=forcing)
 

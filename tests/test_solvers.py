@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor
@@ -89,6 +91,26 @@ class TestProblemValidation:
                 grid=grid, alpha=1.5, d_plus=np.ones(3), d_minus=np.ones(3),
                 forcing=zero_forcing_1d, u0=np.zeros(3), t_final=1.0, n_steps=10,
             )
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "make,name",
+        [(make_problem_1d, n) for n in ("d_plus", "d_minus", "u0")]
+        + [(make_problem_2d, n) for n in ("d_plus", "d_minus", "e_plus", "e_minus", "u0")],
+    )
+    def test_non_finite_data_rejected(self, make, name, bad):
+        problem = make()
+        values = getattr(problem, name).copy()
+        values.flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(problem, **{name: values})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_non_finite_t_final_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="^t_final must be finite"):
+            dataclasses.replace(make(), t_final=bad)
 
 
 class TestCrankNicolsonSystem:

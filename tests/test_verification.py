@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -6,11 +7,13 @@ from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 from scipy.special import gamma
 
+import wsld.verification as verification
 from wsld.coefficients import DEFAULT_TUPLE
 from wsld.verification import (
     PROFILE_COEFFS,
     PROFILE_POWERS,
     ConvergenceTable,
+    _two_sided_rl,
     convergence_study,
     manufactured_1d,
     manufactured_2d,
@@ -18,7 +21,7 @@ from wsld.verification import (
     observed_rate,
     profile,
 )
-from wsld.solvers import solve_1d
+from wsld.solvers import solve_1d, solve_2d
 
 ALPHA = 1.3
 
@@ -115,6 +118,118 @@ class TestManufactured2D:
         )
         want = np.cos(t + 1.0) * profile(np.array(x)) * profile(np.array(y)) - np.sin(t + 1.0) * space
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def fresh_case(dim):
+    return manufactured_1d(1.3) if dim == 1 else manufactured_2d(1.3, 1.7)
+
+
+def node_args(dim, n_cells):
+    """Interior nodes as the solvers pass them: (x,) or (x column, y row)."""
+    s = np.linspace(0.0, 2.0, n_cells + 1)[1:-1]
+    if dim == 1:
+        return (s,)
+    return (s[:, None].copy(), np.linspace(0.0, 2.0, n_cells + 3)[None, 1:-1])
+
+
+def assert_as_fresh(case, args, t):
+    """The case's forcing equals the first call on a fresh case, bit for bit."""
+    got = case.forcing(*args, t)
+    want = fresh_case(case.dimension).forcing(*(a.copy() for a in args), t)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestForcingMemo:
+    def test_interleaved_grids(self, dim):
+        case = fresh_case(dim)
+        a, b = node_args(dim, 10), node_args(dim, 16)
+        for args, t in ((a, 0.1), (b, 0.5), (a, 0.9), (a, 0.2)):
+            assert_as_fresh(case, args, t)
+
+    def test_array_mutated_in_place(self, dim):
+        case = fresh_case(dim)
+        args = node_args(dim, 12)
+        assert_as_fresh(case, args, 0.4)
+        for a in args:
+            a *= 0.75
+        assert_as_fresh(case, args, 0.4)
+
+    def test_same_values_other_shape(self, dim):
+        case = fresh_case(dim)
+        args = node_args(dim, 12)
+        assert_as_fresh(case, args, 0.4)
+        assert_as_fresh(case, tuple(np.atleast_2d(a).T for a in args), 0.4)
+        assert_as_fresh(case, args, 0.4)
+
+    def test_zero_dimensional_nodes(self, dim):
+        case = fresh_case(dim)
+        first = tuple(np.array(v) for v in (0.7, 1.1)[:dim])
+        second = tuple(np.array(v) for v in (1.3, 0.4)[:dim])
+        for args in (first, second, first):
+            assert_as_fresh(case, args, 0.6)
+
+    def test_out_of_domain_still_raises(self, dim):
+        case = fresh_case(dim)
+        args = node_args(dim, 10)
+        for axis in range(dim):
+            assert_as_fresh(case, args, 0.3)
+            outside = tuple(a + 2.0 if i == axis else a for i, a in enumerate(args))
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    case.forcing(*outside, 0.3)
+        assert_as_fresh(case, args, 0.3)
+
+
+def uncached_forcing_1d(alpha):
+    def forcing(x, t):
+        return np.cos(t + 1.0) * profile(x) - np.sin(t + 1.0) * _two_sided_rl(alpha, x)
+
+    return forcing
+
+
+def uncached_forcing_2d(alpha, beta):
+    def forcing(x, y, t):
+        px, py = profile(x), profile(y)
+        space = _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
+        return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * space
+
+    return forcing
+
+
+class TestForcingMechanism:
+    @pytest.mark.parametrize("dim,per_level", [(1, 2), (2, 4)])
+    def test_spatial_part_evaluated_once_per_level(self, monkeypatch, dim, per_level):
+        original = verification.rl_exact_poly
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "rl_exact_poly", counting)
+        convergence_study(
+            fresh_case(dim), DEFAULT_TUPLE, h_list=[1 / 5, 1 / 10, 1 / 15], tau_law=lambda h: 0.1
+        )
+        assert len(calls) == 3 * per_level
+
+    def test_solve_1d_bit_identical_to_uncached(self):
+        case = manufactured_1d(1.7)
+        problem = case.problem(24, n_steps=40)
+        plain = dataclasses.replace(problem, forcing=uncached_forcing_1d(1.7))
+        assert np.array_equal(
+            solve_1d(problem, return_history=True), solve_1d(plain, return_history=True)
+        )
+
+    @pytest.mark.parametrize("variant", ["peaceman_rachford", "douglas"])
+    def test_solve_2d_bit_identical_to_uncached(self, variant):
+        case = manufactured_2d(1.2, 1.9)
+        problem = case.problem(12, n_steps=20)
+        plain = dataclasses.replace(problem, forcing=uncached_forcing_2d(1.2, 1.9))
+        assert np.array_equal(
+            solve_2d(problem, variant=variant, return_history=True),
+            solve_2d(plain, variant=variant, return_history=True),
+        )
 
 
 class TestMaxError:
