@@ -10,7 +10,6 @@ import numpy as np
 from wsld import (
     Grid1D,
     Problem1D,
-    StabilityConfig,
     manufactured_1d,
     max_error,
     solve_1d,
@@ -20,8 +19,8 @@ alpha = 1.5
 case = manufactured_1d(alpha)
 
 print(f"alpha = {alpha}, coefficients d+ = x^a, d- = 2 x^a")
-config = StabilityConfig.infer(case.problem(10, n_steps=1))
-print(f"coefficient proportionality constant kappa = {config.kappa_alpha}")
+p = case.problem(10, n_steps=1)
+print(f"coefficient proportionality constant kappa = {np.unique(p.d_minus / p.d_plus)}")
 
 print("\nerror at t = 1 under refinement with tau = h^2:")
 for n_cells in (10, 20, 40):

@@ -19,14 +19,11 @@ from .coefficients import (
 )
 from .operators import (
     Grid1D,
-    OperatorMatrix,
     UnsupportedPowerError,
     apply_stencil,
     assemble_left,
-    assemble_right,
     rl_exact_poly,
     table_for_grid,
-    write_matrix_csv,
 )
 from .spectral import (
     CERTIFIED_TUPLES,
@@ -43,9 +40,6 @@ from .solvers import (
     ADI_VARIANTS,
     Problem1D,
     Problem2D,
-    StabilityConfig,
-    apply_adi_x,
-    apply_adi_y,
     build_adi_factors,
     build_cn_system,
     solve_1d,

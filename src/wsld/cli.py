@@ -153,7 +153,7 @@ def _pick_variant(args) -> str:
     return variants[name]
 
 
-def _cmd_coeffs(args) -> str:
+def _cmd_coeffs(args) -> tuple[str, None]:
     alpha = _parse_number(args.alpha)
     k_max = int(args.k if args.k is not None else 5)
     if k_max < 0:
@@ -169,10 +169,10 @@ def _cmd_coeffs(args) -> str:
         phi = stencil_coeffs(alpha, st, k_max).phi
         header = "k,g,q,phi"
         rows = [f"{k},{g[k]:.12e},{q[k]:.12e},{phi[k]:.12e}" for k in range(k_max + 1)]
-    return _csv_text(config, header, rows)
+    return _csv_text(config, header, rows), None
 
 
-def _cmd_spectrum(args) -> str:
+def _cmd_spectrum(args) -> tuple[str, None]:
     st = _pick_tuple(args)
     alphas = _parse_float_list(args.alpha or "1.1,1.3,1.5,1.7,1.9")
     x_points = int(args.x_points if args.x_points is not None else 2001)
@@ -189,7 +189,7 @@ def _cmd_spectrum(args) -> str:
     for a in alphas:
         f = generating_function(st, a, x)
         rows.extend(f"{a:.12e},{xi:.12e},{fi:.12e}" for xi, fi in zip(x, f))
-    return _csv_text(config, "alpha,x,f", rows)
+    return _csv_text(config, "alpha,x,f", rows), None
 
 
 def _cmd_certify(args) -> tuple[str, str]:
@@ -219,10 +219,10 @@ def _cmd_certify(args) -> tuple[str, str]:
     else:
         overall = "indeterminate"
     text = _csv_text(config, "tuple,alpha,f_max,lambda_max_sym,verdict", rows)
-    return text, overall
+    return text, f"verdict: {overall}"
 
 
-def _cmd_solve1d(args) -> tuple[str, float]:
+def _cmd_solve1d(args) -> tuple[str, str]:
     alpha = _parse_number(args.alpha)
     st = _pick_tuple(args)
     nx = int(args.nx or 20)
@@ -246,10 +246,10 @@ def _cmd_solve1d(args) -> tuple[str, float]:
         for xi, ui, ei in zip(x, u, exact)
     ]
     text = _csv_text(config, "x,u_numeric,u_exact,abs_error", rows)
-    return text, max_error(u, exact)
+    return text, f"max_error: {max_error(u, exact):.12e}"
 
 
-def _cmd_solve2d(args) -> tuple[str, float]:
+def _cmd_solve2d(args) -> tuple[str, str]:
     alpha = _parse_number(args.alpha)
     beta = _parse_number(args.beta) if args.beta else alpha
     st = _pick_tuple(args)
@@ -283,10 +283,10 @@ def _cmd_solve2d(args) -> tuple[str, float]:
                 f"{abs(u[i, j] - exact[i, j]):.12e}"
             )
     text = _csv_text(config, "x,y,u_numeric,u_exact,abs_error", rows)
-    return text, max_error(u, exact)
+    return text, f"max_error: {max_error(u, exact):.12e}"
 
 
-def _cmd_converge(args) -> str:
+def _cmd_converge(args) -> tuple[str, None]:
     dim = int(args.dim or 1)
     if dim not in (1, 2):
         raise ConfigError("--dim must be 1 or 2")
@@ -312,7 +312,18 @@ def _cmd_converge(args) -> str:
     table = convergence_study(case, st, h_list, variant=variant)
     buf = io.StringIO()
     table.write_csv(buf, comments=[f"config_sha256={_config_hash(config)}", _UNITS_COMMENT])
-    return buf.getvalue()
+    return buf.getvalue(), None
+
+
+# subcommand -> handler returning (CSV text, summary line or None)
+_COMMANDS = {
+    "coeffs": _cmd_coeffs,
+    "spectrum": _cmd_spectrum,
+    "certify": _cmd_certify,
+    "solve1d": _cmd_solve1d,
+    "solve2d": _cmd_solve2d,
+    "converge": _cmd_converge,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,18 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         _merge_config(args)
         if args.command in ("coeffs", "solve1d", "solve2d", "converge") and args.alpha is None:
             raise ConfigError(f"{args.command} requires --alpha (flag or config file)")
-        if args.command == "coeffs":
-            text = _cmd_coeffs(args)
-        elif args.command == "spectrum":
-            text = _cmd_spectrum(args)
-        elif args.command == "certify":
-            text, overall = _cmd_certify(args)
-        elif args.command == "solve1d":
-            text, err = _cmd_solve1d(args)
-        elif args.command == "solve2d":
-            text, err = _cmd_solve2d(args)
-        else:
-            text = _cmd_converge(args)
+        text, summary = _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
@@ -401,12 +401,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io-error: {exc}", file=sys.stderr)
         return 4
 
-    # keep stdout parseable when it carries the CSV itself
-    summary_stream = sys.stdout if args.out else sys.stderr
-    if args.command == "certify":
-        print(f"verdict: {overall}", file=summary_stream)
-    elif args.command in ("solve1d", "solve2d"):
-        print(f"max_error: {err:.12e}", file=summary_stream)
+    if summary is not None:
+        # keep stdout parseable when it carries the CSV itself
+        print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 

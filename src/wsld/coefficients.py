@@ -149,8 +149,9 @@ def lubich_coeffs(alpha: float, k_max: int) -> np.ndarray:
 
     ``q_k = (3/2)**alpha * sum_m 3**(-m) g_m g_{k-m}``, evaluated as a finite
     convolution of the Gruenwald sequence with its 3**(-m)-damped copy.  The
-    damping factor drops below double-precision resolution near m = 40, so
-    the convolution is truncated there and the total cost is O(k_max).
+    damping factor 3**(-m) falls below double-precision resolution near
+    m = 33, so the convolution is truncated at m = min(k_max, 60), past that
+    point with margin, and the total cost is O(k_max).
 
     The sequence starts at ``q_0 = (3/2)**alpha`` and sums to zero over
     k = 0..infinity; partial sums decay like ``k_max**(-alpha)``.
@@ -260,18 +261,15 @@ class CoefficientTable:
     """Stencil coefficients ``phi_k`` for one (alpha, shift tuple) pair.
 
     ``phi_k = sum_branches w * q_{k + shift - m}`` with ``q_{j<0} = 0`` and
-    m the largest absolute shift.  ``q_raw`` keeps the underlying Lubich
-    sequence for reuse and inspection.
+    m the largest absolute shift.
     """
 
     alpha: float
     shifts: ShiftTuple
     phi: np.ndarray
-    q_raw: np.ndarray
 
     def __post_init__(self) -> None:
         self.phi.flags.writeable = False
-        self.q_raw.flags.writeable = False
 
     @property
     def length(self) -> int:
@@ -301,4 +299,4 @@ def stencil_coeffs(
         off = t - m  # q-index offset; off <= 0 always
         k0 = -off
         phi[k0:] += w * q[: k_max + 1 + off if off < 0 else None]
-    return CoefficientTable(alpha=alpha, shifts=st, phi=phi, q_raw=q)
+    return CoefficientTable(alpha=alpha, shifts=st, phi=phi)

@@ -6,8 +6,9 @@ open interval, the left-derivative approximation at interior node i is
     h**(-alpha) * sum_{k=0}^{i+m} phi_k * u(x_{i-k+m}),
 
 a Toeplitz correlation, and the right-derivative operator is its transpose.
-Matrices here store the dimensionless stencil entries; the h**(-alpha)
-scaling is applied by :func:`apply_stencil` and by the solvers.
+An operator is a read-only dense ``ndarray`` of the dimensionless stencil
+entries (the right operator is its ``.T``); the h**(-alpha) scaling is
+applied by :func:`apply_stencil` and by the solvers.
 
 The design accuracy of an order-k stencil assumes the zero-extended
 function stays smooth enough across the boundary; inputs that do not vanish
@@ -27,14 +28,11 @@ from .coefficients import CoefficientTable, ShiftTuple, stencil_coeffs, validate
 
 __all__ = [
     "Grid1D",
-    "OperatorMatrix",
     "UnsupportedPowerError",
     "table_for_grid",
     "assemble_left",
-    "assemble_right",
     "apply_stencil",
     "rl_exact_poly",
-    "write_matrix_csv",
 ]
 
 
@@ -71,28 +69,6 @@ class Grid1D:
         return self.nodes()[1:-1]
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense realization of a WSLD derivative operator on interior nodes.
-
-    ``entries`` is Toeplitz (entry(i, j) depends only on i - j) and holds the
-    dimensionless stencil values; multiply matrix-vector products by
-    ``grid.h ** -alpha`` to approximate the derivative.
-    """
-
-    side: str
-    entries: np.ndarray
-    table: CoefficientTable
-    grid: Grid1D
-
-    def __post_init__(self) -> None:
-        self.entries.flags.writeable = False
-
-    @property
-    def alpha(self) -> float:
-        return self.table.alpha
-
-
 def table_for_grid(
     alpha: float, shifts: ShiftTuple | Sequence[int], grid: Grid1D
 ) -> CoefficientTable:
@@ -107,11 +83,12 @@ def table_for_grid(
 
 def assemble_left(
     alpha: float, shifts: ShiftTuple | Sequence[int], grid: Grid1D
-) -> OperatorMatrix:
-    """Dense left-derivative operator matrix for the interior nodes.
+) -> np.ndarray:
+    """Dense, read-only left-derivative operator matrix for the interior nodes.
 
     Row i, column j holds ``phi_{i-j+m}`` (zero above the m-th
     superdiagonal), so the Toeplitz structure is guaranteed by construction.
+    The right-derivative operator is the transpose.
     """
     alpha = validate_order(alpha)
     table = table_for_grid(alpha, shifts, grid)
@@ -120,20 +97,9 @@ def assemble_left(
     col = table.phi[m : m + n]
     row = np.zeros(n)
     row[: m + 1] = table.phi[m::-1]
-    return OperatorMatrix(side="left", entries=toeplitz(col, row), table=table, grid=grid)
-
-
-def assemble_right(
-    alpha: float, shifts: ShiftTuple | Sequence[int], grid: Grid1D
-) -> OperatorMatrix:
-    """Right-derivative operator: the transpose of the left matrix."""
-    left = assemble_left(alpha, shifts, grid)
-    return OperatorMatrix(
-        side="right",
-        entries=left.entries.T.copy(),
-        table=left.table,
-        grid=grid,
-    )
+    a = toeplitz(col, row)
+    a.flags.writeable = False
+    return a
 
 
 def apply_stencil(
@@ -207,7 +173,3 @@ def rl_exact_poly(
         total += c * gamma(p + 1) / gamma(p + 1 - alpha) * s ** (p - alpha)
     return total if total.ndim else float(total)
 
-
-def write_matrix_csv(op: OperatorMatrix, path: str) -> None:
-    """Dump matrix entries row-major as full-precision scientific CSV."""
-    np.savetxt(path, op.entries, delimiter=",", fmt="%.17e")

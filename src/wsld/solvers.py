@@ -30,12 +30,9 @@ __all__ = [
     "ADI_VARIANTS",
     "Problem1D",
     "Problem2D",
-    "StabilityConfig",
     "build_cn_system",
     "solve_1d",
     "build_adi_factors",
-    "apply_adi_x",
-    "apply_adi_y",
     "step_adi",
     "solve_2d",
 ]
@@ -140,62 +137,10 @@ class Problem2D:
         return self.t_final / self.n_steps
 
 
-def _proportionality(numer: np.ndarray, denom: np.ndarray, rtol: float = 1e-12) -> float | None:
-    """Constant kappa with numer = kappa * denom elementwise, or None."""
-    if np.all(numer == 0.0):
-        return 0.0
-    if np.any(denom == 0.0):
-        nonzero = denom != 0.0
-        if np.any(numer[~nonzero] != 0.0):
-            return None
-        numer, denom = numer[nonzero], denom[nonzero]
-    ratios = numer / denom
-    kappa = float(ratios[0])
-    if np.all(np.abs(ratios - kappa) <= rtol * abs(kappa)):
-        return kappa
-    return None
-
-
-@dataclass(frozen=True)
-class StabilityConfig:
-    """Proportionality constants under which the stability theory applies.
-
-    The unconditional-stability argument assumes ``d_minus = kappa_alpha *
-    d_plus`` (and ``e_minus = kappa_beta * e_plus`` in 2D) for nonnegative
-    constants.  The solvers accept arbitrary nonnegative coefficients; this
-    record documents when the stability certificate is actually asserted.
-    """
-
-    kappa_alpha: float | None = None
-    kappa_beta: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("kappa_alpha", "kappa_beta"):
-            value = getattr(self, name)
-            if value is not None and value < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-    @classmethod
-    def infer(cls, problem: "Problem1D | Problem2D") -> "StabilityConfig":
-        kappa_alpha = _proportionality(problem.d_minus, problem.d_plus)
-        kappa_beta = None
-        if isinstance(problem, Problem2D):
-            kappa_beta = _proportionality(problem.e_minus, problem.e_plus)
-        return cls(kappa_alpha=kappa_alpha, kappa_beta=kappa_beta)
-
-    def holds_for(self, problem: "Problem1D | Problem2D") -> bool:
-        """True when the problem's coefficient pairs match the constants."""
-
-        def matches(kappa: float | None, minus: np.ndarray, plus: np.ndarray) -> bool:
-            if kappa is None:
-                return False
-            return bool(np.allclose(minus, kappa * plus, rtol=1e-12, atol=0.0))
-
-        if not matches(self.kappa_alpha, problem.d_minus, problem.d_plus):
-            return False
-        if isinstance(problem, Problem2D):
-            return matches(self.kappa_beta, problem.e_minus, problem.e_plus)
-        return True
+def _check_forcing(f: np.ndarray, n: int, t: float) -> None:
+    """Raise naming step n and time t when the forcing sample f is not finite."""
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"forcing returned a non-finite value at step {n} (t = {t!r})")
 
 
 def _scaled_pair_matrix(
@@ -207,7 +152,7 @@ def _scaled_pair_matrix(
     tau: float,
 ) -> np.ndarray:
     """tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense array."""
-    a = assemble_left(alpha, shifts, grid).entries
+    a = assemble_left(alpha, shifts, grid)
     scale = tau / (2.0 * grid.h**alpha)
     return scale * (c_plus[:, None] * a + c_minus[:, None] * a.T)
 
@@ -219,7 +164,8 @@ def build_cn_system(
 
     ``M_minus = I - G`` and ``M_plus = I + G`` with
     ``G = tau/(2 h^alpha) (D+ A + D- A^T)``, so ``M_minus + M_plus = 2 I``
-    exactly.
+    exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
+    can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     """
     g = _scaled_pair_matrix(
         problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau
@@ -236,7 +182,8 @@ def solve_1d(
     """March the 1D scheme to t_final and return the interior solution.
 
     The left-hand matrix is LU-factored once (it does not depend on time)
-    and the forcing is sampled pointwise at the half steps ``t_{n+1/2}``.
+    and the forcing is sampled pointwise at the half steps ``t_{n+1/2}``; a
+    non-finite sample raises ``ValueError`` naming the step and its time.
     With ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
     returned instead of the final slice.
     """
@@ -248,8 +195,13 @@ def solve_1d(
     history = [u.copy()] if return_history else None
     for n in range(problem.n_steps):
         t_mid = (n + 0.5) * tau
-        rhs = m_plus @ u + tau * np.asarray(problem.forcing(x, t_mid), dtype=float)
-        u = lu_solve(lu, rhs)
+        f_mid = np.asarray(problem.forcing(x, t_mid), dtype=float)
+        rhs = m_plus @ u + tau * f_mid
+        try:
+            u = lu_solve(lu, rhs)
+        except ValueError:
+            _check_forcing(f_mid, n, t_mid)
+            raise
         if history is not None:
             history.append(u.copy())
     return np.array(history) if history is not None else u
@@ -277,16 +229,6 @@ def build_adi_factors(
     return kx, ky
 
 
-def apply_adi_x(kx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply the x-direction block to every x-slice of the interior array."""
-    return kx @ u
-
-
-def apply_adi_y(ky: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Apply the y-direction block to every y-slice of the interior array."""
-    return u @ ky.T
-
-
 def step_adi(
     u: np.ndarray,
     f_mid: np.ndarray,
@@ -308,13 +250,13 @@ def step_adi(
     algebra.
     """
     if variant == "peaceman_rachford":
-        rhs = u + apply_adi_y(ky, u) + 0.5 * tau * f_mid
+        rhs = u + u @ ky.T + 0.5 * tau * f_mid
         u_star = lu_solve(lu_x, rhs)
-        rhs = u_star + apply_adi_x(kx, u_star) + 0.5 * tau * f_mid
+        rhs = u_star + kx @ u_star + 0.5 * tau * f_mid
         return lu_solve(lu_y, rhs.T).T
     if variant == "douglas":
-        ay_u = apply_adi_y(ky, u)
-        rhs = u + apply_adi_x(kx, u) + 2.0 * ay_u + tau * f_mid
+        ay_u = u @ ky.T
+        rhs = u + kx @ u + 2.0 * ay_u + tau * f_mid
         u_star = lu_solve(lu_x, rhs)
         rhs = u_star - ay_u
         return lu_solve(lu_y, rhs.T).T
@@ -333,7 +275,8 @@ def solve_2d(
     Exactly two LU factorizations are computed per run -- one (n_x-1) system
     shared by all x-sweeps and one (n_y-1) system shared by all y-sweeps --
     because the separable coefficients make the sweep matrices identical
-    across slices.
+    across slices.  A non-finite forcing sample raises ``ValueError`` naming
+    the step and its time.
     """
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
@@ -348,7 +291,11 @@ def solve_2d(
     for n in range(problem.n_steps):
         t_mid = (n + 0.5) * tau
         f_mid = np.asarray(problem.forcing(x, y, t_mid), dtype=float)
-        u = step_adi(u, f_mid, tau, kx, ky, lu_x, lu_y, variant)
+        try:
+            u = step_adi(u, f_mid, tau, kx, ky, lu_x, lu_y, variant)
+        except ValueError:
+            _check_forcing(f_mid, n, t_mid)
+            raise
         if history is not None:
             history.append(u.copy())
     return np.array(history) if history is not None else u

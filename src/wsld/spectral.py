@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigvalsh
 
 from .coefficients import ShiftTuple, branch_weights, stencil_coeffs, validate_order
-from .operators import Grid1D, OperatorMatrix, assemble_left
+from .operators import Grid1D, assemble_left
 
 __all__ = [
     "ROUNDOFF_ZERO",
@@ -173,13 +173,13 @@ def scan_nonpositivity(
     )
 
 
-def max_real_part_bound(matrix: OperatorMatrix | np.ndarray) -> float:
+def max_real_part_bound(matrix: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric part (A + A^T)/2.
 
     Upper bound for the real part of every eigenvalue of A; computed with a
     dense symmetric eigensolver.
     """
-    a = matrix.entries if isinstance(matrix, OperatorMatrix) else np.asarray(matrix, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     h = (a + a.T) / 2.0

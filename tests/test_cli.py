@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,39 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["coeffs", "--alpha", "1.5", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+# subcommand argv -> pattern of its one summary line, or None for none
+ROUTING_CASES = [
+    (["coeffs", "--alpha", "1.5", "--k", "4"], None),
+    (["spectrum", "--tuple", "1,-2", "--alpha", "1.5", "--x-points", "11"], None),
+    (["converge", "--alpha", "1.5", "--h-list", "1/4,1/8"], None),
+    (
+        ["certify", "--tuple", "1,-2", "--alpha", "1.5", "--nx", "8", "--x-points", "11"],
+        r"verdict: \w+",
+    ),
+    (["solve1d", "--alpha", "1.5", "--nx", "8", "--nt", "4"], r"max_error: \S+e[-+]\d+"),
+    (["solve2d", "--alpha", "1.5", "--nx", "6", "--nt", "4"], r"max_error: \S+e[-+]\d+"),
+]
+
+
+@pytest.mark.parametrize("with_out", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("argv,summary", ROUTING_CASES, ids=[c[0][0] for c in ROUTING_CASES])
+def test_output_routing(argv, summary, with_out, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(argv + (["--out", str(out)] if with_out else [])) == 0
+    captured = capsys.readouterr()
+    if with_out:
+        csv_text, summary_text, quiet = out.read_text(), captured.out, captured.err
+    else:
+        csv_text, summary_text, quiet = captured.out, captured.err, ""
+        assert not out.exists()
+    assert csv_text.startswith("# config_sha256=")
+    assert quiet == ""
+    if summary is None:
+        assert summary_text == ""
+    else:
+        assert re.fullmatch(summary + "\n", summary_text)
 
 
 class TestErrorCategories:

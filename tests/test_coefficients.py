@@ -215,7 +215,7 @@ class TestStencil:
         # with a single shift p >= 0 the alignment offset vanishes
         for p in (1, 2):
             table = stencil_coeffs(1.4, (p,), 12)
-            np.testing.assert_array_equal(table.phi, table.q_raw)
+            np.testing.assert_array_equal(table.phi, lubich_coeffs(1.4, 12))
 
     def test_order2_leading_entry(self):
         # (p, q) = (1, 2): phi_0 = w_p q_{-1} + w_q q_0 = -q_0

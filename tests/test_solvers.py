@@ -9,9 +9,6 @@ from wsld.operators import Grid1D
 from wsld.solvers import (
     Problem1D,
     Problem2D,
-    StabilityConfig,
-    apply_adi_x,
-    apply_adi_y,
     build_adi_factors,
     build_cn_system,
     solve_1d,
@@ -158,7 +155,6 @@ class TestSolve1D:
         )
         u = solve_1d(p)
         assert np.all(np.isfinite(u))
-        assert not StabilityConfig.infer(p).holds_for(p) or StabilityConfig.infer(p).kappa_alpha is None
 
 
 class TestUnconditionalStability:
@@ -209,8 +205,8 @@ class TestAdiFactors:
         rng = np.random.default_rng(3)
         v = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
         flat = v.ravel(order="F")
-        got_x = apply_adi_x(kx, v).ravel(order="F")
-        got_y = apply_adi_y(ky, v).ravel(order="F")
+        got_x = (kx @ v).ravel(order="F")
+        got_y = (v @ ky.T).ravel(order="F")
         np.testing.assert_allclose(got_x, big_x @ flat, rtol=1e-12)
         np.testing.assert_allclose(got_y, big_y @ flat, rtol=1e-12)
 
@@ -219,8 +215,8 @@ class TestAdiFactors:
         kx, ky = build_adi_factors(p, DEFAULT_TUPLE)
         rng = np.random.default_rng(4)
         v = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
-        xy = apply_adi_x(kx, apply_adi_y(ky, v))
-        yx = apply_adi_y(ky, apply_adi_x(kx, v))
+        xy = kx @ (v @ ky.T)
+        yx = (kx @ v) @ ky.T
         np.testing.assert_allclose(xy, yx, rtol=1e-12)
 
 
@@ -324,32 +320,34 @@ class TestSolve2D:
         assert np.max(np.abs(np.linalg.eigvals(s))) < 1.0 - 1e-10
 
 
-class TestStabilityConfig:
-    def test_infer_detects_proportionality(self):
-        case = manufactured_1d(1.5)
-        p = case.problem(10, n_steps=2)
-        config = StabilityConfig.infer(p)
-        assert config.kappa_alpha == pytest.approx(2.0, rel=1e-13)
-        assert config.holds_for(p)
 
-    def test_infer_2d(self):
-        case = manufactured_2d(1.3, 1.7)
-        p = case.problem(8, n_steps=2)
-        config = StabilityConfig.infer(p)
-        assert config.kappa_alpha == pytest.approx(2.0, rel=1e-13)
-        assert config.kappa_beta == pytest.approx(2.0, rel=1e-13)
-        assert config.holds_for(p)
+class TestNonFiniteForcing:
+    def test_1d_names_forcing_step_and_time(self):
+        def forcing(x, t):
+            return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
 
-    def test_nonproportional_detected(self):
-        grid = Grid1D(0.0, 2.0, 10)
-        x = grid.interior_nodes()
-        p = Problem1D(
-            grid=grid, alpha=1.5, d_plus=x**1.5, d_minus=x**0.5,
-            forcing=zero_forcing_1d, u0=np.zeros(9), t_final=0.1, n_steps=2,
-        )
-        assert StabilityConfig.infer(p).kappa_alpha is None
-        assert not StabilityConfig(kappa_alpha=2.0).holds_for(p)
+        p = dataclasses.replace(make_problem_1d(tau=0.2, n_steps=5), forcing=forcing)
+        # steps sample t = 0.1, 0.3, 0.5, 0.7, 0.9: step 3 is the first t > 0.5
+        with pytest.raises(ValueError, match=r"^forcing .* non-finite .* step 3 \(t = 0\.7"):
+            solve_1d(p)
 
-    def test_rejects_negative_kappa(self):
-        with pytest.raises(ValueError):
-            StabilityConfig(kappa_alpha=-1.0)
+    @pytest.mark.parametrize("variant", ["peaceman_rachford", "douglas"])
+    def test_2d_names_forcing_step_and_time(self, variant):
+        def forcing(x, y, t):
+            f = np.zeros(np.broadcast(x, y).shape)
+            if t > 0.5:
+                f[1, 2] = np.inf
+            return f
+
+        p = dataclasses.replace(make_problem_2d(tau=0.2, n_steps=5), forcing=forcing)
+        with pytest.raises(ValueError, match=r"^forcing .* non-finite .* step 3 \(t = 0\.7"):
+            solve_2d(p, DEFAULT_TUPLE, variant=variant)
+
+    def test_finite_forcing_keeps_original_error(self):
+        # tau * f overflows although f itself is finite: scipy's error stands
+        def forcing(x, t):
+            return np.full_like(x, 1e308)
+
+        p = dataclasses.replace(make_problem_1d(tau=10.0, n_steps=2), forcing=forcing)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            solve_1d(p)

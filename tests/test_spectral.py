@@ -114,7 +114,7 @@ class TestEigenvalueBound:
     def test_extremal_pair_residual(self):
         # dense symmetric solve must return an accurate extremal pair
         op = assemble_left(1.5, DEFAULT_TUPLE, Grid1D(0.0, 1.0, 65))
-        h = (op.entries + op.entries.T) / 2
+        h = (op + op.T) / 2
         lams, vecs = eigh(h)
         norm_h = np.linalg.norm(h, 2)
         for idx in (0, -1):
@@ -133,7 +133,7 @@ class TestGrenanderSzegoeSandwich:
         x = np.linspace(0.0, np.pi, 2001)
         f = generating_function(DEFAULT_TUPLE, alpha, x)
         op = assemble_left(alpha, DEFAULT_TUPLE, Grid1D(0.0, 1.0, n + 1))
-        h = (op.entries + op.entries.T) / 2
+        h = (op + op.T) / 2
         lams = np.linalg.eigvalsh(h)
         assert lams[-1] <= f.max() + 1e-8
         assert lams[0] >= f.min() - 1e-8
