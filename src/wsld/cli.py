@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``coeffs``, ``spectrum``, ``certify``, ``solve1d``, ``solve2d``,
-``converge``.  Parameters come from flags, optionally preloaded from a flat
-``key = value`` config file (flags override the file).  All tabular output
-is CSV with a config-hash comment line, written atomically; identical
-configurations produce byte-identical files.
+``converge``.  argparse parses, types, defaults and checks every value.  A
+flat ``key = value`` config file is read as ``--key=value`` flags placed
+before the command-line ones, so it gets the same checks and explicit flags
+override it.  All tabular output is CSV with a config-hash comment line,
+written atomically; identical configurations produce byte-identical files.
 
 Exit codes: 0 success, 2 config-error, 3 numeric-error, 4 io-error.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import os
 import sys
 import tempfile
@@ -43,6 +43,11 @@ _DEFAULT_BY_ORDER = {
     4: DEFAULT_TUPLE,
 }
 
+_ADI_VARIANTS = {"pr": "peaceman_rachford", "douglas": "douglas"}
+
+# dimension -> the h sequence of the published table (Table 1 or Table 2)
+_DEFAULT_H_LIST = {1: (1 / 10, 1 / 20, 1 / 40, 1 / 60), 2: (1 / 10, 1 / 20, 1 / 30, 1 / 40)}
+
 _UNITS_COMMENT = (
     "units: x,y,h in domain coordinates; t,tau in time units; other columns dimensionless"
 )
@@ -52,15 +57,22 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raise argparse's usage errors as ``ConfigError`` instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_tuple(text: str) -> ShiftTuple:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad shift tuple {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad shift tuple {text!r}: {exc}") from exc
     try:
         return ShiftTuple(parts)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_number(text: str) -> float:
@@ -70,15 +82,21 @@ def _parse_number(text: str) -> float:
             return float(Fraction(text))
         return float(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad number {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
 
 
 def _parse_float_list(text: str) -> list[float]:
     return [_parse_number(p) for p in text.split(",")]
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_flags(path: str, keys: set[str]) -> list[str]:
+    """Turn each ``key = value`` line of a config file into ``--key=value``.
+
+    A key must name one of the subcommand's flags by its dest (hyphens and
+    underscores both accepted), so the value goes through that flag's own
+    type and choices checks.
+    """
+    flags = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -91,22 +109,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 key = key.strip().replace("-", "_")
                 if not key:
                     raise ConfigError(f"{path}:{lineno}: empty key")
-                values[key] = value.strip()
+                if key not in keys:
+                    raise ConfigError(f"unknown config key {key!r}")
+                flags.append(f"--{key.replace('_', '-')}={value.strip()}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill argparse defaults (None) from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _read_config_file(args.config)
-    for key, text in file_values.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, text)
+    return flags
 
 
 def _config_hash(pairs: dict) -> str:
@@ -137,28 +145,13 @@ def _csv_text(config: dict, header: str, rows: list[str]) -> str:
 
 
 def _pick_tuple(args) -> ShiftTuple:
-    if args.tuple:
-        return _parse_tuple(args.tuple)
-    order = int(args.order) if args.order is not None else 4
-    if order not in _DEFAULT_BY_ORDER:
-        raise ConfigError(f"order must be 1, 2, 3 or 4, got {order}")
-    return _DEFAULT_BY_ORDER[order]
-
-
-def _pick_variant(args) -> str:
-    name = args.adi if getattr(args, "adi", None) else "pr"
-    variants = {"pr": "peaceman_rachford", "douglas": "douglas"}
-    if name not in variants:
-        raise ConfigError(f"adi must be 'pr' or 'douglas', got {name!r}")
-    return variants[name]
+    return args.tuple or _DEFAULT_BY_ORDER[args.order]
 
 
 def _cmd_coeffs(args) -> tuple[str, None]:
-    alpha = _parse_number(args.alpha)
-    k_max = int(args.k if args.k is not None else 5)
+    alpha, k_max, st = args.alpha, args.k, args.tuple
     if k_max < 0:
         raise ConfigError("--k must be nonnegative")
-    st = _parse_tuple(args.tuple) if args.tuple else None
     config = {"command": "coeffs", "alpha": repr(alpha), "k": k_max, "tuple": str(st or "")}
     g = grunwald_coeffs(alpha, k_max)
     q = lubich_coeffs(alpha, k_max)
@@ -174,19 +167,17 @@ def _cmd_coeffs(args) -> tuple[str, None]:
 
 def _cmd_spectrum(args) -> tuple[str, None]:
     st = _pick_tuple(args)
-    alphas = _parse_float_list(args.alpha or "1.1,1.3,1.5,1.7,1.9")
-    x_points = int(args.x_points if args.x_points is not None else 2001)
-    if x_points < 2:
+    if args.x_points < 2:
         raise ConfigError("--x-points must be at least 2")
     config = {
         "command": "spectrum",
         "tuple": str(st),
-        "alphas": ",".join(repr(a) for a in alphas),
-        "x_points": x_points,
+        "alphas": ",".join(repr(a) for a in args.alpha),
+        "x_points": args.x_points,
     }
-    x = np.linspace(0.0, np.pi, x_points)
+    x = np.linspace(0.0, np.pi, args.x_points)
     rows = []
-    for a in alphas:
+    for a in args.alpha:
         f = generating_function(st, a, x)
         rows.extend(f"{a:.12e},{xi:.12e},{fi:.12e}" for xi, fi in zip(x, f))
     return _csv_text(config, "alpha,x,f", rows), None
@@ -194,20 +185,17 @@ def _cmd_spectrum(args) -> tuple[str, None]:
 
 def _cmd_certify(args) -> tuple[str, str]:
     st = _pick_tuple(args)
-    alphas = _parse_float_list(args.alpha or "1.1,1.5,1.9")
-    n = int(args.nx or 64)
-    x_points = int(args.x_points if args.x_points is not None else 2001)
     config = {
         "command": "certify",
         "tuple": str(st),
-        "alphas": ",".join(repr(a) for a in alphas),
-        "nx": n,
-        "x_points": x_points,
+        "alphas": ",".join(repr(a) for a in args.alpha),
+        "nx": args.nx,
+        "x_points": args.x_points,
     }
     rows = []
     verdicts = []
-    for a in alphas:
-        report = spectral_certify(st, alphas=[a], n_interior=n, x_points=x_points)
+    for a in args.alpha:
+        report = spectral_certify(st, alphas=[a], n_interior=args.nx, x_points=args.x_points)
         rows.append(
             f'"{st}",{a:.12e},{report.f_max:.12e},{report.lambda_max_sym:.12e},{report.verdict}'
         )
@@ -223,24 +211,21 @@ def _cmd_certify(args) -> tuple[str, str]:
 
 
 def _cmd_solve1d(args) -> tuple[str, str]:
-    alpha = _parse_number(args.alpha)
     st = _pick_tuple(args)
-    nx = int(args.nx or 20)
-    t_final = _parse_number(args.t_final or "1.0")
-    case = manufactured_1d(alpha)
-    case.t_final = t_final
-    problem = case.problem(nx, int(args.nt) if args.nt else None)
+    case = manufactured_1d(args.alpha)
+    case.t_final = args.t_final
+    problem = case.problem(args.nx, args.nt)
     config = {
         "command": "solve1d",
-        "alpha": repr(alpha),
+        "alpha": repr(args.alpha),
         "tuple": str(st),
-        "nx": nx,
+        "nx": args.nx,
         "nt": problem.n_steps,
-        "t_final": repr(t_final),
+        "t_final": repr(args.t_final),
     }
     u = solve_1d(problem, st)
     x = problem.grid.interior_nodes()
-    exact = case.exact(x, t_final)
+    exact = case.exact(x, args.t_final)
     rows = [
         f"{xi:.12e},{ui:.12e},{ei:.12e},{abs(ui - ei):.12e}"
         for xi, ui, ei in zip(x, u, exact)
@@ -250,31 +235,26 @@ def _cmd_solve1d(args) -> tuple[str, str]:
 
 
 def _cmd_solve2d(args) -> tuple[str, str]:
-    alpha = _parse_number(args.alpha)
-    beta = _parse_number(args.beta) if args.beta else alpha
+    beta = args.alpha if args.beta is None else args.beta
     st = _pick_tuple(args)
-    nx = int(args.nx or 20)
-    if args.ny and int(args.ny) != nx:
-        raise ConfigError("the benchmark problem uses nx == ny")
-    variant = _pick_variant(args)
-    t_final = _parse_number(args.t_final or "1.0")
-    case = manufactured_2d(alpha, beta)
-    case.t_final = t_final
-    problem = case.problem(nx, int(args.nt) if args.nt else None)
+    variant = _ADI_VARIANTS[args.adi]
+    case = manufactured_2d(args.alpha, beta)
+    case.t_final = args.t_final
+    problem = case.problem(args.nx, args.nt)
     config = {
         "command": "solve2d",
-        "alpha": repr(alpha),
+        "alpha": repr(args.alpha),
         "beta": repr(beta),
         "tuple": str(st),
-        "nx": nx,
+        "nx": args.nx,
         "nt": problem.n_steps,
-        "t_final": repr(t_final),
+        "t_final": repr(args.t_final),
         "adi": variant,
     }
     u = solve_2d(problem, st, variant=variant)
     x = problem.grid_x.interior_nodes()
     y = problem.grid_y.interior_nodes()
-    exact = case.exact(x[:, None], y[None, :], t_final)
+    exact = case.exact(x[:, None], y[None, :], args.t_final)
     rows = []
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
@@ -287,18 +267,15 @@ def _cmd_solve2d(args) -> tuple[str, str]:
 
 
 def _cmd_converge(args) -> tuple[str, None]:
-    dim = int(args.dim or 1)
-    if dim not in (1, 2):
-        raise ConfigError("--dim must be 1 or 2")
-    alpha = _parse_number(args.alpha)
+    alpha, dim = args.alpha, args.dim
     st = _pick_tuple(args)
-    h_list = _parse_float_list(args.h_list or ("1/10,1/20,1/40,1/60" if dim == 1 else "1/10,1/20,1/30,1/40"))
-    variant = _pick_variant(args)
+    h_list = args.h_list or _DEFAULT_H_LIST[dim]
+    variant = _ADI_VARIANTS[args.adi]
     if dim == 1:
         case = manufactured_1d(alpha)
         beta = None
     else:
-        beta = _parse_number(args.beta) if args.beta else alpha
+        beta = alpha if args.beta is None else args.beta
         case = manufactured_2d(alpha, beta)
     config = {
         "command": "converge",
@@ -310,9 +287,13 @@ def _cmd_converge(args) -> tuple[str, None]:
         "adi": variant if dim == 2 else "",
     }
     table = convergence_study(case, st, h_list, variant=variant)
-    buf = io.StringIO()
-    table.write_csv(buf, comments=[f"config_sha256={_config_hash(config)}", _UNITS_COMMENT])
-    return buf.getvalue(), None
+    # the tuple field contains commas, so it is always quoted
+    fixed = f'"{st}",{alpha:.12e},' + ("" if beta is None else f"{beta:.12e}")
+    rows = [
+        f"{fixed},{h:.12e},{tau:.12e},{err:.12e}," + ("" if rate is None else f"{rate:.12e}")
+        for h, tau, err, rate in table.rows
+    ]
+    return _csv_text(config, "tuple,alpha,beta,h,tau,max_error,rate", rows), None
 
 
 # subcommand -> handler returning (CSV text, summary line or None)
@@ -327,65 +308,78 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wsld",
         description="High-order fractional-derivative operators and diffusion solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--alpha", help="fractional order in (1,2); lists allowed where noted")
-        p.add_argument("--beta", help="second fractional order (2D)")
-        p.add_argument("--tuple", help="comma-separated integer shifts (1, 2, 4 or 8 of them)")
-        p.add_argument("--order", type=int, choices=(1, 2, 3, 4), help="pick a default tuple of this order")
+    def command(name, help, alphas=None, order=True):
+        """Add a subcommand with --alpha, --tuple, [--order], --out and --config.
+
+        ``alphas`` makes --alpha a comma-separated list with that default.
+        """
+        p = sub.add_parser(name, help=help)
+        if alphas is None:
+            p.add_argument("--alpha", type=_parse_number, help="fractional order in (1,2)")
+        else:
+            p.add_argument("--alpha", type=_parse_float_list, default=alphas,
+                           help=f"comma-separated orders in (1,2) (default {alphas})")
+        p.add_argument("--tuple", type=_parse_tuple,
+                       help="comma-separated integer shifts (1, 2, 4 or 8 of them)")
+        if order:
+            p.add_argument("--order", type=int, choices=(1, 2, 3, 4), default=4,
+                           help="default tuple of this order when --tuple is absent (default 4)")
         p.add_argument("--out", help="output CSV path (default: stdout)")
-        p.add_argument("--config", help="flat key=value config file; flags override")
+        p.add_argument("--config", help="flat key = value file of these flags; flags override")
+        return p
 
-    p = sub.add_parser("coeffs", help="emit g/q (and phi) coefficient sequences")
-    common(p)
-    p.add_argument("--k", help="largest coefficient index (default 5)")
+    p = command("coeffs", "emit g/q (and phi) coefficient sequences", order=False)
+    p.add_argument("--k", type=int, default=5, help="largest coefficient index (default 5)")
 
-    p = sub.add_parser("spectrum", help="emit (alpha, x, f) generating-function samples")
-    common(p)
-    p.add_argument("--x-points", dest="x_points", help="scan grid size (default 2001)")
+    p = command("spectrum", "emit (alpha, x, f) generating-function samples", "1.1,1.3,1.5,1.7,1.9")
+    p.add_argument("--x-points", type=int, default=2001, help="scan grid size (default 2001)")
 
-    p = sub.add_parser("certify", help="stability verdict for a shift tuple")
-    common(p)
-    p.add_argument("--nx", help="matrix size for the eigenvalue bound (default 64)")
-    p.add_argument("--x-points", dest="x_points", help="scan grid size (default 2001)")
+    p = command("certify", "stability verdict for a shift tuple", "1.1,1.5,1.9")
+    p.add_argument("--nx", type=int, default=64, help="matrix size for the eigenvalue bound (default 64)")
+    p.add_argument("--x-points", type=int, default=2001, help="scan grid size (default 2001)")
 
-    p = sub.add_parser("solve1d", help="solve the 1D benchmark problem")
-    common(p)
-    p.add_argument("--nx", help="number of grid cells (default 20)")
-    p.add_argument("--nt", help="number of time steps (default: h**-2)")
-    p.add_argument("--t-final", dest="t_final", help="final time (default 1.0)")
+    solve1d = command("solve1d", "solve the 1D benchmark problem")
+    solve2d = command("solve2d", "solve the 2D benchmark problem (ADI, nx cells per axis)")
+    for p in (solve1d, solve2d):
+        p.add_argument("--nx", type=int, default=20, help="number of cells per axis (default 20)")
+        p.add_argument("--nt", type=int, help="number of time steps (default: h**-2)")
+        p.add_argument("--t-final", type=_parse_number, default=1.0, help="final time (default 1.0)")
 
-    p = sub.add_parser("solve2d", help="solve the 2D benchmark problem (ADI)")
-    common(p)
-    p.add_argument("--nx", help="number of x cells (default 20)")
-    p.add_argument("--ny", help="number of y cells (must equal nx)")
-    p.add_argument("--nt", help="number of time steps (default: dx**-2)")
-    p.add_argument("--t-final", dest="t_final", help="final time (default 1.0)")
-    p.add_argument("--adi", choices=("pr", "douglas"), help="ADI variant (default pr)")
-
-    p = sub.add_parser("converge", help="refinement study over an h sequence")
-    common(p)
-    p.add_argument("--dim", help="1 or 2 (default 1)")
-    p.add_argument("--h-list", dest="h_list", help="comma-separated h values, fractions allowed")
-    p.add_argument("--adi", choices=("pr", "douglas"), help="ADI variant for dim=2")
+    converge = command("converge", "refinement study over an h sequence")
+    converge.add_argument("--dim", type=int, choices=(1, 2), default=1, help="1 or 2 (default 1)")
+    converge.add_argument("--h-list", type=_parse_float_list,
+                          help="comma-separated decreasing h values, fractions allowed")
+    for p in (solve2d, converge):
+        p.add_argument("--beta", type=_parse_number, help="y-direction order (default: alpha)")
+        p.add_argument("--adi", choices=("pr", "douglas"), default="pr",
+                       help="ADI variant for the 2D problem (default pr)")
 
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; config-file lines become flags between the subcommand and argv."""
     parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    keys = set(vars(args)) - {"command", "config"}
+    return parser.parse_args([argv[0], *_config_flags(args.config, keys), *argv[1:]])
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _merge_config(args)
-        if args.command in ("coeffs", "solve1d", "solve2d", "converge") and args.alpha is None:
+        try:
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        except SystemExit as exc:  # --help
+            return int(exc.code or 0)
+        if args.alpha is None:
             raise ConfigError(f"{args.command} requires --alpha (flag or config file)")
         text, summary = _COMMANDS[args.command](args)
     except ConfigError as exc:

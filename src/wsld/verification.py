@@ -29,6 +29,7 @@ __all__ = [
     "manufactured_2d",
     "max_error",
     "ConvergenceTable",
+    "observed_rate",
     "convergence_study",
 ]
 
@@ -192,40 +193,16 @@ class ConvergenceTable:
     """Rows of (h, tau, max_error, rate) from a refinement study.
 
     ``rate_i = ln(error_{i-1}/error_i) / ln(h_{i-1}/h_i)``; the first row
-    has no rate.  ``metadata`` records the tuple and orders used.
+    has no rate.
     """
 
     rows: list[tuple[float, float, float, float | None]]
-    metadata: dict
 
     def rates(self) -> list[float | None]:
         return [row[3] for row in self.rows]
 
     def errors(self) -> list[float]:
         return [row[2] for row in self.rows]
-
-    def write_csv(self, target, comments: Sequence[str] = ()) -> None:
-        """Serialize as CSV with columns tuple,alpha,beta,h,tau,max_error,rate."""
-        own = isinstance(target, str)
-        out = open(target, "w", encoding="utf-8") if own else target
-        try:
-            for line in comments:
-                out.write(f"# {line}\n")
-            out.write("tuple,alpha,beta,h,tau,max_error,rate\n")
-            # the tuple field contains commas, so it is always quoted
-            tup = '"' + str(self.metadata.get("tuple", "")) + '"'
-            alpha = self.metadata.get("alpha")
-            beta = self.metadata.get("beta")
-            alpha_s = "" if alpha is None else f"{alpha:.12e}"
-            beta_s = "" if beta is None else f"{beta:.12e}"
-            for h, tau, err, rate in self.rows:
-                rate_s = "" if rate is None else f"{rate:.12e}"
-                out.write(
-                    f"{tup},{alpha_s},{beta_s},{h:.12e},{tau:.12e},{err:.12e},{rate_s}\n"
-                )
-        finally:
-            if own:
-                out.close()
 
 
 def observed_rate(e_coarse: float, e_fine: float, h_coarse: float, h_fine: float) -> float:
@@ -273,11 +250,4 @@ def convergence_study(
         err = max_error(numeric, exact)
         rate = None if i == 0 else observed_rate(rows[-1][2], err, hs[i - 1], h)
         rows.append((h, problem.tau, err, rate))
-    metadata = {
-        "tuple": str(st),
-        "alpha": case.alpha,
-        "beta": case.beta,
-        "dimension": case.dimension,
-        "variant": variant if case.dimension == 2 else "crank_nicolson",
-    }
-    return ConvergenceTable(rows=rows, metadata=metadata)
+    return ConvergenceTable(rows=rows)

@@ -1,10 +1,17 @@
+import argparse
+import csv
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsld.cli import main
+from wsld.cli import _COMMANDS, _build_parser, main
 from wsld.coefficients import lubich_coeffs
+from wsld.verification import convergence_study, manufactured_1d, manufactured_2d
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -19,6 +26,13 @@ def read_csv(path):
         else:
             rows.append(line)
     return comments, header, rows
+
+
+def run_with_config(tmp_path, argv, text):
+    """Run ``argv`` with ``text`` as its config file, given right after the subcommand."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(argv[:1] + ["--config", str(cfg)] + argv[1:])
 
 
 class TestCoeffs:
@@ -150,6 +164,28 @@ class TestConverge:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_converge_csv_rows_match_study(dim, tmp_path):
+    out = tmp_path / "conv.csv"
+    argv = ["converge", "--dim", str(dim), "--alpha", "1.4", "--tuple", "1,2", "--h-list", "1/4,1/8"]
+    if dim == 2:
+        argv += ["--beta", "1.6"]
+    assert main(argv + ["--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert header == ["tuple", "alpha", "beta", "h", "tau", "max_error", "rate"]
+    case = manufactured_1d(1.4) if dim == 1 else manufactured_2d(1.4, 1.6)
+    study = convergence_study(case, (1, 2), [1 / 4, 1 / 8]).rows
+    assert len(rows) == len(study)
+    beta = "" if dim == 1 else f"{1.6:.12e}"
+    for row, (h, tau, err, rate) in zip(rows, study):
+        # the tuple field holds commas, so it must be quoted
+        assert row.startswith('"(1,2)",')
+        rate_text = "" if rate is None else f"{rate:.12e}"
+        expected = ["(1,2)", f"{1.4:.12e}", beta, f"{h:.12e}", f"{tau:.12e}", f"{err:.12e}", rate_text]
+        assert next(csv.reader([row])) == expected
+    assert study[0][3] is None and rows[0].endswith(",")
+
+
 class TestConfigFile:
     def test_file_supplies_values_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -179,6 +215,129 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["coeffs", "--alpha", "1.5", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("key", ["command", "config", "ny", "beta"])
+    def test_key_must_be_a_flag_of_the_subcommand(self, key, tmp_path, capsys):
+        argv = ["coeffs", "--alpha", "1.5"] if key != "ny" else ["solve2d", "--alpha", "1.5"]
+        assert run_with_config(tmp_path, argv, f"{key} = 6\n") == 2
+        assert capsys.readouterr().err == f"config-error: unknown config key {key!r}\n"
+
+    @pytest.mark.parametrize("key,value,argv", [
+        ("adi", "foo", ["solve2d", "--alpha", "1.5", "--nx", "4", "--nt", "2"]),
+        ("order", "7", ["spectrum", "--x-points", "3"]),
+    ])
+    def test_line_checked_like_flag(self, key, value, argv, tmp_path, capsys):
+        assert main(argv + [f"--{key}", value]) == 2
+        from_flag = capsys.readouterr().err
+        assert from_flag.startswith(f"config-error: argument --{key}: invalid choice: ")
+        assert run_with_config(tmp_path, argv, f"{key} = {value}\n") == 2
+        assert capsys.readouterr().err == from_flag
+
+    def test_value_starting_with_dash(self, tmp_path, capsys):
+        argv = ["coeffs", "--alpha", "1.5", "--k", "3"]
+        assert main(argv + ["--tuple=-1,2"]) == 0
+        from_flag = capsys.readouterr().out
+        assert from_flag.splitlines()[2] == "k,g,q,phi"
+        assert run_with_config(tmp_path, argv, "tuple = -1,2\n") == 0
+        assert capsys.readouterr().out == from_flag
+
+    def test_hyphen_and_underscore_keys(self, tmp_path, capsys):
+        argv = ["spectrum", "--tuple", "1,-2", "--alpha", "1.5"]
+        assert run_with_config(tmp_path, argv, "x-points = 5\n") == 0
+        hyphen = capsys.readouterr().out
+        assert run_with_config(tmp_path, argv, "x_points = 5\n") == 0
+        assert capsys.readouterr().out == hyphen
+        assert main(argv + ["--x-points", "5"]) == 0
+        assert capsys.readouterr().out == hyphen
+
+
+# argv, config-file text or None, the flag the error must name
+MALFORMED = [
+    (["solve1d", "--alpha", "1.5", "--nx", "abc"], None, "--nx"),
+    (["solve1d", "--alpha", "1.5", "--nt", "1.5"], None, "--nt"),
+    (["solve1d", "--alpha", "1.5", "--nt", ""], None, "--nt"),
+    (["coeffs", "--alpha", "1.5", "--k", "x"], None, "--k"),
+    (["spectrum", "--x-points", "x"], None, "--x-points"),
+    (["converge", "--alpha", "1.5", "--dim", "x"], None, "--dim"),
+    (["solve1d", "--alpha", "1.5"], "order = abc\n", "--order"),
+    (["solve1d", "--alpha", "1.5"], "nx = abc\n", "--nx"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,config,flag", MALFORMED,
+    ids=[f"{a[0]} " + (c.strip() if c else " ".join(a[-2:])) for a, c, _ in MALFORMED],
+)
+def test_malformed_value_is_config_error(argv, config, flag, tmp_path, capsys):
+    rc = main(argv) if config is None else run_with_config(tmp_path, argv, config)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config-error: argument {flag}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve1d", "--alpha", "1.5", "--beta", "1.9"],
+    ["coeffs", "--alpha", "1.5", "--order", "2"],
+    ["solve2d", "--alpha", "1.5", "--nx", "6", "--ny", "6"],
+])
+def test_removed_flag_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config-error: unrecognized arguments: ")
+
+
+def test_missing_subcommand_is_config_error(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().err.startswith("config-error: ")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_help_exits_zero(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: wsld {command} ")
+
+
+# subcommand -> the flags it reads, besides -h/--help
+SUBCOMMAND_FLAGS = {
+    "coeffs": {"--alpha", "--tuple", "--out", "--config", "--k"},
+    "spectrum": {"--alpha", "--tuple", "--order", "--out", "--config", "--x-points"},
+    "certify": {"--alpha", "--tuple", "--order", "--out", "--config", "--nx", "--x-points"},
+    "solve1d": {"--alpha", "--tuple", "--order", "--out", "--config", "--nx", "--nt", "--t-final"},
+    "solve2d": {
+        "--alpha", "--beta", "--tuple", "--order", "--out", "--config",
+        "--nx", "--nt", "--t-final", "--adi",
+    },
+    "converge": {
+        "--alpha", "--beta", "--tuple", "--order", "--out", "--config",
+        "--dim", "--h-list", "--adi",
+    },
+}
+
+
+def test_subcommand_flags():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert declared == SUBCOMMAND_FLAGS
+
+
+def readme_commands():
+    """The ``wsld ...`` lines of README's "Command line" code block."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("wsld ")]
+
+
+def test_readme_has_command_examples():
+    assert {words[1] for words in readme_commands()} == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("words", readme_commands(), ids=lambda w: w[1])
+def test_readme_command_parses(words):
+    args = _build_parser().parse_args(words[1:])
+    assert args.command == words[1]
 
 
 # subcommand argv -> pattern of its one summary line, or None for none

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from wsld.coefficients import DEFAULT_TUPLE
 from wsld.verification import (
     PROFILE_COEFFS,
     PROFILE_POWERS,
-    ConvergenceTable,
     _two_sided_rl,
     convergence_study,
     manufactured_1d,
@@ -301,18 +299,3 @@ class TestConvergenceStudy:
             errors.append(max_error(solve_1d(p), case.exact(p.grid.interior_nodes(), 1.0)))
         assert errors[0] > errors[1] > errors[2] * 0.999
         assert errors[2] == pytest.approx(errors[3], rel=0.02)
-
-    def test_csv_serialization(self):
-        table = ConvergenceTable(
-            rows=[(0.1, 0.01, 1e-3, None), (0.05, 0.0025, 6.25e-05, 4.0)],
-            metadata={"tuple": "(1,2)", "alpha": 1.5, "beta": None},
-        )
-        buf = io.StringIO()
-        table.write_csv(buf, comments=["config_sha256=deadbeef"])
-        text = buf.getvalue()
-        lines = text.strip().split("\n")
-        assert lines[0] == "# config_sha256=deadbeef"
-        assert lines[1] == "tuple,alpha,beta,h,tau,max_error,rate"
-        assert lines[2].startswith('"(1,2)",1.500000000000e+00,,1.0')
-        assert lines[3].endswith("4.000000000000e+00")
-        assert lines[2].count(",") >= 6
