@@ -185,6 +185,8 @@ def _cmd_spectrum(args) -> tuple[str, None]:
 
 def _cmd_certify(args) -> tuple[str, str]:
     st = _pick_tuple(args)
+    if args.x_points < 2:
+        raise ConfigError("--x-points must be at least 2")
     config = {
         "command": "certify",
         "tuple": str(st),
@@ -237,7 +239,7 @@ def _cmd_solve1d(args) -> tuple[str, str]:
 def _cmd_solve2d(args) -> tuple[str, str]:
     beta = args.alpha if args.beta is None else args.beta
     st = _pick_tuple(args)
-    variant = _ADI_VARIANTS[args.adi]
+    variant = _ADI_VARIANTS[args.adi or "pr"]
     case = manufactured_2d(args.alpha, beta)
     case.t_final = args.t_final
     problem = case.problem(args.nx, args.nt)
@@ -270,7 +272,9 @@ def _cmd_converge(args) -> tuple[str, None]:
     alpha, dim = args.alpha, args.dim
     st = _pick_tuple(args)
     h_list = args.h_list or _DEFAULT_H_LIST[dim]
-    variant = _ADI_VARIANTS[args.adi]
+    if dim == 1 and (args.beta is not None or args.adi is not None):
+        raise ConfigError("--beta and --adi apply only to --dim 2")
+    variant = _ADI_VARIANTS[args.adi or "pr"]
     if dim == 1:
         case = manufactured_1d(alpha)
         beta = None
@@ -357,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated decreasing h values, fractions allowed")
     for p in (solve2d, converge):
         p.add_argument("--beta", type=_parse_number, help="y-direction order (default: alpha)")
-        p.add_argument("--adi", choices=("pr", "douglas"), default="pr",
+        p.add_argument("--adi", choices=("pr", "douglas"),
                        help="ADI variant for the 2D problem (default pr)")
 
     return parser

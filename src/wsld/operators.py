@@ -88,12 +88,17 @@ def assemble_left(
 
     Row i, column j holds ``phi_{i-j+m}`` (zero above the m-th
     superdiagonal), so the Toeplitz structure is guaranteed by construction.
-    The right-derivative operator is the transpose.
+    The right-derivative operator is the transpose.  The grid needs more
+    interior nodes than the tuple's largest shift m, else ``ValueError``.
     """
     alpha = validate_order(alpha)
     table = table_for_grid(alpha, shifts, grid)
     n = grid.n_interior
     m = table.max_shift
+    if n <= m:
+        raise ValueError(
+            f"grid has {n} interior nodes; the stencil with max shift {m} needs at least {m + 1}"
+        )
     col = table.phi[m : m + n]
     row = np.zeros(n)
     row[: m + 1] = table.phi[m::-1]

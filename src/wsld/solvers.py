@@ -7,12 +7,20 @@ is advanced by
     [I - tau/(2 h^alpha) (D+ A + D- A^T)] U^{n+1}
         = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2},
 
-with the matrix factored once per run.  2D adds the y-direction analog and
-factors the implicit operator into two one-dimensional sweeps
+with the matrix LU-factored once per run.  2D adds the y-direction analog
+and factors the implicit operator into two one-dimensional sweeps
 (Peaceman-Rachford or Douglas form; the two are algebraically equivalent).
 Interior unknowns are stored as arrays ``u[i, j] = u(x_i, y_j)``; the
 x-operator acts as ``kx @ u`` and the y-operator as ``u @ ky.T``, and the
 Kronecker-product form of the scheme is never materialized.
+
+The matrices never change during a run, so where it pays the factors are
+turned into explicit inverses once and every step is a dense product:
+always for the two ADI sweep matrices, and in 1D when the run has at least
+as many steps as unknowns (forming the inverse costs about ``2 n^3`` flops
+and saves only the per-step ``lu_solve`` call overhead, so large 1D grids
+with few steps keep solving with the factors).  Products do not reject
+infs or NaNs, so the time loop checks every new state itself.
 """
 
 from __future__ import annotations
@@ -137,10 +145,42 @@ class Problem2D:
         return self.t_final / self.n_steps
 
 
-def _check_forcing(f: np.ndarray, n: int, t: float) -> None:
-    """Raise naming step n and time t when the forcing sample f is not finite."""
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"forcing returned a non-finite value at step {n} (t = {t!r})")
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Explicit inverse of ``a`` from its LU factors."""
+    return lu_solve(lu_factor(a), np.eye(len(a)))
+
+
+def _march(
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    u0: np.ndarray,
+    sample: Callable[[float], np.ndarray],
+    n_steps: int,
+    tau: float,
+    return_history: bool,
+) -> np.ndarray:
+    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, sample(t_{n+1/2}))``.
+
+    A non-finite state raises ``ValueError``: naming the forcing, the step
+    and its time when that step's forcing sample is non-finite, otherwise
+    saying the state has infs or NaNs at that step.  Overflow and invalid
+    floating-point warnings are off inside the loop, since the check reports
+    their result.
+    """
+    u = u0.copy()
+    history = [u] if return_history else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            t_mid = (n + 0.5) * tau
+            f_mid = np.asarray(sample(t_mid), dtype=float)
+            u = step(u, f_mid)
+            if not np.isfinite(u).all():
+                culprit = "state has infs or NaNs"
+                if not np.isfinite(f_mid).all():
+                    culprit = "forcing returned a non-finite value"
+                raise ValueError(f"{culprit} at step {n} (t = {t_mid!r})")
+            if history is not None:
+                history.append(u)
+    return np.array(history) if history is not None else u
 
 
 def _scaled_pair_matrix(
@@ -181,30 +221,33 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    The left-hand matrix is LU-factored once (it does not depend on time)
-    and the forcing is sampled pointwise at the half steps ``t_{n+1/2}``; a
-    non-finite sample raises ``ValueError`` naming the step and its time.
-    With ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
-    returned instead of the final slice.
+    The left-hand matrix is LU-factored once (it does not depend on time).
+    When ``n_steps >= n_interior`` its inverse is formed from the factors and
+    each step is a matrix-vector product; otherwise each step solves with
+    the factors.  The two agree to round-off.  The forcing is sampled
+    pointwise at the half steps ``t_{n+1/2}``; a non-finite sample raises
+    ``ValueError`` naming the step and its time, and any other non-finite
+    state one saying it has infs or NaNs.  With ``return_history=True`` the
+    full ``(n_steps+1, n)`` trajectory is returned instead of the final
+    slice.
     """
     m_minus, m_plus = build_cn_system(problem, shifts)
-    lu = lu_factor(m_minus)
+    if problem.n_steps >= problem.grid.n_interior:
+        inv = _inverse(m_minus)
+        solve = lambda rhs: inv @ rhs
+    else:
+        lu = lu_factor(m_minus)
+        solve = lambda rhs: lu_solve(lu, rhs, check_finite=False)
     x = problem.grid.interior_nodes()
     tau = problem.tau
-    u = problem.u0.copy()
-    history = [u.copy()] if return_history else None
-    for n in range(problem.n_steps):
-        t_mid = (n + 0.5) * tau
-        f_mid = np.asarray(problem.forcing(x, t_mid), dtype=float)
-        rhs = m_plus @ u + tau * f_mid
-        try:
-            u = lu_solve(lu, rhs)
-        except ValueError:
-            _check_forcing(f_mid, n, t_mid)
-            raise
-        if history is not None:
-            history.append(u.copy())
-    return np.array(history) if history is not None else u
+    return _march(
+        lambda u, f: solve(m_plus @ u + tau * f),
+        problem.u0,
+        lambda t: problem.forcing(x, t),
+        problem.n_steps,
+        tau,
+        return_history,
+    )
 
 
 def build_adi_factors(
@@ -235,31 +278,31 @@ def step_adi(
     tau: float,
     kx: np.ndarray,
     ky: np.ndarray,
-    lu_x,
-    lu_y,
+    inv_x: np.ndarray,
+    inv_y: np.ndarray,
     variant: str = "peaceman_rachford",
 ) -> np.ndarray:
     """One ADI step from u^n to u^{n+1} with forcing sampled mid-step.
 
-    ``lu_x``/``lu_y`` are LU factorizations of (I - kx) and (I - ky).  Both
-    variants solve the same factored equation
+    ``inv_x``/``inv_y`` are the inverses of (I - kx) and (I - ky), so each
+    sweep is a dense product (``inv_x @ r`` for x, ``r @ inv_y.T`` for y).
+    Both variants solve the same factored equation
 
         (I - Ax)(I - Ay) u^{n+1} = (I + Ax)(I + Ay) u^n + tau f^{n+1/2},
 
     so they agree to round-off; they differ only in the intermediate sweep
-    algebra.
+    algebra.  Non-finite input gives a non-finite result, not an error.
     """
     if variant == "peaceman_rachford":
         rhs = u + u @ ky.T + 0.5 * tau * f_mid
-        u_star = lu_solve(lu_x, rhs)
+        u_star = inv_x @ rhs
         rhs = u_star + kx @ u_star + 0.5 * tau * f_mid
-        return lu_solve(lu_y, rhs.T).T
+        return rhs @ inv_y.T
     if variant == "douglas":
         ay_u = u @ ky.T
         rhs = u + kx @ u + 2.0 * ay_u + tau * f_mid
-        u_star = lu_solve(lu_x, rhs)
-        rhs = u_star - ay_u
-        return lu_solve(lu_y, rhs.T).T
+        u_star = inv_x @ rhs
+        return (u_star - ay_u) @ inv_y.T
     raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
 
 
@@ -275,27 +318,24 @@ def solve_2d(
     Exactly two LU factorizations are computed per run -- one (n_x-1) system
     shared by all x-sweeps and one (n_y-1) system shared by all y-sweeps --
     because the separable coefficients make the sweep matrices identical
-    across slices.  A non-finite forcing sample raises ``ValueError`` naming
-    the step and its time.
+    across slices.  Each is turned into an explicit inverse once (about one
+    step's worth of flops), so every ``step_adi`` is dense products only.
+    A non-finite forcing sample raises ``ValueError`` naming the step and
+    its time, and any other non-finite state one saying it has infs or NaNs.
     """
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     kx, ky = build_adi_factors(problem, shifts_x, shifts_y)
-    lu_x = lu_factor(np.eye(kx.shape[0]) - kx)
-    lu_y = lu_factor(np.eye(ky.shape[0]) - ky)
+    inv_x = _inverse(np.eye(len(kx)) - kx)
+    inv_y = _inverse(np.eye(len(ky)) - ky)
     x = problem.grid_x.interior_nodes()[:, None]
     y = problem.grid_y.interior_nodes()[None, :]
     tau = problem.tau
-    u = problem.u0.copy()
-    history = [u.copy()] if return_history else None
-    for n in range(problem.n_steps):
-        t_mid = (n + 0.5) * tau
-        f_mid = np.asarray(problem.forcing(x, y, t_mid), dtype=float)
-        try:
-            u = step_adi(u, f_mid, tau, kx, ky, lu_x, lu_y, variant)
-        except ValueError:
-            _check_forcing(f_mid, n, t_mid)
-            raise
-        if history is not None:
-            history.append(u.copy())
-    return np.array(history) if history is not None else u
+    return _march(
+        lambda u, f: step_adi(u, f, tau, kx, ky, inv_x, inv_y, variant),
+        problem.u0,
+        lambda t: problem.forcing(x, y, t),
+        problem.n_steps,
+        tau,
+        return_history,
+    )

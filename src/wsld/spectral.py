@@ -177,13 +177,14 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric part (A + A^T)/2.
 
     Upper bound for the real part of every eigenvalue of A; computed with a
-    dense symmetric eigensolver.
+    dense symmetric eigensolver asked for that one eigenvalue only.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
+    n = a.shape[0]
     h = (a + a.T) / 2.0
-    return float(eigvalsh(h)[-1])
+    return float(eigvalsh(h, subset_by_index=[n - 1, n - 1])[0])
 
 
 def certify(
@@ -201,8 +202,11 @@ def certify(
     requested alpha leaves the tuple's order-4 weights undefined
     (``a*bb == ab*b`` in ``weights_order4``).  Among ``CERTIFIED_TUPLES``
     this happens once: ``(1,2,1,-1,1,-1,1,-2)`` at alpha = 1.5, where the
-    denominator ``72 - 48*alpha`` vanishes.
+    denominator ``72 - 48*alpha`` vanishes.  ``x_points`` below 2 raise
+    ``ValueError``: one point scans only x = 0, where the symbol is 0.
     """
+    if x_points < 2:
+        raise ValueError(f"x_points must be at least 2, got {x_points}")
     st = ShiftTuple.of(shifts)
     x_grid = np.linspace(0.0, np.pi, x_points)
     partial = scan_nonpositivity(st, alphas, x_grid)

@@ -110,6 +110,17 @@ class TestCertify:
         assert "verdict: positive" in captured.err
         assert captured.out.startswith("# config_sha256=")
 
+    @pytest.mark.parametrize("x_points", ["1", "0"])
+    def test_scan_below_two_points_is_config_error(self, x_points, capsys):
+        assert main(["certify", "--nx", "8", "--x-points", x_points]) == 2
+        assert capsys.readouterr().err == "config-error: --x-points must be at least 2\n"
+
+    def test_matrix_not_wider_than_stencil_is_numeric_error(self, capsys):
+        assert main(["certify", "--nx", "1", "--x-points", "11"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric-error: grid has 1 interior nodes; the stencil with max shift 2"
+        )
+
     def test_degenerate_tuple_is_numeric_error(self, capsys):
         rc = main([
             "certify", "--tuple", "1,2,1,-1,1,-1,1,-2", "--alpha", "1.5",
@@ -141,7 +152,36 @@ class TestSolve:
         assert len(rows) == 49
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve1d", "--alpha", "1.5", "--nx", "2", "--nt", "1"],
+    ["solve1d", "--alpha", "1.5", "--nx", "3", "--nt", "1"],
+    ["solve2d", "--alpha", "1.5", "--nx", "3", "--nt", "1"],
+    ["converge", "--alpha", "1.5", "--h-list", "1,2/3"],
+])
+def test_grid_not_wider_than_stencil_is_numeric_error(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric-error: grid has \d interior nodes; the stencil with max shift 2 .*\n", err)
+
+
 class TestConverge:
+    @pytest.mark.parametrize("flags", [["--beta", "1.9"], ["--adi", "pr"], ["--adi", "douglas"]])
+    def test_dim1_rejects_2d_flags(self, flags, capsys):
+        argv = ["converge", "--alpha", "1.5", "--dim", "1", "--h-list", "1/2,1/4"]
+        assert main(argv + flags) == 2
+        assert capsys.readouterr().err == "config-error: --beta and --adi apply only to --dim 2\n"
+
+    def test_dim1_rejects_2d_config_key(self, tmp_path, capsys):
+        argv = ["converge", "--alpha", "1.5", "--h-list", "1/2,1/4"]
+        assert run_with_config(tmp_path, argv, "adi = pr\n") == 2
+        assert capsys.readouterr().err.startswith("config-error: ")
+
+    def test_dim2_adi_default_is_pr(self, tmp_path):
+        argv = ["converge", "--alpha", "1.5", "--dim", "2", "--h-list", "1/2,1/4", "--out"]
+        assert main(argv + [str(tmp_path / "a.csv")]) == 0
+        assert main(argv + [str(tmp_path / "b.csv"), "--adi", "pr"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_matches_published_row(self, tmp_path):
         out = tmp_path / "conv.csv"
         rc = main([

@@ -78,6 +78,17 @@ class TestAssembly:
         with pytest.raises(ValueError):
             op[0, 0] = 0.0
 
+    @pytest.mark.parametrize("shifts,n_cells", [(DEFAULT_TUPLE, 2), (DEFAULT_TUPLE, 3), ((1, -3), 4)])
+    def test_rejects_grid_not_wider_than_max_shift(self, shifts, n_cells):
+        n, m = n_cells - 1, ShiftTuple.of(shifts).max_shift
+        with pytest.raises(ValueError, match=f"^grid has {n} interior nodes; .* max shift {m}"):
+            assemble_left(1.5, shifts, Grid1D(0.0, 1.0, n_cells))
+
+    @pytest.mark.parametrize("shifts", [DEFAULT_TUPLE, (1, -3)])
+    def test_smallest_grid_assembles(self, shifts):
+        m = ShiftTuple.of(shifts).max_shift
+        assert assemble_left(1.5, shifts, Grid1D(0.0, 1.0, m + 2)).shape == (m + 1, m + 1)
+
     @pytest.mark.parametrize("n_cells", [32, 64, 128])
     def test_row_sums_shrink_with_resolution(self, n_cells, shrink={}):
         op = assemble_left(1.5, DEFAULT_TUPLE, Grid1D(0.0, 2.0, n_cells))

@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor
+from scipy.linalg import lu_factor, lu_solve
 
+import wsld.solvers as solvers
 from wsld.coefficients import DEFAULT_TUPLE
 from wsld.operators import Grid1D
 from wsld.solvers import (
+    ADI_VARIANTS,
     Problem1D,
     Problem2D,
     build_adi_factors,
@@ -69,6 +71,57 @@ def kron_lift(kx, ky):
     """Dense Kronecker lifts acting on u.ravel(order='F') (x index fastest)."""
     nx, ny = kx.shape[0], ky.shape[0]
     return np.kron(np.eye(ny), kx), np.kron(ky, np.eye(nx))
+
+
+def lu_stepped_1d(p, shifts=DEFAULT_TUPLE):
+    """Reference CN trajectory: solve with the LU factors of M_minus every step."""
+    m_minus, m_plus = build_cn_system(p, shifts)
+    lu = lu_factor(m_minus)
+    x = p.grid.interior_nodes()
+    history = [p.u0]
+    for n in range(p.n_steps):
+        f = p.forcing(x, (n + 0.5) * p.tau)
+        history.append(lu_solve(lu, m_plus @ history[-1] + p.tau * f))
+    return np.array(history)
+
+
+def lu_stepped_2d(p, variant, shifts=DEFAULT_TUPLE):
+    """Reference ADI trajectory: both sweeps solve with LU factors every step."""
+    kx, ky = build_adi_factors(p, shifts)
+    lu_x = lu_factor(np.eye(kx.shape[0]) - kx)
+    lu_y = lu_factor(np.eye(ky.shape[0]) - ky)
+    x = p.grid_x.interior_nodes()[:, None]
+    y = p.grid_y.interior_nodes()[None, :]
+    history = [p.u0]
+    for n in range(p.n_steps):
+        u = history[-1]
+        f = p.forcing(x, y, (n + 0.5) * p.tau)
+        if variant == "peaceman_rachford":
+            u_star = lu_solve(lu_x, u + u @ ky.T + 0.5 * p.tau * f)
+            rhs = u_star + kx @ u_star + 0.5 * p.tau * f
+        else:
+            ay_u = u @ ky.T
+            u_star = lu_solve(lu_x, u + kx @ u + 2.0 * ay_u + p.tau * f)
+            rhs = u_star - ay_u
+        history.append(lu_solve(lu_y, rhs.T).T)
+    return np.array(history)
+
+
+def count_lu_solve(monkeypatch):
+    """Count the library's lu_solve calls; returns the list they append to."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "lu_solve", counting)
+    return calls
+
+
+def assert_same_trajectory(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestProblemValidation:
@@ -223,49 +276,49 @@ class TestAdiFactors:
 class TestAdiStep:
     def _factors(self, p, shifts=DEFAULT_TUPLE):
         kx, ky = build_adi_factors(p, shifts)
-        lu_x = lu_factor(np.eye(kx.shape[0]) - kx)
-        lu_y = lu_factor(np.eye(ky.shape[0]) - ky)
-        return kx, ky, lu_x, lu_y
+        inv_x = np.linalg.inv(np.eye(kx.shape[0]) - kx)
+        inv_y = np.linalg.inv(np.eye(ky.shape[0]) - ky)
+        return kx, ky, inv_x, inv_y
 
     def test_zero_state_zero_forcing_stays_zero(self):
         p = make_problem_2d()
-        kx, ky, lu_x, lu_y = self._factors(p)
+        kx, ky, inv_x, inv_y = self._factors(p)
         z = np.zeros((p.grid_x.n_interior, p.grid_y.n_interior))
         for variant in ("peaceman_rachford", "douglas"):
-            out = step_adi(z, z, p.tau, kx, ky, lu_x, lu_y, variant)
+            out = step_adi(z, z, p.tau, kx, ky, inv_x, inv_y, variant)
             np.testing.assert_array_equal(out, 0.0)
 
     def test_variants_agree_on_random_state(self):
         p = make_problem_2d(n_cells=8, alpha=1.3, beta=1.7)
-        kx, ky, lu_x, lu_y = self._factors(p)
+        kx, ky, inv_x, inv_y = self._factors(p)
         rng = np.random.default_rng(11)
         u = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
         f = rng.normal(size=u.shape)
-        u_pr = step_adi(u, f, p.tau, kx, ky, lu_x, lu_y, "peaceman_rachford")
-        u_dg = step_adi(u, f, p.tau, kx, ky, lu_x, lu_y, "douglas")
+        u_pr = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, "peaceman_rachford")
+        u_dg = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, "douglas")
         np.testing.assert_allclose(u_pr, u_dg, rtol=1e-10)
 
     @pytest.mark.parametrize("variant", ["peaceman_rachford", "douglas"])
     def test_step_matches_dense_factored_solve(self, variant):
         p = make_problem_2d(n_cells=6, alpha=1.2, beta=1.8)
-        kx, ky, lu_x, lu_y = self._factors(p)
+        kx, ky, inv_x, inv_y = self._factors(p)
         big_x, big_y = kron_lift(kx, ky)
         n = big_x.shape[0]
         eye = np.eye(n)
         rng = np.random.default_rng(12)
         u = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
         f = rng.normal(size=u.shape)
-        stepped = step_adi(u, f, p.tau, kx, ky, lu_x, lu_y, variant)
+        stepped = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, variant)
         rhs = (eye + big_x) @ (eye + big_y) @ u.ravel(order="F") + p.tau * f.ravel(order="F")
         dense = np.linalg.solve((eye - big_x) @ (eye - big_y), rhs)
         np.testing.assert_allclose(stepped.ravel(order="F"), dense, rtol=1e-10)
 
     def test_unknown_variant_rejected(self):
         p = make_problem_2d()
-        kx, ky, lu_x, lu_y = self._factors(p)
+        kx, ky, inv_x, inv_y = self._factors(p)
         z = np.zeros((p.grid_x.n_interior, p.grid_y.n_interior))
         with pytest.raises(ValueError):
-            step_adi(z, z, p.tau, kx, ky, lu_x, lu_y, "upwind")
+            step_adi(z, z, p.tau, kx, ky, inv_x, inv_y, "upwind")
 
 
 class TestSolve2D:
@@ -321,15 +374,72 @@ class TestSolve2D:
 
 
 
-class TestNonFiniteForcing:
-    def test_1d_names_forcing_step_and_time(self):
-        def forcing(x, t):
-            return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+class TestPropagatorStepping:
+    # n_interior = 19: 19 steps form the inverse (one lu_solve call),
+    # 18 steps solve with the factors at every step
+    @pytest.mark.parametrize("n_steps,lu_calls", [(19, 1), (60, 1), (18, 18)],
+                             ids=["propagator-at-rule", "propagator", "lu"])
+    def test_1d_matches_lu_stepping(self, n_steps, lu_calls, monkeypatch):
+        p = manufactured_1d(1.5).problem(20, n_steps)
+        calls = count_lu_solve(monkeypatch)
+        got = solve_1d(p, return_history=True)
+        assert len(calls) == lu_calls
+        assert_same_trajectory(got, lu_stepped_1d(p))
 
-        p = dataclasses.replace(make_problem_1d(tau=0.2, n_steps=5), forcing=forcing)
-        # steps sample t = 0.1, 0.3, 0.5, 0.7, 0.9: step 3 is the first t > 0.5
-        with pytest.raises(ValueError, match=r"^forcing .* non-finite .* step 3 \(t = 0\.7"):
-            solve_1d(p)
+    @pytest.mark.parametrize("variant", ADI_VARIANTS)
+    def test_2d_matches_lu_stepping(self, variant, monkeypatch):
+        # few steps on a large grid: ADI still inverts both sweep matrices
+        p = manufactured_2d(1.3, 1.7).problem(12, n_steps=5)
+        calls = count_lu_solve(monkeypatch)
+        got = solve_2d(p, variant=variant, return_history=True)
+        assert len(calls) == 2
+        assert_same_trajectory(got, lu_stepped_2d(p, variant))
+
+    @pytest.mark.parametrize("variant", ADI_VARIANTS)
+    def test_2d_rectangular_matches_lu_stepping(self, variant):
+        case = manufactured_2d(1.3, 1.7)
+        grid_x, grid_y = Grid1D(0.0, 2.0, 12), Grid1D(0.0, 2.0, 8)
+        x, y = grid_x.interior_nodes(), grid_y.interior_nodes()
+        p = Problem2D(
+            grid_x=grid_x, grid_y=grid_y, alpha=1.3, beta=1.7,
+            d_plus=x**1.3, d_minus=2 * x**1.3, e_plus=y**1.7, e_minus=2 * y**1.7,
+            forcing=case.forcing, u0=case.exact(x[:, None], y[None, :], 0.0),
+            t_final=0.5, n_steps=40,
+        )
+        got = solve_2d(p, variant=variant, return_history=True)
+        assert_same_trajectory(got, lu_stepped_2d(p, variant))
+
+
+def solve_nan_forcing_1d(n_cells):
+    def forcing(x, t):
+        return np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x)
+
+    p = dataclasses.replace(make_problem_1d(n_cells=n_cells, tau=0.2, n_steps=5), forcing=forcing)
+    # steps sample t = 0.1, 0.3, 0.5, 0.7, 0.9: step 3 is the first t > 0.5
+    with pytest.raises(ValueError, match=r"^forcing .* non-finite .* step 3 \(t = 0\.7"):
+        solve_1d(p)
+
+
+def solve_overflowing_forcing_1d(n_cells, n_steps):
+    # tau * f overflows although f itself is finite: the state is blamed
+    def forcing(x, t):
+        return np.full_like(x, 1e308)
+
+    p = dataclasses.replace(
+        make_problem_1d(n_cells=n_cells, tau=10.0, n_steps=n_steps), forcing=forcing
+    )
+    with pytest.raises(ValueError, match=r"infs or NaNs at step 0 \(t = 5\.0"):
+        solve_1d(p)
+
+
+class TestNonFiniteForcing:
+    # 1D: 11 unknowns with 5 (or 2) steps solve with LU factors, 3 unknowns
+    # with 5 (or 3) steps use the inverse
+    def test_1d_names_forcing_step_and_time(self):
+        solve_nan_forcing_1d(n_cells=12)
+
+    def test_1d_propagator_names_forcing_step_and_time(self):
+        solve_nan_forcing_1d(n_cells=4)
 
     @pytest.mark.parametrize("variant", ["peaceman_rachford", "douglas"])
     def test_2d_names_forcing_step_and_time(self, variant):
@@ -344,10 +454,38 @@ class TestNonFiniteForcing:
             solve_2d(p, DEFAULT_TUPLE, variant=variant)
 
     def test_finite_forcing_keeps_original_error(self):
-        # tau * f overflows although f itself is finite: scipy's error stands
-        def forcing(x, t):
-            return np.full_like(x, 1e308)
+        solve_overflowing_forcing_1d(n_cells=12, n_steps=2)
 
-        p = dataclasses.replace(make_problem_1d(tau=10.0, n_steps=2), forcing=forcing)
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+    def test_propagator_finite_forcing_keeps_original_error(self):
+        solve_overflowing_forcing_1d(n_cells=4, n_steps=3)
+
+    @pytest.mark.parametrize("variant", ADI_VARIANTS)
+    def test_2d_finite_forcing_keeps_original_error(self, variant):
+        def forcing(x, y, t):
+            return np.full(np.broadcast(x, y).shape, 1e308)
+
+        p = dataclasses.replace(make_problem_2d(tau=10.0, n_steps=2), forcing=forcing)
+        with pytest.raises(ValueError, match=r"infs or NaNs at step 0 \(t = 5\.0"):
+            solve_2d(p, DEFAULT_TUPLE, variant=variant)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteForcingWarningsAsErrors(TestNonFiniteForcing):
+    """The same cases with RuntimeWarning promoted to an error."""
+
+
+class TestCoarseGrid:
+    # DEFAULT_TUPLE has max shift 2: 2 interior nodes are too few, 3 enough
+    def test_solve_1d_rejects_grid_by_name(self):
+        p = make_problem_1d(n_cells=3, u0=np.zeros(2))
+        with pytest.raises(ValueError, match="grid has 2 interior nodes; .* max shift 2"):
             solve_1d(p)
+
+    def test_solve_2d_rejects_grid_by_name(self):
+        p = make_problem_2d(n_cells=3, u0=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="grid has 2 interior nodes; .* max shift 2"):
+            solve_2d(p)
+
+    def test_smallest_grid_solves(self):
+        p = make_problem_1d(n_cells=4, u0=np.ones(3))
+        assert np.all(np.isfinite(solve_1d(p)))

@@ -103,6 +103,12 @@ class TestEigenvalueBound:
     def test_identity(self):
         assert max_real_part_bound(np.eye(7)) == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("shifts", [DEFAULT_TUPLE, (0,)])
+    def test_matches_full_spectrum(self, shifts):
+        op = assemble_left(1.3, shifts, Grid1D(0.0, 1.0, 101))
+        full = np.linalg.eigvalsh((op + op.T) / 2)[-1]
+        assert max_real_part_bound(op) == pytest.approx(full, rel=1e-12, abs=1e-14)
+
     def test_unshifted_operator_unstable(self):
         op = assemble_left(1.5, (0,), Grid1D(0.0, 1.0, 17))
         assert max_real_part_bound(op) >= 1.5**1.5
@@ -152,6 +158,16 @@ class TestCertify:
         assert report.verdict == "certified_negative"
         assert report.f_max <= ROUNDOFF_ZERO
         assert report.lambda_max_sym < 0.0
+
+    @pytest.mark.parametrize("x_points", [1, 0])
+    def test_rejects_scan_below_two_points(self, x_points):
+        with pytest.raises(ValueError, match=f"x_points must be at least 2, got {x_points}"):
+            certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=8, x_points=x_points)
+
+    @pytest.mark.parametrize("n_interior", [1, 2])
+    def test_rejects_matrix_not_wider_than_max_shift(self, n_interior):
+        with pytest.raises(ValueError, match=f"grid has {n_interior} interior nodes"):
+            certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=n_interior, x_points=11)
 
     def test_unshifted_reports_positive(self):
         report = certify((0,), alphas=[1.5], n_interior=16, x_points=501)
