@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,17 @@ def test_package_reexports_are_listed():
         and alias.name not in importlib.import_module(f"wsld.{node.module}").__all__
     ]
     assert unlisted == []
+
+
+def test_import_loads_neither_scipy_fft_nor_signal():
+    # the library's FFTs go through numpy.fft, which numpy already loads; an
+    # eager scipy.fft or scipy.signal import would add to every start-up
+    src = str(Path(wsld.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, wsld; print(sorted({'scipy.fft', 'scipy.signal'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

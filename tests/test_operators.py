@@ -39,6 +39,24 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "name,args",
+        [("x_left", (np.nan, 1.0, 10)), ("x_left", (-np.inf, 1.0, 10)),
+         ("x_right", (0.0, np.inf, 10)), ("x_right", (0.0, np.nan, 10))],
+    )
+    def test_non_finite_end_rejected(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            Grid1D(*args)
+
+    @pytest.mark.parametrize("n_cells", [10.7, 10.0, np.float64(10.0), "10"])
+    def test_non_integral_n_cells_rejected(self, n_cells):
+        with pytest.raises(ValueError, match="^n_cells must be an integer"):
+            Grid1D(0.0, 1.0, n_cells)
+
+    def test_numpy_integer_n_cells_accepted(self):
+        g = Grid1D(0.0, 1.0, np.int64(10))
+        assert g.n_interior == 9 and len(g.interior_nodes()) == 9
+
 
 class TestAssembly:
     def test_unshifted_is_lower_triangular_with_known_eigenvalues(self):

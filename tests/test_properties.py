@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wsld.coefficients import DegenerateTupleError
 from wsld.operators import Grid1D, apply_stencil, assemble_left, table_for_grid
-from wsld.solvers import Problem1D, build_cn_system
+from wsld.solvers import _FFT_MIN_INTERIOR, Problem1D, build_cn_system
 
 # derandomized so the suite is reproducible; the draws still cover tuples
 # that no hand-written case lists
@@ -15,6 +15,9 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, d
 tuples_8 = st.tuples(*[st.integers(-3, 3)] * 8)
 alphas = st.floats(1.05, 1.95, exclude_min=True, exclude_max=True)
 n_cells = st.integers(8, 40)
+# apply_stencil always goes through the FFT; the larger draws cover the grids
+# where solve_1d switches to it too
+stencil_n_cells = st.one_of(n_cells, st.integers(_FFT_MIN_INTERIOR + 1, _FFT_MIN_INTERIOR + 400))
 
 
 def operator_or_reject(alpha, shifts, grid):
@@ -25,7 +28,7 @@ def operator_or_reject(alpha, shifts, grid):
 
 
 @PROPERTY_SETTINGS
-@given(shifts=tuples_8, alpha=alphas, n=n_cells, seed=st.integers(0, 2**32 - 1))
+@given(shifts=tuples_8, alpha=alphas, n=stencil_n_cells, seed=st.integers(0, 2**32 - 1))
 def test_stencil_matches_dense_matvec_and_transpose(shifts, alpha, n, seed):
     grid = Grid1D(0.0, 2.0, n)
     a = operator_or_reject(alpha, shifts, grid)

@@ -119,6 +119,24 @@ def count_lu_solve(monkeypatch):
     return calls
 
 
+def count_toeplitz_applies(monkeypatch):
+    """Count applications of the FFT stencil routine the 1D solver builds."""
+    calls = []
+    original = solvers._toeplitz_pair
+
+    def counting(*args):
+        apply = original(*args)
+
+        def counted(u):
+            calls.append(1)
+            return apply(u)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_toeplitz_pair", counting)
+    return calls
+
+
 def assert_same_trajectory(got, ref):
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -161,6 +179,16 @@ class TestProblemValidation:
     def test_non_finite_t_final_rejected(self, make, bad):
         with pytest.raises(ValueError, match="^t_final must be finite"):
             dataclasses.replace(make(), t_final=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, 10.0, np.float64(3.0), "4"])
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_non_integral_n_steps_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="^n_steps must be an integer"):
+            dataclasses.replace(make(), n_steps=bad)
+
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_numpy_integer_n_steps_accepted(self, make):
+        assert dataclasses.replace(make(), n_steps=np.int64(4)).n_steps == 4
 
 
 class TestCrankNicolsonSystem:
@@ -408,6 +436,28 @@ class TestPropagatorStepping:
         )
         got = solve_2d(p, variant=variant, return_history=True)
         assert_same_trajectory(got, lu_stepped_2d(p, variant))
+
+
+class TestFftExplicitSide:
+    # n_interior = _FFT_MIN_INTERIOR - 1 keeps the dense M_plus @ u; from the
+    # constant on, every step applies the stencil through its FFT once.  Both
+    # sides run with LU solves (20 steps) and with the inverse (n steps).
+    # Bound: FFT round-off in A u, amplified by tau/(2 h^alpha) (130 with 20
+    # steps); measured at most 4.7e-13 x max|u|.
+    @pytest.mark.parametrize("offset,fft", [(-1, False), (0, True)], ids=["dense", "fft"])
+    @pytest.mark.parametrize("backend", ["lu", "propagator"])
+    def test_matches_dense_explicit_side(self, offset, fft, backend, monkeypatch):
+        n = solvers._FFT_MIN_INTERIOR + offset
+        n_steps = 20 if backend == "lu" else n
+        p = manufactured_1d(1.5).problem(n + 1, n_steps)
+        applies = count_toeplitz_applies(monkeypatch)
+        lu_calls = count_lu_solve(monkeypatch)
+        got = solve_1d(p, return_history=True)
+        assert len(applies) == (n_steps if fft else 0)
+        assert len(lu_calls) == (n_steps if backend == "lu" else 1)
+        ref = lu_stepped_1d(p)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def solve_nan_forcing_1d(n_cells):
