@@ -187,6 +187,8 @@ def _cmd_certify(args) -> tuple[str, str]:
     st = _pick_tuple(args)
     if args.x_points < 2:
         raise ConfigError("--x-points must be at least 2")
+    if args.nx < 1:
+        raise ConfigError("--nx must be at least 1")
     config = {
         "command": "certify",
         "tuple": str(st),

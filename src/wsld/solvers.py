@@ -72,24 +72,35 @@ def _finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return arr
 
 
-def _coefficient_array(values, n: int, name: str) -> np.ndarray:
-    arr = _finite_array(values, (n,), name)
-    if np.any(arr < 0.0):
-        raise ValueError(f"{name} must be nonnegative")
-    return arr
+class _Problem:
+    """Validation and step size shared by ``Problem1D`` and ``Problem2D``."""
 
+    def _validate(self, orders: tuple[str, ...], axes: tuple[tuple[str, int], ...]) -> None:
+        """Check the ``orders``, then per axis ``(p, n)`` the ``p_plus`` and
+        ``p_minus`` of length n, then ``u0`` and the schedule, in that order."""
+        for name in orders:
+            setattr(self, name, validate_order(getattr(self, name)))
+        for prefix, n in axes:
+            for name in (f"{prefix}_plus", f"{prefix}_minus"):
+                arr = _finite_array(getattr(self, name), (n,), name)
+                if np.any(arr < 0.0):
+                    raise ValueError(f"{name} must be nonnegative")
+                setattr(self, name, arr)
+        self.u0 = _finite_array(self.u0, tuple(n for _, n in axes), "u0")
+        if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
+            raise ValueError("t_final must be finite and nonnegative")
+        if not isinstance(self.n_steps, Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be positive")
 
-def _check_schedule(t_final: float, n_steps: int) -> None:
-    if not (np.isfinite(t_final) and t_final >= 0.0):
-        raise ValueError("t_final must be finite and nonnegative")
-    if not isinstance(n_steps, Integral):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
+    @property
+    def tau(self) -> float:
+        return self.t_final / self.n_steps
 
 
 @dataclass
-class Problem1D:
+class Problem1D(_Problem):
     """1D fractional diffusion problem on the interior of a uniform grid.
 
     ``d_plus``/``d_minus`` hold the finite, nonnegative diffusion
@@ -109,20 +120,11 @@ class Problem1D:
     n_steps: int
 
     def __post_init__(self) -> None:
-        self.alpha = validate_order(self.alpha)
-        n = self.grid.n_interior
-        self.d_plus = _coefficient_array(self.d_plus, n, "d_plus")
-        self.d_minus = _coefficient_array(self.d_minus, n, "d_minus")
-        self.u0 = _finite_array(self.u0, (n,), "u0")
-        _check_schedule(self.t_final, self.n_steps)
-
-    @property
-    def tau(self) -> float:
-        return self.t_final / self.n_steps
+        self._validate(("alpha",), (("d", self.grid.n_interior),))
 
 
 @dataclass
-class Problem2D:
+class Problem2D(_Problem):
     """2D fractional diffusion problem with separable coefficients.
 
     The x coefficients depend on x only and the y coefficients on y only
@@ -130,7 +132,7 @@ class Problem2D:
     of the slice index).  ``u0`` and the solution are arrays of shape
     ``(n_x - 1, n_y - 1)`` indexed ``[i, j] -> (x_i, y_j)``; ``forcing(x, y, t)``
     must broadcast column-vector x against row-vector y.  Coefficients and
-    ``u0`` are validated as in ``Problem1D``.
+    ``u0`` are validated as in ``Problem1D``, per axis.
     """
 
     grid_x: Grid1D
@@ -147,19 +149,8 @@ class Problem2D:
     n_steps: int
 
     def __post_init__(self) -> None:
-        self.alpha = validate_order(self.alpha)
-        self.beta = validate_order(self.beta)
-        nx, ny = self.grid_x.n_interior, self.grid_y.n_interior
-        self.d_plus = _coefficient_array(self.d_plus, nx, "d_plus")
-        self.d_minus = _coefficient_array(self.d_minus, nx, "d_minus")
-        self.e_plus = _coefficient_array(self.e_plus, ny, "e_plus")
-        self.e_minus = _coefficient_array(self.e_minus, ny, "e_minus")
-        self.u0 = _finite_array(self.u0, (nx, ny), "u0")
-        _check_schedule(self.t_final, self.n_steps)
-
-    @property
-    def tau(self) -> float:
-        return self.t_final / self.n_steps
+        axes = (("d", self.grid_x.n_interior), ("e", self.grid_y.n_interior))
+        self._validate(("alpha", "beta"), axes)
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -200,6 +191,9 @@ def _march(
     return np.array(history) if history is not None else u
 
 
+_ROW_BLOCK = 256
+
+
 def _scaled_pair_matrix(
     alpha: float,
     shifts: ShiftTuple | Sequence[int],
@@ -208,10 +202,16 @@ def _scaled_pair_matrix(
     c_minus: np.ndarray,
     tau: float,
 ) -> np.ndarray:
-    """tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense array."""
+    """tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense array.
+
+    The ``diag(c-) A^T`` term is added in row blocks, so no third n x n
+    array is alive next to A and the result.
+    """
     a = assemble_left(alpha, shifts, grid)
     g = c_plus[:, None] * a
-    g += c_minus[:, None] * a.T
+    for s in range(0, len(g), _ROW_BLOCK):
+        rows = slice(s, s + _ROW_BLOCK)
+        g[rows] += c_minus[rows, None] * a[:, rows].T
     g *= tau / (2.0 * grid.h**alpha)
     return g
 

@@ -7,7 +7,12 @@ negative real part.  Two complementary checks are combined:
   dense grid over [0, pi] (its range bounds the spectrum of the symmetric
   Toeplitz part for every matrix size, by the Grenander-Szegoe theorem);
 * the largest eigenvalue of H = (A + A^T)/2 is computed at a concrete size,
-  which bounds all real parts of eigenvalues of A from above.
+  which bounds all real parts of eigenvalues of A from above.  For a
+  Toeplitz A, H is symmetric Toeplitz and so centrosymmetric; its spectrum
+  is then that of two half-size symmetric blocks together (Cantoni &
+  Butler, Linear Algebra Appl. 13 (1976) 275-288), and the two blocks are
+  solved instead of H, for about a quarter of the flops.  Other matrices
+  get one dense solve.
 
 Both checks are numerical evidence on grids, not symbolic proofs, and the
 report never claims more.
@@ -16,6 +21,7 @@ report never claims more.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -173,18 +179,51 @@ def scan_nonpositivity(
     )
 
 
+def _centrosymmetric_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The half-size blocks whose spectra together make up that of ``h``.
+
+    ``h`` must be symmetric and centrosymmetric (``J h J = h``).  With
+    ``k = n // 2`` and ``F = H12 J``, the vectors ``[x; Jx]`` span an
+    invariant subspace on which ``h`` acts as ``H11 + F`` and ``[x; -Jx]``
+    one on which it acts as ``H11 - F``.  For odd n the even block is
+    bordered by the middle row and column, the border scaled by sqrt(2),
+    and the odd block is empty when n = 1.
+    """
+    n = len(h)
+    k = n // 2
+    flipped = h[:k, n - k :][:, ::-1]
+    even = h[:k, :k] + flipped
+    odd = h[:k, :k] - flipped
+    if n % 2:
+        border = np.sqrt(2.0) * h[:k, k : k + 1]
+        even = np.block([[even, border], [border.T, h[k : k + 1, k : k + 1]]])
+    return (even, odd) if k else (even,)
+
+
 def max_real_part_bound(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric part (A + A^T)/2.
+    """Largest eigenvalue of the symmetric part H = (A + A^T)/2.
 
     Upper bound for the real part of every eigenvalue of A; computed with a
-    dense symmetric eigensolver asked for that one eigenvalue only.
+    dense symmetric eigensolver asked for one eigenvalue only.  When H is
+    centrosymmetric, which holds exactly for every Toeplitz A (the sum
+    ``a_{i-j} + a_{j-i}`` is the same float either way round), its spectrum
+    is the union of those of two half-size symmetric blocks (Cantoni &
+    Butler, Linear Algebra Appl. 13 (1976) 275-288), so each block is solved
+    and the larger top eigenvalue returned, for about a quarter of the
+    dense flops.  Any other square matrix gets one dense n x n solve.  A
+    0 x 0 or non-square matrix raises ``ValueError``, and so do non-finite
+    entries.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
-    n = a.shape[0]
+    if a.size == 0:
+        raise ValueError("need a nonempty matrix")
     h = (a + a.T) / 2.0
-    return float(eigvalsh(h, subset_by_index=[n - 1, n - 1])[0])
+    blocks = _centrosymmetric_blocks(h) if np.array_equal(h, h[::-1, ::-1]) else (h,)
+    return max(
+        float(eigvalsh(b, subset_by_index=[len(b) - 1, len(b) - 1])[0]) for b in blocks
+    )
 
 
 def certify(
@@ -203,10 +242,13 @@ def certify(
     (``a*bb == ab*b`` in ``weights_order4``).  Among ``CERTIFIED_TUPLES``
     this happens once: ``(1,2,1,-1,1,-1,1,-2)`` at alpha = 1.5, where the
     denominator ``72 - 48*alpha`` vanishes.  ``x_points`` below 2 raise
-    ``ValueError``: one point scans only x = 0, where the symbol is 0.
+    ``ValueError``: one point scans only x = 0, where the symbol is 0.  So
+    does an ``n_interior`` that is not an integer >= 1.
     """
     if x_points < 2:
         raise ValueError(f"x_points must be at least 2, got {x_points}")
+    if not isinstance(n_interior, Integral) or n_interior < 1:
+        raise ValueError(f"n_interior must be an integer >= 1, got {n_interior!r}")
     st = ShiftTuple.of(shifts)
     x_grid = np.linspace(0.0, np.pi, x_points)
     partial = scan_nonpositivity(st, alphas, x_grid)

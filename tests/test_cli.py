@@ -115,6 +115,11 @@ class TestCertify:
         assert main(["certify", "--nx", "8", "--x-points", x_points]) == 2
         assert capsys.readouterr().err == "config-error: --x-points must be at least 2\n"
 
+    @pytest.mark.parametrize("nx", ["0", "-4"])
+    def test_matrix_below_one_node_is_config_error(self, nx, capsys):
+        assert main(["certify", "--nx", nx, "--x-points", "11"]) == 2
+        assert capsys.readouterr().err == "config-error: --nx must be at least 1\n"
+
     def test_matrix_not_wider_than_stencil_is_numeric_error(self, capsys):
         assert main(["certify", "--nx", "1", "--x-points", "11"]) == 3
         assert capsys.readouterr().err.startswith(

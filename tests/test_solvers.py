@@ -6,7 +6,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import wsld.solvers as solvers
 from wsld.coefficients import DEFAULT_TUPLE
-from wsld.operators import Grid1D
+from wsld.operators import Grid1D, assemble_left
 from wsld.solvers import (
     ADI_VARIANTS,
     Problem1D,
@@ -190,8 +190,34 @@ class TestProblemValidation:
     def test_numpy_integer_n_steps_accepted(self, make):
         assert dataclasses.replace(make(), n_steps=np.int64(4)).n_steps == 4
 
+    @pytest.mark.parametrize(
+        "bad,first",
+        [
+            ({"beta": 2.5, "d_plus": -1.0}, "^fractional order must lie in"),
+            ({"d_minus": np.nan, "e_plus": -1.0}, "^d_minus must be finite"),
+            ({"e_minus": -1.0, "u0": np.nan}, "^e_minus must be nonnegative"),
+            ({"u0": np.nan, "t_final": np.nan}, "^u0 must be finite"),
+        ],
+    )
+    def test_2d_checks_run_in_field_order(self, bad, first):
+        problem = make_problem_2d()
+        changes = {}
+        for name, value in bad.items():
+            old = getattr(problem, name)
+            changes[name] = np.full_like(old, value) if isinstance(old, np.ndarray) else value
+        with pytest.raises(ValueError, match=first):
+            dataclasses.replace(problem, **changes)
+
 
 class TestCrankNicolsonSystem:
+    def test_row_blocked_pair_matrix_matches_one_shot_sum(self):
+        p = make_problem_1d(n_cells=2 * solvers._ROW_BLOCK + 40)
+        g = solvers._scaled_pair_matrix(p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
+        a = assemble_left(p.alpha, DEFAULT_TUPLE, p.grid)
+        ref = p.d_plus[:, None] * a + p.d_minus[:, None] * a.T
+        ref *= p.tau / (2.0 * p.grid.h**p.alpha)
+        np.testing.assert_array_equal(g, ref)
+
     def test_zero_tau_gives_identity(self):
         p = make_problem_1d(tau=0.0, n_steps=1)
         m_minus, m_plus = build_cn_system(p, DEFAULT_TUPLE)

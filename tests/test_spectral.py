@@ -1,7 +1,12 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+import wsld.spectral as spectral
 from wsld.coefficients import DEFAULT_TUPLE, DegenerateTupleError, ShiftTuple, weights_order3
 from wsld.operators import Grid1D, assemble_left
 from wsld.spectral import (
@@ -99,6 +104,34 @@ class TestScan:
             scan_nonpositivity((1, 2), [1.5], np.array([]))
 
 
+# derandomized so the suite is reproducible
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@contextmanager
+def eigvalsh_sizes():
+    """Collect the shapes of the matrices passed to ``spectral.eigvalsh``.
+
+    A context manager, not a fixture, so every hypothesis draw starts empty.
+    """
+    shapes = []
+    original = spectral.eigvalsh
+
+    def spy(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "eigvalsh", spy)
+        yield shapes
+
+
+def assert_top_eigenvalue(matrix):
+    a = np.asarray(matrix)
+    full = np.linalg.eigvalsh((a + a.T) / 2)[-1]
+    assert max_real_part_bound(a) == pytest.approx(full, rel=1e-12, abs=1e-14)
+
+
 class TestEigenvalueBound:
     def test_identity(self):
         assert max_real_part_bound(np.eye(7)) == pytest.approx(1.0, rel=1e-14)
@@ -130,6 +163,60 @@ class TestEigenvalueBound:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             max_real_part_bound(np.zeros((3, 4)))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            max_real_part_bound(np.zeros((0, 0)))
+
+    # a corner of 1 keeps an inf matrix centrosymmetric (the split path);
+    # nan never compares equal, so it always takes the dense path
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("corner", [1.0, 2.0])
+    def test_rejects_non_finite(self, bad, corner):
+        h = np.eye(5)
+        h[1, 3] = h[3, 1] = bad
+        h[0, 0] = corner
+        with pytest.raises(ValueError):
+            max_real_part_bound(h)
+
+
+def expected_block_sizes(n):
+    """Even block (with the middle node for odd n), then odd block."""
+    return [((n + 1) // 2,) * 2] + ([(n // 2,) * 2] if n > 1 else [])
+
+
+class TestCentrosymmetricSplit:
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_symmetric_centrosymmetric_matches_full_spectrum(self, n, seed):
+        b = np.random.default_rng(seed).normal(size=(n, n))
+        h = b + b.T
+        h = h + h[::-1, ::-1]
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(h)
+        assert sizes == expected_block_sizes(n)
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    def test_other_matrices_match_full_spectrum(self, n, seed):
+        a = np.random.default_rng(seed).normal(size=(n, n))
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(a)
+        assert sizes == [(n, n)]
+
+    @pytest.mark.parametrize("n,blocks", [(400, [(200, 200)] * 2), (401, [(201, 201), (200, 200)])])
+    def test_wsld_operator_solves_two_half_blocks(self, n, blocks):
+        op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, n + 1))
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(op)
+        assert sizes == blocks
+
+    def test_other_matrix_gets_one_dense_solve(self):
+        op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, 65)).copy()
+        op[0, 0] += 1.0  # no longer Toeplitz, so H is not centrosymmetric
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(op)
+        assert sizes == [(64, 64)]
 
 
 class TestGrenanderSzegoeSandwich:
@@ -167,6 +254,11 @@ class TestCertify:
     @pytest.mark.parametrize("n_interior", [1, 2])
     def test_rejects_matrix_not_wider_than_max_shift(self, n_interior):
         with pytest.raises(ValueError, match=f"grid has {n_interior} interior nodes"):
+            certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=n_interior, x_points=11)
+
+    @pytest.mark.parametrize("n_interior", [2.5, 0, -3, "8"])
+    def test_rejects_bad_n_interior_by_name(self, n_interior):
+        with pytest.raises(ValueError, match=f"^n_interior must be an integer >= 1, got {n_interior!r}"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=n_interior, x_points=11)
 
     def test_unshifted_reports_positive(self):
