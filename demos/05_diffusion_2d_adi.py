@@ -1,8 +1,9 @@
-"""Two-dimensional fractional diffusion with ADI sweeps.
+"""Two-dimensional fractional diffusion with ADI.
 
-The implicit 2D operator factors into two families of one-dimensional
-solves; each run needs exactly two LU factorizations.  Demonstrates that
-the Peaceman-Rachford and Douglas sweeps produce the same solution and
+The implicit 2D operator factors into two one-dimensional ones; each run
+needs exactly two LU factorizations.  Peaceman-Rachford and Douglas sweeps
+solve the same factored equation, so the solver steps both through one
+propagator.  Demonstrates that the two variants give the same solution and
 shows fourth-order spatial convergence.
 """
 
@@ -34,4 +35,4 @@ problem = case.problem(16)
 u_pr = solve_2d(problem, variant="peaceman_rachford")
 u_dg = solve_2d(case.problem(16), variant="douglas")
 print(f"\nPeaceman-Rachford vs Douglas, max difference: {np.max(np.abs(u_pr - u_dg)):.3e}")
-print("(the two sweep orderings solve the same factored equation)")
+print("(both variants solve the same factored equation, so one propagator steps both)")

@@ -8,19 +8,21 @@ is advanced by
         = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2},
 
 with the matrix LU-factored once per run.  2D adds the y-direction analog
-and factors the implicit operator into two one-dimensional sweeps
-(Peaceman-Rachford or Douglas form; the two are algebraically equivalent).
+and factors the implicit operator into two one-dimensional ones; the
+Peaceman-Rachford and Douglas sweeps of that factored equation are one
+propagator, ``u -> Bx (u Cy + g) + g``, three products per step.
 Interior unknowns are stored as arrays ``u[i, j] = u(x_i, y_j)``; the
 x-operator acts as ``kx @ u`` and the y-operator as ``u @ ky.T``, and the
 Kronecker-product form of the scheme is never materialized.
 
 The matrices never change during a run, so where it pays the factors are
 turned into explicit inverses once and every step is a dense product:
-always for the two ADI sweep matrices, and in 1D when the run has at least
-as many steps as unknowns (forming the inverse costs about ``2 n^3`` flops
-and saves only the per-step ``lu_solve`` call overhead, so large 1D grids
-with few steps keep solving with the factors).  Products do not reject
-infs or NaNs, so the time loop checks every new state itself.
+always in 2D, where they give the propagator matrices, and in 1D when the
+run has at least as many steps as unknowns (forming the inverse costs
+about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
+overhead, so large 1D grids with few steps keep solving with the
+factors).  Products do not reject infs or NaNs, so the time loop checks
+every new state itself.
 
 A is Toeplitz, so from ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D
 explicit side is applied as ``u + tau/(2 h^alpha) (D+ A u + D- A^T u)``
@@ -336,34 +338,29 @@ def step_adi(
     u: np.ndarray,
     f_mid: np.ndarray,
     tau: float,
-    kx: np.ndarray,
-    ky: np.ndarray,
-    inv_x: np.ndarray,
-    inv_y: np.ndarray,
-    variant: str = "peaceman_rachford",
+    bx: np.ndarray,
+    cy: np.ndarray,
+    iy: np.ndarray,
 ) -> np.ndarray:
     """One ADI step from u^n to u^{n+1} with forcing sampled mid-step.
 
-    ``inv_x``/``inv_y`` are the inverses of (I - kx) and (I - ky), so each
-    sweep is a dense product (``inv_x @ r`` for x, ``r @ inv_y.T`` for y).
-    Both variants solve the same factored equation
+    Peaceman-Rachford and Douglas solve the same factored equation
 
         (I - Ax)(I - Ay) u^{n+1} = (I + Ax)(I + Ay) u^n + tau f^{n+1/2},
 
-    so they agree to round-off; they differ only in the intermediate sweep
-    algebra.  Non-finite input gives a non-finite result, not an error.
+    whose solution is ``bx @ (u @ cy + g) + g`` with ``g = (tau/2 f) @ iy``,
+    ``bx = (I + kx)(I - kx)^{-1}``, ``cy = (I + ky)^T (I - ky)^{-T}`` and
+    ``iy = (I - ky)^{-T}``: three products per step.  For PR this is its
+    sweeps reassociated, for Douglas too since ``bx + I = 2 (I - kx)^{-1}``.
+    ``f`` is scaled by ``tau/2`` before the product (so an overflowing
+    ``tau/2 f`` gives a non-finite state) into an array of ``u``'s shape
+    (so a forcing constant along x or y broadcasts).  Non-finite input
+    gives a non-finite result, not an error.
     """
-    if variant == "peaceman_rachford":
-        rhs = u + u @ ky.T + 0.5 * tau * f_mid
-        u_star = inv_x @ rhs
-        rhs = u_star + kx @ u_star + 0.5 * tau * f_mid
-        return rhs @ inv_y.T
-    if variant == "douglas":
-        ay_u = u @ ky.T
-        rhs = u + kx @ u + 2.0 * ay_u + tau * f_mid
-        u_star = inv_x @ rhs
-        return (u_star - ay_u) @ inv_y.T
-    raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
+    g = np.multiply(0.5 * tau, f_mid, out=np.empty_like(u)) @ iy
+    v = u @ cy
+    v += g
+    return np.add(bx @ v, g, out=v)
 
 
 def solve_2d(
@@ -376,23 +373,26 @@ def solve_2d(
     """March the 2D ADI scheme to t_final.
 
     Exactly two LU factorizations are computed per run -- one (n_x-1) system
-    shared by all x-sweeps and one (n_y-1) system shared by all y-sweeps --
-    because the separable coefficients make the sweep matrices identical
-    across slices.  Each is turned into an explicit inverse once (about one
-    step's worth of flops), so every ``step_adi`` is dense products only.
-    A non-finite forcing sample raises ``ValueError`` naming the step and
-    its time, and any other non-finite state one saying it has infs or NaNs.
+    for x and one (n_y-1) system for y -- because the separable coefficients
+    make the sweep matrices identical across slices.  Each is inverted once
+    to form ``bx``, ``cy`` and ``iy``, so every ``step_adi`` is three dense
+    products.  ``variant`` must be one of ``ADI_VARIANTS``; both name the
+    same factored scheme, which this one propagator computes.  A non-finite
+    forcing sample raises ``ValueError`` naming the step and its time, and
+    any other non-finite state one saying it has infs or NaNs.
     """
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     kx, ky = build_adi_factors(problem, shifts_x, shifts_y)
-    inv_x = _inverse(np.eye(len(kx)) - kx)
-    inv_y = _inverse(np.eye(len(ky)) - ky)
+    eye_x, eye_y = np.eye(len(kx)), np.eye(len(ky))
+    bx = (eye_x + kx) @ _inverse(eye_x - kx)
+    iy = _inverse(eye_y - ky).T
+    cy = (eye_y + ky).T @ iy
     x = problem.grid_x.interior_nodes()[:, None]
     y = problem.grid_y.interior_nodes()[None, :]
     tau = problem.tau
     return _march(
-        lambda u, f: step_adi(u, f, tau, kx, ky, inv_x, inv_y, variant),
+        lambda u, f: step_adi(u, f, tau, bx, cy, iy),
         problem.u0,
         lambda t: problem.forcing(x, y, t),
         problem.n_steps,

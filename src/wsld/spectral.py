@@ -151,7 +151,8 @@ def scan_nonpositivity(
     """Scan the generating function over alphas x grid and record its max.
 
     Returns a partial report (no eigenvalue bound, verdict ``indeterminate``
-    unless the scan is already positive beyond round-off).
+    unless the scan is already positive beyond round-off).  An empty or
+    non-finite ``x_grid`` raises ``ValueError`` naming it.
     """
     st = ShiftTuple.of(shifts)
     alphas = [validate_order(a) for a in alphas]
@@ -162,6 +163,8 @@ def scan_nonpositivity(
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.size == 0:
         raise ValueError("need a nonempty x grid")
+    if not np.all(np.isfinite(x_grid)):
+        raise ValueError("x_grid must be finite")
     f_max = -np.inf
     alpha_at_max = alphas[0]
     for a in alphas:
@@ -241,10 +244,12 @@ def certify(
     requested alpha leaves the tuple's order-4 weights undefined
     (``a*bb == ab*b`` in ``weights_order4``).  Among ``CERTIFIED_TUPLES``
     this happens once: ``(1,2,1,-1,1,-1,1,-2)`` at alpha = 1.5, where the
-    denominator ``72 - 48*alpha`` vanishes.  ``x_points`` below 2 raise
-    ``ValueError``: one point scans only x = 0, where the symbol is 0.  So
-    does an ``n_interior`` that is not an integer >= 1.
+    denominator ``72 - 48*alpha`` vanishes.  An ``x_points`` that is not an
+    integer >= 2 raises ``ValueError``: one point scans only x = 0, where
+    the symbol is 0.  So does an ``n_interior`` that is not an integer >= 1.
     """
+    if not isinstance(x_points, Integral):
+        raise ValueError(f"x_points must be an integer, got {x_points!r}")
     if x_points < 2:
         raise ValueError(f"x_points must be at least 2, got {x_points}")
     if not isinstance(n_interior, Integral) or n_interior < 1:

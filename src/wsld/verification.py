@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, validate_order
 from .operators import Grid1D, rl_exact_poly
-from .solvers import Problem1D, Problem2D, solve_1d, solve_2d
+from .solvers import ADI_VARIANTS, Problem1D, Problem2D, solve_1d, solve_2d
 
 __all__ = [
     "DOMAIN",
@@ -221,9 +221,13 @@ def convergence_study(
 
     ``tau_law`` maps h to the target time step (default h**2); the actual
     tau divides t_final exactly.  Errors are measured against the exact
-    solution at the final time in the max norm.
+    solution at the final time in the max norm.  ``variant`` is used by 2D
+    cases only, but one outside ``ADI_VARIANTS`` raises ``ValueError`` in
+    either dimension before any level runs.
     """
     st = ShiftTuple.of(shifts)
+    if variant not in ADI_VARIANTS:
+        raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     if tau_law is None:
         tau_law = lambda h: h * h
     hs = [float(h) for h in h_list]

@@ -2,10 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import wsld.solvers as solvers
-from wsld.coefficients import DEFAULT_TUPLE
+from wsld.coefficients import DEFAULT_TUPLE, DegenerateTupleError
 from wsld.operators import Grid1D, assemble_left
 from wsld.solvers import (
     ADI_VARIANTS,
@@ -17,7 +19,10 @@ from wsld.solvers import (
     solve_2d,
     step_adi,
 )
+from wsld.spectral import CERTIFIED_TUPLES
 from wsld.verification import manufactured_1d, manufactured_2d, max_error
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def zero_forcing_1d(x, t):
@@ -85,26 +90,41 @@ def lu_stepped_1d(p, shifts=DEFAULT_TUPLE):
     return np.array(history)
 
 
+def lu_sweep_step(u, f, tau, kx, ky, variant):
+    """One ADI step as the two sweeps of ``variant``, each an LU solve.
+
+    Peaceman-Rachford and Douglas sweep algebra written out independently of
+    ``step_adi``: the oracle its one propagator is checked against.
+    """
+    lu_x = lu_factor(np.eye(kx.shape[0]) - kx)
+    lu_y = lu_factor(np.eye(ky.shape[0]) - ky)
+    if variant == "peaceman_rachford":
+        u_star = lu_solve(lu_x, u + u @ ky.T + 0.5 * tau * f)
+        rhs = u_star + kx @ u_star + 0.5 * tau * f
+    else:
+        ay_u = u @ ky.T
+        u_star = lu_solve(lu_x, u + kx @ u + 2.0 * ay_u + tau * f)
+        rhs = u_star - ay_u
+    return lu_solve(lu_y, rhs.T).T
+
+
 def lu_stepped_2d(p, variant, shifts=DEFAULT_TUPLE):
     """Reference ADI trajectory: both sweeps solve with LU factors every step."""
     kx, ky = build_adi_factors(p, shifts)
-    lu_x = lu_factor(np.eye(kx.shape[0]) - kx)
-    lu_y = lu_factor(np.eye(ky.shape[0]) - ky)
     x = p.grid_x.interior_nodes()[:, None]
     y = p.grid_y.interior_nodes()[None, :]
     history = [p.u0]
     for n in range(p.n_steps):
-        u = history[-1]
         f = p.forcing(x, y, (n + 0.5) * p.tau)
-        if variant == "peaceman_rachford":
-            u_star = lu_solve(lu_x, u + u @ ky.T + 0.5 * p.tau * f)
-            rhs = u_star + kx @ u_star + 0.5 * p.tau * f
-        else:
-            ay_u = u @ ky.T
-            u_star = lu_solve(lu_x, u + kx @ u + 2.0 * ay_u + p.tau * f)
-            rhs = u_star - ay_u
-        history.append(lu_solve(lu_y, rhs.T).T)
+        history.append(lu_sweep_step(history[-1], f, p.tau, kx, ky, variant))
     return np.array(history)
+
+
+def adi_propagator(kx, ky):
+    """``(bx, cy, iy)`` for ``step_adi``, from numpy's inverses."""
+    eye_x, eye_y = np.eye(kx.shape[0]), np.eye(ky.shape[0])
+    iy = np.linalg.inv(eye_y - ky).T
+    return (eye_x + kx) @ np.linalg.inv(eye_x - kx), (eye_y + ky).T @ iy, iy
 
 
 def count_lu_solve(monkeypatch):
@@ -328,51 +348,70 @@ class TestAdiFactors:
 
 
 class TestAdiStep:
-    def _factors(self, p, shifts=DEFAULT_TUPLE):
-        kx, ky = build_adi_factors(p, shifts)
-        inv_x = np.linalg.inv(np.eye(kx.shape[0]) - kx)
-        inv_y = np.linalg.inv(np.eye(ky.shape[0]) - ky)
-        return kx, ky, inv_x, inv_y
-
     def test_zero_state_zero_forcing_stays_zero(self):
         p = make_problem_2d()
-        kx, ky, inv_x, inv_y = self._factors(p)
         z = np.zeros((p.grid_x.n_interior, p.grid_y.n_interior))
-        for variant in ("peaceman_rachford", "douglas"):
-            out = step_adi(z, z, p.tau, kx, ky, inv_x, inv_y, variant)
-            np.testing.assert_array_equal(out, 0.0)
+        out = step_adi(z, z, p.tau, *adi_propagator(*build_adi_factors(p, DEFAULT_TUPLE)))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_variants_agree_on_random_state(self):
         p = make_problem_2d(n_cells=8, alpha=1.3, beta=1.7)
-        kx, ky, inv_x, inv_y = self._factors(p)
+        kx, ky = build_adi_factors(p, DEFAULT_TUPLE)
         rng = np.random.default_rng(11)
         u = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
         f = rng.normal(size=u.shape)
-        u_pr = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, "peaceman_rachford")
-        u_dg = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, "douglas")
-        np.testing.assert_allclose(u_pr, u_dg, rtol=1e-10)
+        stepped = step_adi(u, f, p.tau, *adi_propagator(kx, ky))
+        for variant in ADI_VARIANTS:
+            swept = lu_sweep_step(u, f, p.tau, kx, ky, variant)
+            np.testing.assert_allclose(stepped, swept, rtol=1e-10)
 
     @pytest.mark.parametrize("variant", ["peaceman_rachford", "douglas"])
     def test_step_matches_dense_factored_solve(self, variant):
+        # the step and the variant's own sweeps both solve the factored equation
         p = make_problem_2d(n_cells=6, alpha=1.2, beta=1.8)
-        kx, ky, inv_x, inv_y = self._factors(p)
+        kx, ky = build_adi_factors(p, DEFAULT_TUPLE)
         big_x, big_y = kron_lift(kx, ky)
         n = big_x.shape[0]
         eye = np.eye(n)
         rng = np.random.default_rng(12)
         u = rng.normal(size=(p.grid_x.n_interior, p.grid_y.n_interior))
         f = rng.normal(size=u.shape)
-        stepped = step_adi(u, f, p.tau, kx, ky, inv_x, inv_y, variant)
         rhs = (eye + big_x) @ (eye + big_y) @ u.ravel(order="F") + p.tau * f.ravel(order="F")
         dense = np.linalg.solve((eye - big_x) @ (eye - big_y), rhs)
-        np.testing.assert_allclose(stepped.ravel(order="F"), dense, rtol=1e-10)
+        for got in (
+            step_adi(u, f, p.tau, *adi_propagator(kx, ky)),
+            lu_sweep_step(u, f, p.tau, kx, ky, variant),
+        ):
+            np.testing.assert_allclose(got.ravel(order="F"), dense, rtol=1e-10)
 
-    def test_unknown_variant_rejected(self):
-        p = make_problem_2d()
-        kx, ky, inv_x, inv_y = self._factors(p)
-        z = np.zeros((p.grid_x.n_interior, p.grid_y.n_interior))
-        with pytest.raises(ValueError):
-            step_adi(z, z, p.tau, kx, ky, inv_x, inv_y, "upwind")
+
+@PROPERTY_SETTINGS
+@given(
+    shifts=st.tuples(st.sampled_from(CERTIFIED_TUPLES), st.sampled_from(CERTIFIED_TUPLES)),
+    orders=st.tuples(*[st.floats(1.05, 1.95)] * 2),
+    n_cells=st.tuples(*[st.integers(6, 24)] * 2).filter(lambda n: n[0] != n[1]),
+    tau=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_equals_both_sweeps(shifts, orders, n_cells, tau, seed):
+    grid_x, grid_y = Grid1D(0.0, 2.0, n_cells[0]), Grid1D(0.0, 2.0, n_cells[1])
+    x, y = grid_x.interior_nodes(), grid_y.interior_nodes()
+    (alpha, beta), rng = orders, np.random.default_rng(seed)
+    u = rng.normal(size=(len(x), len(y)))
+    p = Problem2D(
+        grid_x=grid_x, grid_y=grid_y, alpha=alpha, beta=beta,
+        d_plus=x**alpha, d_minus=2 * x**alpha, e_plus=y**beta, e_minus=2 * y**beta,
+        forcing=zero_forcing_2d, u0=u, t_final=tau, n_steps=1,
+    )
+    try:
+        kx, ky = build_adi_factors(p, *shifts)
+    except DegenerateTupleError:
+        assume(False)
+    f = rng.normal(size=u.shape)
+    stepped = step_adi(u, f, tau, *adi_propagator(kx, ky))
+    for variant in ADI_VARIANTS:
+        swept = lu_sweep_step(u, f, tau, kx, ky, variant)
+        assert np.max(np.abs(stepped - swept)) <= 1e-10 * np.max(np.abs(swept))
 
 
 class TestSolve2D:
@@ -380,6 +419,26 @@ class TestSolve2D:
         p = make_problem_2d(u0=np.zeros((5, 5)))
         u = solve_2d(p, DEFAULT_TUPLE)
         np.testing.assert_array_equal(u, 0.0)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match=r"^variant must be one of .* got 'upwind'"):
+            solve_2d(make_problem_2d(), DEFAULT_TUPLE, variant="upwind")
+
+    @pytest.mark.parametrize(
+        "reduced,full",
+        [
+            (lambda x, y, t: np.sin(x + t), lambda x, y, t: np.sin(x + t) + 0.0 * y),
+            (lambda x, y, t: np.cos(y - t), lambda x, y, t: np.cos(y - t) + 0.0 * x),
+            (lambda x, y, t: 1.0, lambda x, y, t: np.ones(np.broadcast(x, y).shape)),
+        ],
+        ids=["x-only", "y-only", "scalar"],
+    )
+    def test_forcing_constant_along_an_axis_broadcasts(self, reduced, full):
+        p = manufactured_2d(1.3, 1.7).problem(8, n_steps=4)
+        np.testing.assert_array_equal(
+            solve_2d(dataclasses.replace(p, forcing=reduced)),
+            solve_2d(dataclasses.replace(p, forcing=full)),
+        )
 
     def test_benchmark_cell_second_tuple(self):
         # the one published 2D block this scheme reproduces within 3 percent
@@ -448,6 +507,23 @@ class TestPropagatorStepping:
         got = solve_2d(p, variant=variant, return_history=True)
         assert len(calls) == 2
         assert_same_trajectory(got, lu_stepped_2d(p, variant))
+
+    @pytest.mark.parametrize("variant", ADI_VARIANTS)
+    def test_2d_steps_through_module_step_adi(self, variant, monkeypatch):
+        # the benchmark times solvers.step_adi through the module global
+        steps = []
+        original = solvers.step_adi
+
+        def counting(*args):
+            steps.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "step_adi", counting)
+        lu_calls = count_lu_solve(monkeypatch)
+        p = manufactured_2d(1.3, 1.7).problem(8, n_steps=7)
+        solve_2d(p, variant=variant)
+        assert len(steps) == p.n_steps
+        assert len(lu_calls) == 2
 
     @pytest.mark.parametrize("variant", ADI_VARIANTS)
     def test_2d_rectangular_matches_lu_stepping(self, variant):

@@ -103,6 +103,12 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_nonpositivity((1, 2), [1.5], np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected_by_name(self, bad):
+        # unchecked, a NaN sample drops the whole alpha from the maximum
+        with pytest.raises(ValueError, match="^x_grid must be finite"):
+            scan_nonpositivity((1, 2), [1.5], np.array([bad, 1.0]))
+
 
 # derandomized so the suite is reproducible
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -249,6 +255,11 @@ class TestCertify:
     @pytest.mark.parametrize("x_points", [1, 0])
     def test_rejects_scan_below_two_points(self, x_points):
         with pytest.raises(ValueError, match=f"x_points must be at least 2, got {x_points}"):
+            certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=8, x_points=x_points)
+
+    @pytest.mark.parametrize("x_points", [2.5, 2.0, "11"])
+    def test_rejects_non_integer_x_points_by_name(self, x_points):
+        with pytest.raises(ValueError, match=f"^x_points must be an integer, got {x_points!r}"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=8, x_points=x_points)
 
     @pytest.mark.parametrize("n_interior", [1, 2])

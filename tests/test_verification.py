@@ -283,6 +283,16 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=[1 / 20, 1 / 10])
 
+    @pytest.mark.parametrize("case", [manufactured_1d(1.5), manufactured_2d(1.3, 1.7)],
+                             ids=["1d", "2d"])
+    def test_unknown_variant_rejected_before_first_level(self, case, monkeypatch):
+        solves = []
+        for name in ("solve_1d", "solve_2d"):
+            monkeypatch.setattr(verification, name, lambda *args, **kwargs: solves.append(1))
+        with pytest.raises(ValueError, match=r"^variant must be one of .* got 'upwind'"):
+            convergence_study(case, DEFAULT_TUPLE, h_list=[1 / 5], variant="upwind")
+        assert solves == []
+
     def test_reproduces_benchmark_rate(self):
         table = convergence_study(manufactured_1d(1.1), DEFAULT_TUPLE, h_list=[1 / 10, 1 / 20])
         assert table.errors()[0] == pytest.approx(4.7842e-03, rel=0.02)
