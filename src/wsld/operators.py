@@ -6,9 +6,10 @@ open interval, the left-derivative approximation at interior node i is
     h**(-alpha) * sum_{k=0}^{i+m} phi_k * u(x_{i-k+m}),
 
 a Toeplitz correlation, and the right-derivative operator is its transpose.
-An operator is a read-only dense ``ndarray`` of the dimensionless stencil
-entries (the right operator is its ``.T``); the h**(-alpha) scaling is
-applied by :func:`apply_stencil` and by the solvers.
+An operator is a read-only ``ndarray`` of the dimensionless stencil entries,
+a strided view over the 2n - 1 diagonals of the n x n Toeplitz matrix (the
+right operator is its ``.T``); the h**(-alpha) scaling is applied by
+:func:`apply_stencil` and by the solvers.
 
 The design accuracy of an order-k stencil assumes the zero-extended
 function stays smooth enough across the boundary; inputs that do not vanish
@@ -22,7 +23,7 @@ from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma
 
 from .coefficients import CoefficientTable, ShiftTuple, stencil_coeffs, validate_order
@@ -94,12 +95,15 @@ def table_for_grid(
 def assemble_left(
     alpha: float, shifts: ShiftTuple | Sequence[int], grid: Grid1D
 ) -> np.ndarray:
-    """Dense, read-only left-derivative operator matrix for the interior nodes.
+    """Read-only left-derivative operator matrix for the interior nodes.
 
     Row i, column j holds ``phi_{i-j+m}`` (zero above the m-th
-    superdiagonal), so the Toeplitz structure is guaranteed by construction.
-    The right-derivative operator is the transpose.  The grid needs more
-    interior nodes than the tuple's largest shift m, else ``ValueError``.
+    superdiagonal).  The array is a strided view over one buffer of the
+    2n - 1 diagonals, so it takes O(n) memory, every row is contiguous and
+    the Toeplitz structure holds by construction; ``np.array(a)`` gives a
+    dense copy.  The right-derivative operator is the transpose.  The grid
+    needs more interior nodes than the tuple's largest shift m, else
+    ``ValueError``.
     """
     alpha = validate_order(alpha)
     table = table_for_grid(alpha, shifts, grid)
@@ -109,12 +113,9 @@ def assemble_left(
         raise ValueError(
             f"grid has {n} interior nodes; the stencil with max shift {m} needs at least {m + 1}"
         )
-    col = table.phi[m : m + n]
-    row = np.zeros(n)
-    row[: m + 1] = table.phi[m::-1]
-    a = toeplitz(col, row)
-    a.flags.writeable = False
-    return a
+    # diagonals[n - 1 - i + j] = phi_{i-j+m}: phi_{n-1+m}, ..., phi_0, then zeros
+    diagonals = np.concatenate((table.phi[n + m - 1 :: -1], np.zeros(n - 1 - m)))
+    return sliding_window_view(diagonals, n)[::-1]
 
 
 def _toeplitz_pair(

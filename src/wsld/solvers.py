@@ -27,9 +27,13 @@ every new state itself.
 A is Toeplitz, so from ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D
 explicit side is applied as ``u + tau/(2 h^alpha) (D+ A u + D- A^T u)``
 through the FFT of the stencil, O(n log n) per step, instead of the dense
-``M_plus @ u``; the rule depends on the grid size only, independently of the
-inverse-or-LU rule above.  Below it the output is bit-identical to the dense
-product; from it on the two differ by round-off.
+``M_plus @ u``, and ``M_plus`` is never formed; the rule depends on the grid
+size only, independently of the inverse-or-LU rule above.  Below it the
+output is bit-identical to the dense product; from it on the two differ by
+round-off.  The dense matrices are built from the O(n) Toeplitz views of A
+and A^T in one pass over row blocks; the implicit ``I - G`` of a large grid
+is written as the rows of its transpose, which is the Fortran order that
+LAPACK factors in place.
 """
 
 from __future__ import annotations
@@ -193,7 +197,10 @@ def _march(
     return np.array(history) if history is not None else u
 
 
-_ROW_BLOCK = 256
+# Rows per block of ``_scaled_pair_matrix``, whose scratch block of this many
+# rows is the only array alive next to its result.  With one BLAS thread on
+# a 2-vCPU Xeon, 16 to 256 rows all build the n = 2999 matrix in 29-35 ms.
+_ROW_BLOCK = 32
 
 
 def _scaled_pair_matrix(
@@ -203,18 +210,32 @@ def _scaled_pair_matrix(
     c_plus: np.ndarray,
     c_minus: np.ndarray,
     tau: float,
+    transposed: bool = False,
 ) -> np.ndarray:
-    """tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense array.
+    """G = tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense C-order array.
 
-    The ``diag(c-) A^T`` term is added in row blocks, so no third n x n
-    array is alive next to A and the result.
+    With ``transposed=True`` the rows of G^T are written instead, so the
+    result read as ``.T`` is G in Fortran order.  A and A^T are O(n)
+    Toeplitz views with contiguous rows, and each block of ``_ROW_BLOCK``
+    rows is written once as ``(c+_i a_ij + c-_i a_ji) * scale``, the same
+    per-entry arithmetic in either layout.
     """
     a = assemble_left(alpha, shifts, grid)
-    g = c_plus[:, None] * a
-    for s in range(0, len(g), _ROW_BLOCK):
+    n = len(a)
+    if transposed:  # row j of G^T is c+ (A^T)_j + c- A_j
+        first, second = a.T, a
+    else:  # row i of G is c+_i A_i + c-_i (A^T)_i
+        first, second = a, a.T
+        c_plus, c_minus = c_plus[:, None], c_minus[:, None]
+    c_plus, c_minus = np.broadcast_to(c_plus, (n, n)), np.broadcast_to(c_minus, (n, n))
+    scale = tau / (2.0 * grid.h**alpha)
+    g = np.empty((n, n))
+    part = np.empty((min(n, _ROW_BLOCK), n))
+    for s in range(0, n, _ROW_BLOCK):
         rows = slice(s, s + _ROW_BLOCK)
-        g[rows] += c_minus[rows, None] * a[:, rows].T
-    g *= tau / (2.0 * grid.h**alpha)
+        block = np.multiply(c_plus[rows], first[rows], out=g[rows])
+        block += np.multiply(c_minus[rows], second[rows], out=part[: len(block)])
+        block *= scale
     return g
 
 
@@ -228,9 +249,10 @@ def build_cn_system(
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     ``M_minus`` comes in Fortran order, so LAPACK can factor it in place.
-    ``solve_1d`` uses ``M_plus`` only on grids with fewer than
-    ``_FFT_MIN_INTERIOR`` (600) interior nodes; on larger ones it applies
-    the explicit side through the FFT of the stencil and drops it.
+    ``solve_1d`` calls this only on grids with fewer than
+    ``_FFT_MIN_INTERIOR`` (600) interior nodes; on larger ones it forms
+    ``M_minus`` alone, with the same entries, and applies the explicit side
+    through the FFT of the stencil, so ``M_plus`` is never formed there.
     """
     g = _scaled_pair_matrix(
         problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau
@@ -279,21 +301,30 @@ def solve_1d(
     ``_FFT_MIN_INTERIOR`` (600) interior nodes the explicit side ``M_plus @ u``
     is applied through the FFT of the stencil instead, in O(n log n) per step
     (the break-even against the dense product with one BLAS thread lies
-    between n = 559 and 579); it agrees with the dense product to round-off,
-    and smaller grids are bit-identical to it.  The forcing is sampled
-    pointwise at the half steps ``t_{n+1/2}``; a non-finite sample raises
-    ``ValueError`` naming the step and its time, and any other non-finite
-    state one saying it has infs or NaNs.  With ``return_history=True`` the
-    full ``(n_steps+1, n)`` trajectory is returned instead of the final
-    slice.
+    between n = 559 and 579) and ``M_plus`` is never formed; it agrees with
+    the dense product to round-off, and smaller grids are bit-identical to
+    it.  The implicit matrix has the same entries either way.  The forcing
+    is sampled pointwise at the half steps ``t_{n+1/2}``; a non-finite
+    sample raises ``ValueError`` naming the step and its time, and any other
+    non-finite state one saying it has infs or NaNs.  With
+    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
+    returned instead of the final slice.
     """
     n = problem.grid.n_interior
-    m_minus, m_plus = build_cn_system(problem, shifts)
     if n < _FFT_MIN_INTERIOR:
+        m_minus, m_plus = build_cn_system(problem, shifts)
         explicit = m_plus.__matmul__
     else:
+        gt = _scaled_pair_matrix(
+            problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau,
+            transposed=True,
+        )
+        # 0.0 - G^T in place, zeros signed as in build_cn_system: the rows of
+        # I - G^T are M_minus = I - G in Fortran order, with no transpose copy.
+        np.subtract(0.0, gt, out=gt)
+        gt.flat[:: n + 1] += 1.0
+        m_minus = gt.T
         explicit = _explicit_by_fft(problem, shifts)
-    del m_plus  # on the FFT path nothing holds M_plus any more
     if problem.n_steps >= n:
         inv = _inverse(m_minus)
         solve = lambda rhs: inv @ rhs

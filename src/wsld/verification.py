@@ -223,7 +223,9 @@ def convergence_study(
     tau divides t_final exactly.  Errors are measured against the exact
     solution at the final time in the max norm.  ``variant`` is used by 2D
     cases only, but one outside ``ADI_VARIANTS`` raises ``ValueError`` in
-    either dimension before any level runs.
+    either dimension before any level runs.  So does an ``h_list`` entry
+    that is not finite and positive, naming the level, and a ``tau_law``
+    result that is not finite and positive, naming h.
     """
     st = ShiftTuple.of(shifts)
     if variant not in ADI_VARIANTS:
@@ -231,15 +233,23 @@ def convergence_study(
     if tau_law is None:
         tau_law = lambda h: h * h
     hs = [float(h) for h in h_list]
+    for i, h in enumerate(hs):
+        if not (np.isfinite(h) and h > 0.0):
+            raise ValueError(f"h_list[{i}] must be finite and positive, got {h!r}")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("h_list must be strictly decreasing")
     width = DOMAIN[1] - DOMAIN[0]
-    rows: list[tuple[float, float, float, float | None]] = []
-    for i, h in enumerate(hs):
+    levels = []
+    for h in hs:
         n_cells = round(width / h)
         if abs(n_cells * h - width) > 1e-9 * width:
             raise ValueError(f"h = {h} does not divide the domain width {width}")
-        n_steps = max(1, round(case.t_final / tau_law(h)))
+        tau = tau_law(h)
+        if not (np.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"tau_law must return a finite positive step, got {tau!r} at h = {h}")
+        levels.append((n_cells, max(1, round(case.t_final / tau))))
+    rows: list[tuple[float, float, float, float | None]] = []
+    for i, (h, (n_cells, n_steps)) in enumerate(zip(hs, levels)):
         problem = case.problem(n_cells, n_steps)
         if case.dimension == 1:
             numeric = solve_1d(problem, st)

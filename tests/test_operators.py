@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from wsld.coefficients import DEFAULT_TUPLE, ShiftTuple, branch_weights, lubich_coeffs
 from wsld.operators import (
@@ -88,6 +89,19 @@ class TestAssembly:
     def test_toeplitz_structure(self):
         a = assemble_left(1.7, DEFAULT_TUPLE, Grid1D(0.0, 2.0, 12))
         np.testing.assert_array_equal(a[:-1, :-1], a[1:, 1:])
+
+    @pytest.mark.parametrize(
+        "shifts,n_cells", [((0,), 2), (DEFAULT_TUPLE, 4), (DEFAULT_TUPLE, 41), ((1, -3), 17)],
+        ids=["unshifted-n1", "default-n3", "default-n40", "1,-3-n16"],
+    )
+    def test_strided_view_over_its_diagonals_equals_dense_toeplitz(self, shifts, n_cells, dense_left):
+        grid = Grid1D(0.0, 2.0, n_cells)
+        op = assemble_left(1.7, shifts, grid)
+        n = grid.n_interior
+        np.testing.assert_array_equal(op, dense_left(1.7, shifts, grid))
+        assert not op.flags.writeable
+        low, high = byte_bounds(op)
+        assert high - low == (2 * n - 1) * op.itemsize
 
     def test_is_read_only(self):
         op = assemble_left(1.5, DEFAULT_TUPLE, Grid1D(0.0, 2.0, 15))

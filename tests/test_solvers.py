@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,9 +109,9 @@ def lu_sweep_step(u, f, tau, kx, ky, variant):
     return lu_solve(lu_y, rhs.T).T
 
 
-def lu_stepped_2d(p, variant, shifts=DEFAULT_TUPLE):
+def lu_stepped_2d(p, variant, shifts=DEFAULT_TUPLE, shifts_y=None):
     """Reference ADI trajectory: both sweeps solve with LU factors every step."""
-    kx, ky = build_adi_factors(p, shifts)
+    kx, ky = build_adi_factors(p, shifts, shifts_y)
     x = p.grid_x.interior_nodes()[:, None]
     y = p.grid_y.interior_nodes()[None, :]
     history = [p.u0]
@@ -230,13 +231,21 @@ class TestProblemValidation:
 
 
 class TestCrankNicolsonSystem:
-    def test_row_blocked_pair_matrix_matches_one_shot_sum(self):
-        p = make_problem_1d(n_cells=2 * solvers._ROW_BLOCK + 40)
-        g = solvers._scaled_pair_matrix(p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
-        a = assemble_left(p.alpha, DEFAULT_TUPLE, p.grid)
-        ref = p.d_plus[:, None] * a + p.d_minus[:, None] * a.T
-        ref *= p.tau / (2.0 * p.grid.h**p.alpha)
-        np.testing.assert_array_equal(g, ref)
+    def test_row_blocked_pair_matrix_matches_one_shot_sum(self, dense_left):
+        # below, at and past a multiple of the block, in both layouts: the
+        # same bits as the one-shot sum over the dense Toeplitz oracle
+        block = solvers._ROW_BLOCK
+        for n_interior in (block - 7, block, 3 * block + 5):
+            p = make_problem_1d(n_cells=n_interior + 1)
+            t = dense_left(p.alpha, DEFAULT_TUPLE, p.grid)
+            ref = p.d_plus[:, None] * t + p.d_minus[:, None] * t.T
+            ref *= p.tau / (2.0 * p.grid.h**p.alpha)
+            args = (p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
+            g = solvers._scaled_pair_matrix(*args)
+            gt = solvers._scaled_pair_matrix(*args, transposed=True)
+            assert g.flags.c_contiguous and gt.flags.c_contiguous
+            for got in (g, gt.T):
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
     def test_zero_tau_gives_identity(self):
         p = make_problem_1d(tau=0.0, n_steps=1)
@@ -282,6 +291,20 @@ class TestSolve1D:
         )
         u = solve_1d(p)
         assert np.all(np.isfinite(u))
+
+
+    def test_large_grid_holds_one_dense_matrix(self):
+        # from _FFT_MIN_INTERIOR on only I - G is formed, in place: no dense
+        # A, no M_plus and no transposed copy for lu_factor
+        p = make_problem_1d(n_cells=800, n_steps=20)
+        n = p.grid.n_interior
+        tracemalloc.start()
+        try:
+            solve_1d(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestUnconditionalStability:
@@ -451,9 +474,10 @@ class TestSolve2D:
         assert err == pytest.approx(1.0110e-02, rel=0.03)
 
     def test_rectangular_grids(self):
-        # nx != ny exercises the sweep/transpose bookkeeping
+        # nx < ny with a different tuple per axis exercises the sweep/transpose
+        # bookkeeping; checked against each variant's LU sweeps
         case = manufactured_2d(1.3, 1.7)
-        grid_x, grid_y = Grid1D(0.0, 2.0, 12), Grid1D(0.0, 2.0, 8)
+        grid_x, grid_y = Grid1D(0.0, 2.0, 8), Grid1D(0.0, 2.0, 14)
         x, y = grid_x.interior_nodes(), grid_y.interior_nodes()
         p = Problem2D(
             grid_x=grid_x, grid_y=grid_y, alpha=1.3, beta=1.7,
@@ -461,18 +485,17 @@ class TestSolve2D:
             forcing=case.forcing, u0=case.exact(x[:, None], y[None, :], 0.0),
             t_final=0.1, n_steps=16,
         )
-        u_pr = solve_2d(p, DEFAULT_TUPLE)
-        u_dg = solve_2d(p, DEFAULT_TUPLE, variant="douglas")
-        assert u_pr.shape == (11, 7)
-        np.testing.assert_allclose(u_pr, u_dg, rtol=1e-10)
+        shifts_y = (1, 2, 1, -3, 1, 2, 1, -2)
+        for variant in ADI_VARIANTS:
+            got = solve_2d(p, DEFAULT_TUPLE, shifts_y, variant=variant, return_history=True)
+            assert got.shape == (17, 7, 13)
+            assert_same_trajectory(got, lu_stepped_2d(p, variant, DEFAULT_TUPLE, shifts_y))
 
     def test_variants_agree_end_to_end(self):
-        case = manufactured_2d(1.3, 1.7)
-        p = case.problem(8, n_steps=5)
-        u_pr = solve_2d(p, DEFAULT_TUPLE, variant="peaceman_rachford")
-        p2 = case.problem(8, n_steps=5)
-        u_dg = solve_2d(p2, DEFAULT_TUPLE, variant="douglas")
-        np.testing.assert_allclose(u_pr, u_dg, rtol=1e-9)
+        # both names are accepted and select the one propagator
+        p = manufactured_2d(1.3, 1.7).problem(8, n_steps=5)
+        u_pr, u_dg = (solve_2d(p, DEFAULT_TUPLE, variant=v) for v in ADI_VARIANTS)
+        np.testing.assert_array_equal(u_pr, u_dg)
 
     def test_adi_propagator_contracts(self):
         p = make_problem_2d(n_cells=8, alpha=1.4, beta=1.6, tau=0.01)

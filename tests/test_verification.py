@@ -283,6 +283,30 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=[1 / 20, 1 / 10])
 
+    @pytest.mark.parametrize(
+        "h_list,level",
+        [([float("nan")], 0), ([1 / 10, float("nan")], 1), ([float("inf"), 1 / 10], 0),
+         ([0.0], 0), ([1 / 10, -1 / 20], 1), ([-float("inf")], 0)],
+        ids=["nan", "nan-second", "inf", "zero", "negative", "minus-inf"],
+    )
+    def test_bad_h_rejected_by_name(self, h_list, level):
+        with pytest.raises(ValueError, match=rf"^h_list\[{level}\] must be finite and positive"):
+            convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=h_list)
+
+    @pytest.mark.parametrize(
+        "bad", [lambda h: -h * h, lambda h: np.inf, lambda h: 0.0], ids=["-h^2", "inf", "zero"]
+    )
+    def test_tau_law_must_give_a_finite_positive_step(self, bad, monkeypatch):
+        # the first level's step is fine, the second's is not: nothing runs
+        solves = []
+        monkeypatch.setattr(verification, "solve_1d", lambda *args, **kwargs: solves.append(1))
+        law = lambda h: h * h if h > 0.15 else bad(h)
+        with pytest.raises(ValueError, match=r"^tau_law must return a finite positive step, "
+                                             r"got .* at h = 0\.1$"):
+            convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=[1 / 5, 1 / 10],
+                              tau_law=law)
+        assert solves == []
+
     @pytest.mark.parametrize("case", [manufactured_1d(1.5), manufactured_2d(1.3, 1.7)],
                              ids=["1d", "2d"])
     def test_unknown_variant_rejected_before_first_level(self, case, monkeypatch):
