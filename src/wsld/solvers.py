@@ -4,16 +4,17 @@ space-fractional diffusion with WSLD spatial operators.
 1D:  u_t = d_plus(x) * D_left^alpha u + d_minus(x) * D_right^alpha u + f
 is advanced by
 
-    [I - tau/(2 h^alpha) (D+ A + D- A^T)] U^{n+1}
-        = [I + tau/(2 h^alpha) (D+ A + D- A^T)] U^n + tau F^{n+1/2},
+    (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
-with the matrix LU-factored once per run.  2D adds the y-direction analog
-and factors the implicit operator into two one-dimensional ones; the
-Peaceman-Rachford and Douglas sweeps of that factored equation are one
-propagator, ``u -> Bx (u Cy + g) + g``, three products per step.
-Interior unknowns are stored as arrays ``u[i, j] = u(x_i, y_j)``; the
-x-operator acts as ``kx @ u`` and the y-operator as ``u @ ky.T``, and the
-Kronecker-product form of the scheme is never materialized.
+with ``I - G`` LU-factored once per run.  G is one two-sided operator,
+``operators._TwoSided``, which has a dense form and an FFT form.  2D adds
+the y-direction analog, one such operator per axis, and factors the
+implicit operator into two one-dimensional ones; the Peaceman-Rachford
+and Douglas sweeps of that factored equation are one propagator,
+``u -> Bx (u Cy + g) + g``, three products per step.  Interior unknowns
+are stored as arrays ``u[i, j] = u(x_i, y_j)``; the x-operator acts as
+``kx @ u`` and the y-operator as ``u @ ky.T``, and the Kronecker-product
+form of the scheme is never materialized.
 
 The matrices never change during a run, so where it pays the factors are
 turned into explicit inverses once and every step is a dense product:
@@ -24,16 +25,14 @@ overhead, so large 1D grids with few steps keep solving with the
 factors).  Products do not reject infs or NaNs, so the time loop checks
 every new state itself.
 
-A is Toeplitz, so from ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D
-explicit side is applied as ``u + tau/(2 h^alpha) (D+ A u + D- A^T u)``
-through the FFT of the stencil, O(n log n) per step, instead of the dense
-``M_plus @ u``, and ``M_plus`` is never formed; the rule depends on the grid
-size only, independently of the inverse-or-LU rule above.  Below it the
-output is bit-identical to the dense product; from it on the two differ by
-round-off.  The dense matrices are built from the O(n) Toeplitz views of A
-and A^T in one pass over row blocks; the implicit ``I - G`` of a large grid
-is written as the rows of its transpose, which is the Fortran order that
-LAPACK factors in place.
+From ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D explicit side
+``u + G u`` goes through the operator's FFT form, O(n log n) per step,
+instead of the dense ``M_plus @ u``, and ``M_plus`` is never formed; the
+rule depends on the grid size only, independently of the inverse-or-LU
+rule above.  Below it the output is bit-identical to the dense product;
+from it on the two differ by round-off.  The implicit ``I - G`` of a
+large grid is written as the rows of its transpose, which is the Fortran
+order that LAPACK factors in place.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, validate_order
-from .operators import Grid1D, _toeplitz_pair, assemble_left, table_for_grid
+from .operators import Grid1D, _TwoSided
 
 __all__ = [
     "ADI_VARIANTS",
@@ -160,8 +159,17 @@ class Problem2D(_Problem):
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
-    """Explicit inverse of ``a`` from its LU factors."""
-    return lu_solve(lu_factor(a), np.eye(len(a)))
+    """Explicit inverse of ``a`` from its LU factors.  A Fortran-order ``a`` is
+    factored in place and the identity overwritten by the inverse."""
+    return lu_solve(lu_factor(a, overwrite_a=True), np.eye(len(a), order="F"), overwrite_b=True)
+
+
+def _identity_plus(sign: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``I + G`` (``sign`` 1) or ``I - G`` (-1) into ``out``, which may be ``g``: ``g + 0.0``
+    or ``0.0 - g`` plus 1 on the diagonal, so zeros carry the signs of the sums."""
+    out = np.add(g, 0.0, out=out) if sign > 0 else np.subtract(0.0, g, out=out)
+    out.flat[:: len(out) + 1] += 1.0
+    return out
 
 
 def _march(
@@ -197,46 +205,10 @@ def _march(
     return np.array(history) if history is not None else u
 
 
-# Rows per block of ``_scaled_pair_matrix``, whose scratch block of this many
-# rows is the only array alive next to its result.  With one BLAS thread on
-# a 2-vCPU Xeon, 16 to 256 rows all build the n = 2999 matrix in 29-35 ms.
-_ROW_BLOCK = 32
-
-
-def _scaled_pair_matrix(
-    alpha: float,
-    shifts: ShiftTuple | Sequence[int],
-    grid: Grid1D,
-    c_plus: np.ndarray,
-    c_minus: np.ndarray,
-    tau: float,
-    transposed: bool = False,
-) -> np.ndarray:
-    """G = tau/(2 h^alpha) * (diag(c+) A + diag(c-) A^T) as a dense C-order array.
-
-    With ``transposed=True`` the rows of G^T are written instead, so the
-    result read as ``.T`` is G in Fortran order.  A and A^T are O(n)
-    Toeplitz views with contiguous rows, and each block of ``_ROW_BLOCK``
-    rows is written once as ``(c+_i a_ij + c-_i a_ji) * scale``, the same
-    per-entry arithmetic in either layout.
-    """
-    a = assemble_left(alpha, shifts, grid)
-    n = len(a)
-    if transposed:  # row j of G^T is c+ (A^T)_j + c- A_j
-        first, second = a.T, a
-    else:  # row i of G is c+_i A_i + c-_i (A^T)_i
-        first, second = a, a.T
-        c_plus, c_minus = c_plus[:, None], c_minus[:, None]
-    c_plus, c_minus = np.broadcast_to(c_plus, (n, n)), np.broadcast_to(c_minus, (n, n))
-    scale = tau / (2.0 * grid.h**alpha)
-    g = np.empty((n, n))
-    part = np.empty((min(n, _ROW_BLOCK), n))
-    for s in range(0, n, _ROW_BLOCK):
-        rows = slice(s, s + _ROW_BLOCK)
-        block = np.multiply(c_plus[rows], first[rows], out=g[rows])
-        block += np.multiply(c_minus[rows], second[rows], out=part[: len(block)])
-        block *= scale
-    return g
+def _operator_1d(problem: Problem1D, shifts: ShiftTuple | Sequence[int]) -> _TwoSided:
+    return _TwoSided.on(
+        problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau
+    )
 
 
 def build_cn_system(
@@ -249,42 +221,11 @@ def build_cn_system(
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     ``M_minus`` comes in Fortran order, so LAPACK can factor it in place.
-    ``solve_1d`` calls this only on grids with fewer than
-    ``_FFT_MIN_INTERIOR`` (600) interior nodes; on larger ones it forms
-    ``M_minus`` alone, with the same entries, and applies the explicit side
-    through the FFT of the stencil, so ``M_plus`` is never formed there.
+    ``solve_1d`` calls this only below ``_FFT_MIN_INTERIOR`` interior nodes.
     """
-    g = _scaled_pair_matrix(
-        problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau
-    )
-    # 0.0 - g and g + 0.0, not a negation and the bare g, so zeros carry the
-    # same sign as in I - G and I + G.  M_minus is in Fortran order, which
-    # lets lu_factor(..., overwrite_a=True) factor it in place.
-    m_minus = np.subtract(0.0, g, order="F")
-    m_plus = np.add(g, 0.0, out=g)
-    for m in (m_minus, m_plus):
-        m.flat[:: len(m) + 1] += 1.0
-    return m_minus, m_plus
-
-
-def _explicit_by_fft(
-    problem: Problem1D, shifts: ShiftTuple | Sequence[int]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``u -> M_plus @ u`` as ``u + scale (D+ A u + D- A^T u)`` without M_plus.
-
-    A and A^T are applied through the FFT of the stencil (O(n log n) per
-    call); the result equals the dense product up to round-off.
-    """
-    grid = problem.grid
-    pair = _toeplitz_pair(table_for_grid(problem.alpha, shifts, grid), grid.n_interior)
-    scale = problem.tau / (2.0 * grid.h**problem.alpha)
-    c_plus, c_minus = scale * problem.d_plus, scale * problem.d_minus
-
-    def explicit(u: np.ndarray) -> np.ndarray:
-        a_u, at_u = pair(u)
-        return u + (c_plus * a_u + c_minus * at_u)
-
-    return explicit
+    g = _operator_1d(problem, shifts).dense()
+    m_minus = _identity_plus(-1.0, g, np.empty_like(g, order="F"))
+    return m_minus, _identity_plus(1.0, g, g)
 
 
 def solve_1d(
@@ -298,33 +239,24 @@ def solve_1d(
     When ``n_steps >= n_interior`` its inverse is formed from the factors and
     each step is a matrix-vector product; otherwise each step solves with
     the factors.  The two agree to round-off.  With at least
-    ``_FFT_MIN_INTERIOR`` (600) interior nodes the explicit side ``M_plus @ u``
-    is applied through the FFT of the stencil instead, in O(n log n) per step
-    (the break-even against the dense product with one BLAS thread lies
-    between n = 559 and 579) and ``M_plus`` is never formed; it agrees with
-    the dense product to round-off, and smaller grids are bit-identical to
-    it.  The implicit matrix has the same entries either way.  The forcing
-    is sampled pointwise at the half steps ``t_{n+1/2}``; a non-finite
-    sample raises ``ValueError`` naming the step and its time, and any other
-    non-finite state one saying it has infs or NaNs.  With
-    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
-    returned instead of the final slice.
+    ``_FFT_MIN_INTERIOR`` (600) interior nodes the explicit side ``u + G u``
+    goes through the FFT of the stencil instead and ``M_plus`` is never
+    formed (see the module docstring); the implicit matrix has the same
+    entries either way.  The forcing is sampled pointwise at the half steps
+    ``t_{n+1/2}``; a non-finite sample raises ``ValueError`` naming the step
+    and its time, and any other non-finite state one saying it has infs or
+    NaNs.  With ``return_history=True`` the full ``(n_steps+1, n)``
+    trajectory is returned instead of the final slice.
     """
     n = problem.grid.n_interior
     if n < _FFT_MIN_INTERIOR:
         m_minus, m_plus = build_cn_system(problem, shifts)
         explicit = m_plus.__matmul__
     else:
-        gt = _scaled_pair_matrix(
-            problem.alpha, shifts, problem.grid, problem.d_plus, problem.d_minus, problem.tau,
-            transposed=True,
-        )
-        # 0.0 - G^T in place, zeros signed as in build_cn_system: the rows of
-        # I - G^T are M_minus = I - G in Fortran order, with no transpose copy.
-        np.subtract(0.0, gt, out=gt)
-        gt.flat[:: n + 1] += 1.0
-        m_minus = gt.T
-        explicit = _explicit_by_fft(problem, shifts)
+        op = _operator_1d(problem, shifts)
+        gt = op.dense(transposed=True)  # the rows of I - G^T are I - G in Fortran order
+        m_minus, g = _identity_plus(-1.0, gt, gt).T, op.fft()
+        explicit = lambda u: u + g(u)
     if problem.n_steps >= n:
         inv = _inverse(m_minus)
         solve = lambda rhs: inv @ rhs
@@ -356,13 +288,10 @@ def build_adi_factors(
     """
     if shifts_y is None:
         shifts_y = shifts_x
-    kx = _scaled_pair_matrix(
-        problem.alpha, shifts_x, problem.grid_x, problem.d_plus, problem.d_minus, problem.tau
-    )
-    ky = _scaled_pair_matrix(
-        problem.beta, shifts_y, problem.grid_y, problem.e_plus, problem.e_minus, problem.tau
-    )
-    return kx, ky
+    p = problem
+    kx = _TwoSided.on(p.alpha, shifts_x, p.grid_x, p.d_plus, p.d_minus, p.tau)
+    ky = _TwoSided.on(p.beta, shifts_y, p.grid_y, p.e_plus, p.e_minus, p.tau)
+    return kx.dense(), ky.dense()
 
 
 def step_adi(
@@ -415,10 +344,10 @@ def solve_2d(
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     kx, ky = build_adi_factors(problem, shifts_x, shifts_y)
-    eye_x, eye_y = np.eye(len(kx)), np.eye(len(ky))
-    bx = (eye_x + kx) @ _inverse(eye_x - kx)
-    iy = _inverse(eye_y - ky).T
-    cy = (eye_y + ky).T @ iy
+    minus_x, minus_y = (_identity_plus(-1.0, k, np.empty_like(k, order="F")) for k in (kx, ky))
+    bx = _identity_plus(1.0, kx, kx) @ _inverse(minus_x)
+    iy = _inverse(minus_y).T
+    cy = _identity_plus(1.0, ky, ky).T @ iy
     x = problem.grid_x.interior_nodes()[:, None]
     y = problem.grid_y.interior_nodes()[None, :]
     tau = problem.tau

@@ -95,6 +95,8 @@ class ManufacturedCase:
     t_final: float = 1.0
 
     def problem(self, n_cells: int, n_steps: int | None = None):
+        if not (np.isfinite(self.t_final) and self.t_final >= 0.0):  # before the default n_steps
+            raise ValueError("t_final must be finite and nonnegative")
         grid = Grid1D(*DOMAIN, n_cells)
         if n_steps is None:
             n_steps = max(1, round(self.t_final / grid.h**2))

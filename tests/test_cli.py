@@ -169,6 +169,13 @@ def test_grid_not_wider_than_stencil_is_numeric_error(argv, capsys):
     assert re.fullmatch(r"numeric-error: grid has \d interior nodes; the stencil with max shift 2 .*\n", err)
 
 
+@pytest.mark.parametrize("t_final", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["solve1d", "solve2d"])
+def test_bad_t_final_is_numeric_error(command, t_final, capsys):
+    assert main([command, "--alpha", "1.5", "--nx", "8", "--t-final", t_final]) == 3
+    assert capsys.readouterr().err == "numeric-error: t_final must be finite and nonnegative\n"
+
+
 class TestConverge:
     @pytest.mark.parametrize("flags", [["--beta", "1.9"], ["--adi", "pr"], ["--adi", "douglas"]])
     def test_dim1_rejects_2d_flags(self, flags, capsys):

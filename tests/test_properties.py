@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsld.coefficients import DegenerateTupleError
-from wsld.operators import Grid1D, apply_stencil, assemble_left, table_for_grid
+from wsld.operators import Grid1D, _TwoSided, apply_stencil, assemble_left, table_for_grid
 from wsld.solvers import _FFT_MIN_INTERIOR, Problem1D, build_cn_system
 
 # derandomized so the suite is reproducible; the draws still cover tuples
@@ -33,10 +33,14 @@ def test_stencil_matches_dense_matvec_and_transpose(shifts, alpha, n, seed):
     grid = Grid1D(0.0, 2.0, n)
     a = operator_or_reject(alpha, shifts, grid)
     table = table_for_grid(alpha, shifts, grid)
-    u = np.random.default_rng(seed).normal(size=grid.n_interior)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=grid.n_interior)
+    c_plus, c_minus = rng.uniform(0.0, 2.0, (2, grid.n_interior))
+    op = _TwoSided.on(alpha, shifts, grid, c_plus, c_minus, tau=0.1)
+    pairs = [(op.dense() @ u, op.fft()(u))]  # the two-sided operator's two forms
     for side, matrix in (("left", a), ("right", a.T)):
-        dense = grid.h**-alpha * (matrix @ u)
-        fast = apply_stencil(side, table, grid, u)
+        pairs.append((grid.h**-alpha * (matrix @ u), apply_stencil(side, table, grid, u)))
+    for dense, fast in pairs:
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
+import wsld.operators as operators
 import wsld.solvers as solvers
 from wsld.coefficients import DEFAULT_TUPLE, DegenerateTupleError
-from wsld.operators import Grid1D, assemble_left
+from wsld.operators import Grid1D, _TwoSided
 from wsld.solvers import (
     ADI_VARIANTS,
     Problem1D,
@@ -143,7 +145,7 @@ def count_lu_solve(monkeypatch):
 def count_toeplitz_applies(monkeypatch):
     """Count applications of the FFT stencil routine the 1D solver builds."""
     calls = []
-    original = solvers._toeplitz_pair
+    original = operators._toeplitz_pair
 
     def counting(*args):
         apply = original(*args)
@@ -154,8 +156,35 @@ def count_toeplitz_applies(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(solvers, "_toeplitz_pair", counting)
+    monkeypatch.setattr(operators, "_toeplitz_pair", counting)
     return calls
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every ``wsld`` module that names it, the
+    way the benchmark's spans wrap its entry points."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "wsld" or name.startswith("wsld."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def traced_peak(run):
+    """Peak bytes allocated through Python while ``run()`` executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_same_trajectory(got, ref):
@@ -234,15 +263,15 @@ class TestCrankNicolsonSystem:
     def test_row_blocked_pair_matrix_matches_one_shot_sum(self, dense_left):
         # below, at and past a multiple of the block, in both layouts: the
         # same bits as the one-shot sum over the dense Toeplitz oracle
-        block = solvers._ROW_BLOCK
+        block = operators._ROW_BLOCK
         for n_interior in (block - 7, block, 3 * block + 5):
             p = make_problem_1d(n_cells=n_interior + 1)
             t = dense_left(p.alpha, DEFAULT_TUPLE, p.grid)
             ref = p.d_plus[:, None] * t + p.d_minus[:, None] * t.T
             ref *= p.tau / (2.0 * p.grid.h**p.alpha)
-            args = (p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
-            g = solvers._scaled_pair_matrix(*args)
-            gt = solvers._scaled_pair_matrix(*args, transposed=True)
+            op = _TwoSided.on(p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
+            g = op.dense()
+            gt = op.dense(transposed=True)
             assert g.flags.c_contiguous and gt.flags.c_contiguous
             for got in (g, gt.T):
                 np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
@@ -298,13 +327,31 @@ class TestSolve1D:
         # A, no M_plus and no transposed copy for lu_factor
         p = make_problem_1d(n_cells=800, n_steps=20)
         n = p.grid.n_interior
-        tracemalloc.start()
-        try:
-            solve_1d(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert traced_peak(lambda: solve_1d(p)) < 1.5 * 8 * n * n
+
+    def test_large_grid_inverse_holds_two_dense_matrices(self):
+        # n_steps >= n_interior: I - G is factored in place and the identity
+        # overwritten by the inverse, so only the factors and the inverse live
+        p = make_problem_1d(n_cells=800, n_steps=799)
+        n = p.grid.n_interior
+        assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "fft"])
+    def test_one_stencil_table_per_solve(self, offset, monkeypatch):
+        # the dense and the FFT form read the same table, on both sides of the switch
+        calls = count_calls(monkeypatch, operators.stencil_coeffs)
+        solve_1d(make_problem_1d(n_cells=solvers._FFT_MIN_INTERIOR + offset + 1, n_steps=2))
+        assert len(calls) == 1
+
+    def test_traced_entry_points(self, monkeypatch):
+        # the benchmark's spans expect these entry points on these paths
+        cn = count_calls(monkeypatch, solvers.build_cn_system)
+        adi = count_calls(monkeypatch, solvers.build_adi_factors)
+        left = count_calls(monkeypatch, operators.assemble_left)
+        solve_1d(make_problem_1d())
+        assert (len(cn), len(adi), len(left)) == (1, 0, 1)
+        solve_2d(make_problem_2d())
+        assert (len(cn), len(adi), len(left)) == (1, 1, 3)
 
 
 class TestUnconditionalStability:

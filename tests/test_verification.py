@@ -85,6 +85,19 @@ class TestManufactured1D:
         assert got == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("t_final", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize(
+    "make", [lambda: manufactured_1d(1.5), lambda: manufactured_2d(1.2, 1.8)], ids=["1d", "2d"]
+)
+@pytest.mark.parametrize("n_steps", [None, 4])
+def test_bad_t_final_rejected_by_name(make, t_final, n_steps):
+    # with n_steps None the default step count would divide t_final first
+    case = make()
+    case.t_final = t_final
+    with pytest.raises(ValueError, match="^t_final must be finite and nonnegative$"):
+        case.problem(10, n_steps)
+
+
 class TestManufactured2D:
     def test_initial_condition(self):
         case = manufactured_2d(1.2, 1.8)
