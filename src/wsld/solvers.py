@@ -22,8 +22,18 @@ always in 2D, where they give the propagator matrices, and in 1D when the
 run has at least as many steps as unknowns (forming the inverse costs
 about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
 overhead, so large 1D grids with few steps keep solving with the
-factors).  Products do not reject infs or NaNs, so the time loop checks
-every new state itself.
+factors).  A 1D inverse below ``_FFT_MIN_INTERIOR`` nodes is folded into
+one propagator ``P = (I - G)^{-1} (I + G)``, and each step is
+``u -> P u + h_n`` with ``h_n = (I - G)^{-1} tau F^{n+1/2}``: one matvec,
+the 1D shape of the ADI propagator.  Products do not reject infs or NaNs,
+so the time loop checks every new state itself.
+
+The forcing is sampled in blocks of half-step times, at most
+``_BLOCK_BYTES`` of samples at a time, and the block is then stepped one
+row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
+block with one call on a column of times; any other forcing with one call
+per step.  Both give the same block, so the solution does not depend on
+the declaration.
 
 From ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D explicit side
 ``u + G u`` goes through the operator's FFT form, O(n log n) per step,
@@ -67,6 +77,17 @@ ADI_VARIANTS = ("peaceman_rachford", "douglas")
 # n = 599 (the FFT length is 2048 from n = 512 to 1023).
 _FFT_MIN_INTERIOR = 600
 
+# Forcing samples per block, in bytes.  ``_march`` holds about three blocks
+# on top of the solver's matrices: the manufactured forcings' temporaries
+# while sampling, then the samples, ``tau F`` and ``h`` on the 1D propagator
+# path.  Against this cap, 1 MiB gave the Table 2 benchmark a peak RSS of
+# 88.3-88.4 MB against 87.9 MB and wall times of 1.23-1.31 s against
+# 1.33-1.35 s (two and three runs, one BLAS thread): too few to settle.
+_BLOCK_BYTES = 256 * 1024
+
+# Largest step count whose half-step times ``(n + 0.5) * tau`` stay distinct.
+_MAX_STEPS = 2**53
+
 
 def _finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -98,6 +119,8 @@ class _Problem:
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+        if self.n_steps > _MAX_STEPS:
+            raise ValueError("n_steps must be at most 2**53")
 
     @property
     def tau(self) -> float:
@@ -109,10 +132,16 @@ class Problem1D(_Problem):
     """1D fractional diffusion problem on the interior of a uniform grid.
 
     ``d_plus``/``d_minus`` hold the finite, nonnegative diffusion
-    coefficients at the interior nodes, ``forcing(x, t)`` must broadcast over
-    node arrays, and ``u0`` is the finite interior initial data.  Non-finite
-    or negative data raise ``ValueError`` naming the argument, and so does
-    an ``n_steps`` that is not an integer.  ``tau = t_final / n_steps``.
+    coefficients at the interior nodes, and ``u0`` is the finite interior
+    initial data.  ``forcing(x, t)`` takes the node array and a float time
+    and returns values that broadcast to the nodes.  A forcing whose
+    ``broadcasts_over_t`` attribute is true also promises
+    ``forcing(x, t[:, None])[k] == forcing(x, t[k])`` for a column of times,
+    so a solver may sample many steps with one call; ``manufactured_1d``
+    declares it.  The declaration lives on the callable, so replacing the
+    forcing drops it.  Non-finite or negative data raise ``ValueError``
+    naming the argument, and so does an ``n_steps`` that is not an integer
+    or exceeds 2**53.  ``tau = t_final / n_steps``.
     """
 
     grid: Grid1D
@@ -136,8 +165,11 @@ class Problem2D(_Problem):
     (this separability is what makes the two ADI sweep matrices independent
     of the slice index).  ``u0`` and the solution are arrays of shape
     ``(n_x - 1, n_y - 1)`` indexed ``[i, j] -> (x_i, y_j)``; ``forcing(x, y, t)``
-    must broadcast column-vector x against row-vector y.  Coefficients and
-    ``u0`` are validated as in ``Problem1D``, per axis.
+    must broadcast column-vector x against row-vector y.  As in
+    ``Problem1D``, a true ``broadcasts_over_t`` attribute on the forcing
+    declares that ``forcing(x, y, t[:, None, None])`` stacks the samples at
+    the times ``t``; ``manufactured_2d`` declares it.  Coefficients, ``u0``
+    and ``n_steps`` are validated as in ``Problem1D``, per axis.
     """
 
     grid_x: Grid1D
@@ -172,36 +204,77 @@ def _identity_plus(sign: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sampler(forcing: Callable, nodes: tuple[np.ndarray, ...], shape: tuple[int, ...]):
+    """``sample(t)``: the forcing at the times ``t`` as one ``(len(t), *shape)`` block.
+
+    A forcing that declares ``broadcasts_over_t`` is called once on a column of
+    times, any other once per time with a float.  A result that does not
+    broadcast to the block raises ``ValueError`` naming the forcing.
+    """
+    if getattr(forcing, "broadcasts_over_t", False):
+        column = (-1,) + (1,) * len(shape)
+
+        def sample(t):
+            f = np.asarray(forcing(*nodes, t.reshape(column)), dtype=float)
+            return _fit(f, (len(t), *shape), f"for {len(t)} times")
+
+    else:
+
+        def sample(t):
+            block = np.empty((len(t), *shape))
+            for k, t_k in enumerate(t.tolist()):
+                f = np.asarray(forcing(*nodes, t_k), dtype=float)
+                block[k] = _fit(f, shape, f"at t = {t_k!r}")
+            return block
+
+    return sample
+
+
+def _fit(f: np.ndarray, shape: tuple[int, ...], when: str) -> np.ndarray:
+    try:
+        return np.broadcast_to(f, shape)
+    except ValueError:
+        raise ValueError(
+            f"forcing returned shape {f.shape} {when}; expected one that broadcasts to {shape}"
+        ) from None
+
+
 def _march(
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u0: np.ndarray,
-    sample: Callable[[float], np.ndarray],
+    sample: Callable[[np.ndarray], np.ndarray],
     n_steps: int,
     tau: float,
     return_history: bool,
+    prepare: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, sample(t_{n+1/2}))``.
+    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, g[k])``.
 
-    A non-finite state raises ``ValueError``: naming the forcing, the step
-    and its time when that step's forcing sample is non-finite, otherwise
-    saying the state has infs or NaNs at that step.  Overflow and invalid
-    floating-point warnings are off inside the loop, since the check reports
-    their result.
+    The half-step times ``t_{n+1/2}`` go to ``sample`` in blocks of at most
+    ``_BLOCK_BYTES`` of forcing, and ``g = sample(t)``, or ``prepare`` of it,
+    is then stepped one row at a time.  A non-finite state raises ``ValueError``:
+    naming the forcing, the step and its time when that step's forcing
+    sample is non-finite, otherwise saying the state has infs or NaNs at that
+    step.  Overflow and invalid floating-point warnings are off inside the
+    loop, since the check reports their result.
     """
     u = u0.copy()
     history = [u] if return_history else None
+    block = max(1, _BLOCK_BYTES // (8 * u.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            t_mid = (n + 0.5) * tau
-            f_mid = np.asarray(sample(t_mid), dtype=float)
-            u = step(u, f_mid)
-            if not np.isfinite(u).all():
-                culprit = "state has infs or NaNs"
-                if not np.isfinite(f_mid).all():
-                    culprit = "forcing returned a non-finite value"
-                raise ValueError(f"{culprit} at step {n} (t = {t_mid!r})")
-            if history is not None:
-                history.append(u)
+        for start in range(0, n_steps, block):
+            t = (np.arange(start, min(start + block, n_steps)) + 0.5) * tau
+            f = sample(t)
+            for k, g in enumerate(f if prepare is None else prepare(f)):
+                u = step(u, g)
+                if not np.isfinite(u).all():
+                    culprit = "state has infs or NaNs"
+                    if not np.isfinite(f[k]).all():
+                        culprit = "forcing returned a non-finite value"
+                    raise ValueError(f"{culprit} at step {start + k} (t = {float(t[k])!r})")
+                if history is not None:
+                    history.append(u)
+            del f, g  # free this block before sampling the next
     return np.array(history) if history is not None else u
 
 
@@ -236,19 +309,24 @@ def solve_1d(
     """March the 1D scheme to t_final and return the interior solution.
 
     The left-hand matrix is LU-factored once (it does not depend on time).
-    When ``n_steps >= n_interior`` its inverse is formed from the factors and
-    each step is a matrix-vector product; otherwise each step solves with
-    the factors.  The two agree to round-off.  With at least
-    ``_FFT_MIN_INTERIOR`` (600) interior nodes the explicit side ``u + G u``
-    goes through the FFT of the stencil instead and ``M_plus`` is never
-    formed (see the module docstring); the implicit matrix has the same
-    entries either way.  The forcing is sampled pointwise at the half steps
-    ``t_{n+1/2}``; a non-finite sample raises ``ValueError`` naming the step
-    and its time, and any other non-finite state one saying it has infs or
-    NaNs.  With ``return_history=True`` the full ``(n_steps+1, n)``
-    trajectory is returned instead of the final slice.
+    When ``n_steps >= n_interior`` its inverse is formed from the factors;
+    below ``_FFT_MIN_INTERIOR`` (600) interior nodes it is folded into the
+    propagator ``P = (I - G)^{-1} (I + G)`` and each step is
+    ``u -> P u + h_n`` with ``h = (tau F) @ (I - G)^{-T}`` formed per block
+    of forcing samples, one matvec per step.  Otherwise each step solves
+    with the factors.  The two agree to round-off.  With at least
+    ``_FFT_MIN_INTERIOR`` interior nodes the explicit side ``u + G u`` goes
+    through the FFT of the stencil instead and ``M_plus`` is never formed
+    (see the module docstring); the implicit matrix has the same entries
+    either way.  The forcing is sampled at the half steps ``t_{n+1/2}``, a
+    block of steps per call when it declares ``broadcasts_over_t``; a
+    non-finite sample raises ``ValueError`` naming the step and its time,
+    and any other non-finite state one saying it has infs or NaNs.  With
+    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
+    returned instead of the final slice.
     """
     n = problem.grid.n_interior
+    tau = problem.tau
     if n < _FFT_MIN_INTERIOR:
         m_minus, m_plus = build_cn_system(problem, shifts)
         explicit = m_plus.__matmul__
@@ -257,22 +335,26 @@ def solve_1d(
         gt = op.dense(transposed=True)  # the rows of I - G^T are I - G in Fortran order
         m_minus, g = _identity_plus(-1.0, gt, gt).T, op.fft()
         explicit = lambda u: u + g(u)
-    if problem.n_steps >= n:
-        inv = _inverse(m_minus)
-        solve = lambda rhs: inv @ rhs
-    else:
+    prepare = None
+    # Inverse from n_steps >= n.  Break-even of the propagator P against LU
+    # solves, one BLAS thread on a 2-vCPU Xeon: 29 steps at n = 119, 83-104
+    # at 400 and 208-217 at 599; from 600 on (inverse against lu_solve) 482
+    # at n = 1000 and 2012 at 1999.  Conservative below ~1000 nodes, but one
+    # rule fits both sides of _FFT_MIN_INTERIOR.
+    if problem.n_steps < n:
         lu = lu_factor(m_minus, overwrite_a=True)
-        solve = lambda rhs: lu_solve(lu, rhs, check_finite=False)
-    x = problem.grid.interior_nodes()
-    tau = problem.tau
-    return _march(
-        lambda u, f: solve(explicit(u) + tau * f),
-        problem.u0,
-        lambda t: problem.forcing(x, t),
-        problem.n_steps,
-        tau,
-        return_history,
-    )
+        step = lambda u, f: lu_solve(lu, explicit(u) + tau * f, check_finite=False)
+    elif n >= _FFT_MIN_INTERIOR:
+        inv = _inverse(m_minus)
+        step = lambda u, f: inv @ (explicit(u) + tau * f)
+    else:
+        inv = _inverse(m_minus)
+        p, inv_t = inv @ m_plus, inv.T
+        step = lambda u, h: p @ u + h
+        # tau scales F before the product, so an overflowing tau F gives a non-finite state
+        prepare = lambda f: (tau * f) @ inv_t
+    sample = _sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,))
+    return _march(step, problem.u0, sample, problem.n_steps, tau, return_history, prepare)
 
 
 def build_adi_factors(
@@ -348,13 +430,12 @@ def solve_2d(
     bx = _identity_plus(1.0, kx, kx) @ _inverse(minus_x)
     iy = _inverse(minus_y).T
     cy = _identity_plus(1.0, ky, ky).T @ iy
-    x = problem.grid_x.interior_nodes()[:, None]
-    y = problem.grid_y.interior_nodes()[None, :]
+    nodes = (problem.grid_x.interior_nodes()[:, None], problem.grid_y.interior_nodes()[None, :])
     tau = problem.tau
     return _march(
         lambda u, f: step_adi(u, f, tau, bx, cy, iy),
         problem.u0,
-        lambda t: problem.forcing(x, y, t),
+        _sampler(problem.forcing, nodes, problem.u0.shape),
         problem.n_steps,
         tau,
         return_history,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, validate_order
 from .operators import Grid1D, rl_exact_poly
-from .solvers import ADI_VARIANTS, Problem1D, Problem2D, solve_1d, solve_2d
+from .solvers import _MAX_STEPS, ADI_VARIANTS, Problem1D, Problem2D, solve_1d, solve_2d
 
 __all__ = [
     "DOMAIN",
@@ -55,6 +55,13 @@ def _two_sided_rl(alpha: float, s: np.ndarray) -> np.ndarray:
     left = rl_exact_poly("left", alpha, PROFILE_POWERS, PROFILE_COEFFS, s, DOMAIN)
     right = rl_exact_poly("right", alpha, PROFILE_POWERS, PROFILE_COEFFS, s, DOMAIN)
     return s**alpha * (left + 2.0 * right)
+
+
+def _step_count(t_final: float, tau: float) -> int:
+    """``round(t_final / tau)``, at least 1.  A quotient past ``_MAX_STEPS``,
+    infinite ones included, gives ``_MAX_STEPS + 1``, which the problem
+    rejects by name instead of building a huge integer or overflowing."""
+    return max(1, round(min(t_final / tau, _MAX_STEPS + 1)))
 
 
 def _node_memo(alpha: float) -> Callable[[np.ndarray], tuple]:
@@ -99,7 +106,7 @@ class ManufacturedCase:
             raise ValueError("t_final must be finite and nonnegative")
         grid = Grid1D(*DOMAIN, n_cells)
         if n_steps is None:
-            n_steps = max(1, round(self.t_final / grid.h**2))
+            n_steps = _step_count(self.t_final, grid.h**2)
         if self.dimension == 1:
             x = grid.interior_nodes()
             return Problem1D(
@@ -138,7 +145,9 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
     ``cos(t+1) B(x) - sin(t+1) * [two-sided derivative of B]``.  Its
     time-independent factors, B(x) and the two-sided derivative, are
     computed once per distinct node array (same shape and values); each
-    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``.
+    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``.  The
+    forcing declares ``broadcasts_over_t``: a column of times gives one row
+    of samples per time, so the solvers sample many steps per call.
     """
     alpha = validate_order(alpha)
     spatial = _node_memo(alpha)
@@ -150,6 +159,7 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
         p, r = spatial(np.asarray(x, dtype=float))
         return np.cos(t + 1.0) * p - np.sin(t + 1.0) * r
 
+    forcing.broadcasts_over_t = True
     return ManufacturedCase(dimension=1, alpha=alpha, beta=None, exact=exact, forcing=forcing)
 
 
@@ -159,7 +169,8 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
     The forcing splits along the product structure: the x-direction
     two-sided derivative is multiplied by B(y) and vice versa.  As in 1D,
     B and the two-sided derivative are computed once per distinct node
-    array, separately for x and for y.
+    array, separately for x and for y, and the forcing declares
+    ``broadcasts_over_t`` as in 1D.
     """
     alpha = validate_order(alpha)
     beta = validate_order(beta)
@@ -176,6 +187,7 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
         py, ry = spatial_y(np.asarray(y, dtype=float))
         return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * (rx * py + px * ry)
 
+    forcing.broadcasts_over_t = True
     return ManufacturedCase(dimension=2, alpha=alpha, beta=beta, exact=exact, forcing=forcing)
 
 
@@ -249,7 +261,7 @@ def convergence_study(
         tau = tau_law(h)
         if not (np.isfinite(tau) and tau > 0.0):
             raise ValueError(f"tau_law must return a finite positive step, got {tau!r} at h = {h}")
-        levels.append((n_cells, max(1, round(case.t_final / tau))))
+        levels.append((n_cells, _step_count(case.t_final, tau)))
     rows: list[tuple[float, float, float, float | None]] = []
     for i, (h, (n_cells, n_steps)) in enumerate(zip(hs, levels)):
         problem = case.problem(n_cells, n_steps)

@@ -176,6 +176,17 @@ def test_bad_t_final_is_numeric_error(command, t_final, capsys):
     assert capsys.readouterr().err == "numeric-error: t_final must be finite and nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "flags", [["--t-final", "1e300"], ["--t-final", "1e308"], ["--nt", str(2**53 + 1)]],
+    ids=["t-final", "t-final-overflow", "nt"],
+)
+@pytest.mark.parametrize("command", ["solve1d", "solve2d"])
+def test_unrepresentable_step_count_is_numeric_error(command, flags, capsys):
+    # refused while building the problem, before any step
+    assert main([command, "--alpha", "1.5", "--nx", "8", *flags]) == 3
+    assert capsys.readouterr().err == "numeric-error: n_steps must be at most 2**53\n"
+
+
 class TestConverge:
     @pytest.mark.parametrize("flags", [["--beta", "1.9"], ["--adi", "pr"], ["--adi", "douglas"]])
     def test_dim1_rejects_2d_flags(self, flags, capsys):

@@ -1,12 +1,24 @@
 """Property-based checks of operator structure over random shift tuples."""
 
+import dataclasses
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsld.coefficients import DegenerateTupleError
 from wsld.operators import Grid1D, _TwoSided, apply_stencil, assemble_left, table_for_grid
-from wsld.solvers import _FFT_MIN_INTERIOR, Problem1D, build_cn_system
+import wsld.solvers as solvers
+from wsld.solvers import (
+    _FFT_MIN_INTERIOR,
+    ADI_VARIANTS,
+    Problem1D,
+    build_cn_system,
+    solve_1d,
+    solve_2d,
+)
+from wsld.verification import manufactured_1d, manufactured_2d
 
 # derandomized so the suite is reproducible; the draws still cover tuples
 # that no hand-written case lists
@@ -67,3 +79,54 @@ def test_cn_matrices_sum_to_twice_identity(shifts, alpha, n):
     small = np.abs(g) < 1.0
     np.testing.assert_array_equal(diag[small], 2.0)
     assert np.all(np.abs(diag - 2.0) <= np.spacing(1.0 + np.abs(g)))
+
+
+def undeclared(forcing):
+    """The same forcing without its ``broadcasts_over_t`` declaration."""
+    return lambda *args: forcing(*args)
+
+
+def outcome(solve, problem, *args, **kwargs):
+    """The trajectory, or the message when a random tuple's run blows up."""
+    try:
+        return solve(problem, *args, return_history=True, **kwargs)
+    except DegenerateTupleError:
+        assume(False)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_declaration_changes_nothing(solve, p, rows, *args, **kwargs):
+    # forcing blocks of `rows` steps, so most runs span several blocks
+    with patch.object(solvers, "_BLOCK_BYTES", rows * 8 * p.u0.size):
+        got = outcome(solve, p, *args, **kwargs)
+        plain = outcome(solve, dataclasses.replace(p, forcing=undeclared(p.forcing)), *args, **kwargs)
+    assert type(got) is type(plain)
+    assert np.array_equal(got, plain) if isinstance(got, np.ndarray) else got == plain
+
+
+@PROPERTY_SETTINGS
+@given(
+    shifts=tuples_8,
+    alpha=alphas,
+    n=st.integers(6, 40),
+    n_steps=st.integers(1, 80),  # both sides of the inverse-or-LU rule n_steps >= n - 1
+    rows=st.integers(1, 9),
+)
+def test_declared_forcing_solves_bit_identical_1d(shifts, alpha, n, n_steps, rows):
+    p = manufactured_1d(alpha).problem(n, n_steps)
+    assert_declaration_changes_nothing(solve_1d, p, rows, shifts)
+
+
+@PROPERTY_SETTINGS
+@given(
+    shifts=st.tuples(tuples_8, tuples_8),
+    orders=st.tuples(alphas, alphas),
+    n=st.integers(6, 16),
+    n_steps=st.integers(1, 30),
+    rows=st.integers(1, 9),
+    variant=st.sampled_from(ADI_VARIANTS),
+)
+def test_declared_forcing_solves_bit_identical_2d(shifts, orders, n, n_steps, rows, variant):
+    p = manufactured_2d(*orders).problem(n, n_steps)
+    assert_declaration_changes_nothing(solve_2d, p, rows, *shifts, variant=variant)

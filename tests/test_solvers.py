@@ -1,4 +1,7 @@
 import dataclasses
+import functools
+import math
+import re
 import sys
 import tracemalloc
 
@@ -177,6 +180,19 @@ def count_calls(monkeypatch, fn):
     return calls
 
 
+def counted_forcing(forcing):
+    """``forcing`` wrapped the way the benchmark's span wraps it, so its
+    attributes carry over; returns the wrapper and the list of its calls."""
+    calls = []
+
+    @functools.wraps(forcing)
+    def counting(*args):
+        calls.append(1)
+        return forcing(*args)
+
+    return counting, calls
+
+
 def traced_peak(run):
     """Peak bytes allocated through Python while ``run()`` executes."""
     tracemalloc.start()
@@ -185,6 +201,23 @@ def traced_peak(run):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def march_extra_peak(monkeypatch, run):
+    """Peak bytes that ``solvers._march`` allocates on top of what it is given."""
+    extra = []
+    original = solvers._march
+
+    def measured(*args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = original(*args, **kwargs)
+        extra.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(solvers, "_march", measured)
+    traced_peak(run)
+    return extra[0]
 
 
 def assert_same_trajectory(got, ref):
@@ -239,6 +272,14 @@ class TestProblemValidation:
     @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
     def test_numpy_integer_n_steps_accepted(self, make):
         assert dataclasses.replace(make(), n_steps=np.int64(4)).n_steps == 4
+
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_step_count_past_2_53_rejected(self, make):
+        # past 2**53 the half-step times (n + 0.5) * tau are no longer distinct
+        assert dataclasses.replace(make(), n_steps=2**53).n_steps == 2**53
+        for bad in (2**53 + 1, np.uint64(2**63), 10**302):
+            with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*53$"):
+                dataclasses.replace(make(), n_steps=bad)
 
     @pytest.mark.parametrize(
         "bad,first",
@@ -336,6 +377,19 @@ class TestSolve1D:
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
+    @pytest.mark.parametrize(
+        "solve,problem",
+        [(solve_1d, lambda: manufactured_1d(1.9).problem(120)),
+         (solve_2d, lambda: manufactured_2d(1.8, 1.9).problem(80))],
+        ids=["table1", "table2"],
+    )
+    def test_march_holds_a_few_forcing_blocks(self, solve, problem, monkeypatch):
+        # at the largest table sizes (3600 and 1600 steps) the time loop holds
+        # about three blocks at a time (measured 3.03 and 3.07), so a larger
+        # cap shows up in the benchmark's peak_rss_mb
+        extra = march_extra_peak(monkeypatch, lambda: solve(problem()))
+        assert extra < 4 * solvers._BLOCK_BYTES
+
     @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "fft"])
     def test_one_stencil_table_per_solve(self, offset, monkeypatch):
         # the dense and the FFT form read the same table, on both sides of the switch
@@ -352,6 +406,13 @@ class TestSolve1D:
         assert (len(cn), len(adi), len(left)) == (1, 0, 1)
         solve_2d(make_problem_2d())
         assert (len(cn), len(adi), len(left)) == (1, 1, 3)
+        # the verification.forcing span sees one call per block of steps
+        for case, solve in ((manufactured_1d(1.5), solve_1d), (manufactured_2d(1.3, 1.7), solve_2d)):
+            p = case.problem(20)
+            forcing, calls = counted_forcing(p.forcing)
+            solve(dataclasses.replace(p, forcing=forcing))
+            block = solvers._BLOCK_BYTES // (8 * p.u0.size)
+            assert len(calls) == math.ceil(p.n_steps / block) <= p.n_steps / 50
 
 
 class TestUnconditionalStability:
@@ -694,6 +755,90 @@ class TestNonFiniteForcing:
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFiniteForcingWarningsAsErrors(TestNonFiniteForcing):
     """The same cases with RuntimeWarning promoted to an error."""
+
+
+def declared(forcing):
+    forcing.broadcasts_over_t = True
+    return forcing
+
+
+@pytest.fixture
+def three_row_blocks(monkeypatch):
+    """Cap the forcing blocks at three steps of a problem with ``size`` unknowns."""
+    return lambda size: monkeypatch.setattr(solvers, "_BLOCK_BYTES", 3 * 8 * size)
+
+
+# 8 steps in blocks of 3: steps 0-2, 3-5 and 6-7.  11 unknowns with 8 steps
+# solve with LU factors, 3 unknowns step through the propagator P.
+BLOCK_SIDES = [
+    pytest.param(lambda: make_problem_1d(n_cells=12, tau=0.2, n_steps=8), id="1d-lu"),
+    pytest.param(lambda: make_problem_1d(n_cells=4, tau=0.2, n_steps=8), id="1d-propagator"),
+    pytest.param(lambda: make_problem_2d(n_cells=6, tau=0.2, n_steps=8), id="2d"),
+]
+
+
+def solve(p, **kwargs):
+    return (solve_1d if isinstance(p, Problem1D) else solve_2d)(p, **kwargs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", BLOCK_SIDES)
+@pytest.mark.parametrize("declare", [False, True], ids=["per-step", "declared"])
+class TestForcingBlocks:
+    def blocked(self, make, declare, three_row_blocks, forcing):
+        # forcing(s, t) on the nodes s (x in 1D, x + y in 2D); t may be a column
+        p = make()
+        three_row_blocks(p.u0.size)
+
+        def f(*args):
+            return forcing(args[0] if len(args) == 2 else args[0] + args[1], args[-1])
+
+        return dataclasses.replace(p, forcing=declared(f) if declare else f)
+
+    def test_non_finite_sample_named_inside_second_block(self, make, declare, three_row_blocks):
+        # step 4 is the middle row of the second block
+        p = self.blocked(make, declare, three_row_blocks,
+                         lambda s, t: np.where(np.abs(t - 0.9) < 0.05, np.nan, 0.0 * s))
+        t = re.escape(repr(4.5 * p.tau))
+        with pytest.raises(ValueError, match=rf"^forcing returned a non-finite value at step 4 \(t = {t}\)$"):
+            solve(p)
+
+    def test_overflowing_sample_blames_state_at_step_0(self, make, declare, three_row_blocks):
+        p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.full_like(s, 1e308))
+        p = dataclasses.replace(p, t_final=80.0)
+        with pytest.raises(ValueError, match=r"^state has infs or NaNs at step 0 \(t = 5\.0\)$"):
+            solve(p)
+
+    def test_calls_per_block_or_per_step(self, make, declare, three_row_blocks):
+        p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.sin(s + t))
+        forcing, calls = counted_forcing(p.forcing)
+        solve(dataclasses.replace(p, forcing=forcing))
+        assert len(calls) == (math.ceil(8 / 3) if declare else 8)
+
+    def test_matches_one_step_blocks(self, make, declare, three_row_blocks, monkeypatch):
+        # bit for bit where each step reads its own row; the propagator's
+        # h = (tau F) @ inv^T is one product per block and may round differently
+        p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.sin(s + t))
+        got = solve(p, return_history=True)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
+        ref = solve(p, return_history=True)
+        if isinstance(p, Problem1D) and p.n_steps >= p.grid.n_interior:
+            assert_same_trajectory(got, ref)
+        else:
+            np.testing.assert_array_equal(got, ref)
+
+    def test_time_independent_sample_broadcasts(self, make, declare, three_row_blocks):
+        # a declared forcing may ignore t and return one sample for the block
+        p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.cos(s))
+        full = self.blocked(make, False, three_row_blocks, lambda s, t: np.cos(s))
+        np.testing.assert_array_equal(solve(p, return_history=True),
+                                      solve(full, return_history=True))
+
+    def test_wrong_shape_named(self, make, declare, three_row_blocks):
+        p = self.blocked(make, declare, three_row_blocks,
+                         lambda s, t: np.zeros(s.shape[:-1] + (s.shape[-1] + 1,)))
+        with pytest.raises(ValueError, match=r"^forcing returned shape \(.*\) (at t|for 3 times)"):
+            solve(p)
 
 
 class TestCoarseGrid:

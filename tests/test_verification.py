@@ -98,6 +98,27 @@ def test_bad_t_final_rejected_by_name(make, t_final, n_steps):
         case.problem(10, n_steps)
 
 
+@pytest.mark.parametrize(
+    "t_final,n_steps", [(1e300, None), (1e308, None), (1.0, 2**53 + 1)],
+    ids=["t-final", "t-final-overflow", "n-steps"],
+)
+@pytest.mark.parametrize(
+    "make", [lambda: manufactured_1d(1.5), lambda: manufactured_2d(1.2, 1.8)], ids=["1d", "2d"]
+)
+def test_unrepresentable_step_count_rejected_by_name(make, t_final, n_steps):
+    # 1e300 / h**2 asks for ~1.6e301 steps and 1e308 / h**2 overflows; past
+    # 2**53 steps the half-step times are not distinct, so the problem refuses
+    case = make()
+    case.t_final = t_final
+    with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*53$"):
+        case.problem(8, n_steps)
+
+
+def test_unrepresentable_step_count_rejected_in_study():
+    with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*53$"):
+        convergence_study(manufactured_1d(1.5), h_list=[1 / 4], tau_law=lambda h: 1e-320)
+
+
 class TestManufactured2D:
     def test_initial_condition(self):
         case = manufactured_2d(1.2, 1.8)
@@ -223,6 +244,16 @@ class TestForcingMechanism:
             fresh_case(dim), DEFAULT_TUPLE, h_list=[1 / 5, 1 / 10, 1 / 15], tau_law=lambda h: 0.1
         )
         assert len(calls) == 3 * per_level
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_column_of_times_stacks_scalar_calls(self, dim):
+        # the declared broadcasts_over_t contract, bit for bit
+        case = fresh_case(dim)
+        assert case.forcing.broadcasts_over_t
+        args = node_args(dim, 12)
+        t = (np.arange(7) + 0.5) / 9.0
+        block = case.forcing(*args, t.reshape((-1,) + (1,) * dim))
+        assert np.array_equal(block, [case.forcing(*args, float(t_k)) for t_k in t])
 
     def test_solve_1d_bit_identical_to_uncached(self):
         case = manufactured_1d(1.7)
