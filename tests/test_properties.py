@@ -100,7 +100,8 @@ def assert_declaration_changes_nothing(solve, p, rows, *args, **kwargs):
     # forcing blocks of `rows` steps, so most runs span several blocks
     with patch.object(solvers, "_BLOCK_BYTES", rows * 8 * p.u0.size):
         got = outcome(solve, p, *args, **kwargs)
-        plain = outcome(solve, dataclasses.replace(p, forcing=undeclared(p.forcing)), *args, **kwargs)
+        plain = dataclasses.replace(p, forcing=undeclared(p.forcing))
+        plain = outcome(solve, plain, *args, **kwargs)
     assert type(got) is type(plain)
     assert np.array_equal(got, plain) if isinstance(got, np.ndarray) else got == plain
 

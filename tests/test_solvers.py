@@ -407,7 +407,8 @@ class TestSolve1D:
         solve_2d(make_problem_2d())
         assert (len(cn), len(adi), len(left)) == (1, 1, 3)
         # the verification.forcing span sees one call per block of steps
-        for case, solve in ((manufactured_1d(1.5), solve_1d), (manufactured_2d(1.3, 1.7), solve_2d)):
+        for case, solve in ((manufactured_1d(1.5), solve_1d),
+                            (manufactured_2d(1.3, 1.7), solve_2d)):
             p = case.problem(20)
             forcing, calls = counted_forcing(p.forcing)
             solve(dataclasses.replace(p, forcing=forcing))
@@ -800,7 +801,8 @@ class TestForcingBlocks:
         p = self.blocked(make, declare, three_row_blocks,
                          lambda s, t: np.where(np.abs(t - 0.9) < 0.05, np.nan, 0.0 * s))
         t = re.escape(repr(4.5 * p.tau))
-        with pytest.raises(ValueError, match=rf"^forcing returned a non-finite value at step 4 \(t = {t}\)$"):
+        message = rf"^forcing returned a non-finite value at step 4 \(t = {t}\)$"
+        with pytest.raises(ValueError, match=message):
             solve(p)
 
     def test_overflowing_sample_blames_state_at_step_0(self, make, declare, three_row_blocks):
