@@ -48,8 +48,8 @@ class UnsupportedPowerError(ValueError):
 class Grid1D:
     """Uniform grid with ``n_cells`` cells on [x_left, x_right].
 
-    The ends must be finite and ``n_cells`` an integer >= 2, else
-    ``ValueError`` naming the argument.
+    The ends must be finite and ``n_cells`` an integer >= 2 (not a bool),
+    else ``ValueError`` naming the argument.
     """
 
     x_left: float
@@ -62,7 +62,7 @@ class Grid1D:
                 raise ValueError(f"{name} must be finite")
         if not self.x_left < self.x_right:
             raise ValueError("need x_left < x_right")
-        if not isinstance(self.n_cells, Integral):
+        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, Integral):
             raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
         if self.n_cells < 2:
             raise ValueError("need at least 2 cells")

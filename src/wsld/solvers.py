@@ -33,7 +33,14 @@ The forcing is sampled in blocks of half-step times, at most
 row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
-the declaration.
+the declaration.  A 1D propagator run that returns only its final state,
+and has steps enough to pay for the squarings, composes its blocks
+instead: a block of ``2**L - 1`` affine steps is reduced pairwise, as in
+a parallel prefix (Blelloch 1990), in L matrix products with
+``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
+final state differs from the stepped one by round-off, and a block that
+could hold a non-finite state is stepped row by row, so errors name the
+same step.
 
 From ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D explicit side
 ``u + G u`` goes through the operator's FFT form, O(n log n) per step,
@@ -47,6 +54,7 @@ order that LAPACK factors in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Sequence
@@ -88,6 +96,23 @@ _BLOCK_BYTES = 256 * 1024
 # Largest step count whose half-step times ``(n + 0.5) * tau`` stay distinct.
 _MAX_STEPS = 2**53
 
+# Block reduction on the 1D propagator path (``_march``, ``_reduce``): its
+# L - 1 squarings, 2 n^3 flops each, may cost at most this many times the
+# 2 n^2 n_steps flops of the steps, which turns it on from 3.5 n steps at
+# n = 119, 2.5 n at 399 and 2 n at 599.  Reduced against stepped with one
+# BLAS thread on a 2-vCPU Xeon (best of nine): 0.83 at n = 119 with 4 n
+# steps and 0.68 with 8 n; 0.98 at n = 399 with 3 n and 1.01 with 5 n;
+# 0.72 at n = 599 with 2 n.  Below the rule: 1.04 and 0.85 at n = 119
+# with 2 n and 3 n, 1.07 and 1.05 at 399 with 2 n and 2.5 n, 1.03 and 0.87
+# at 599 with n and 1.5 n.  L is the largest that fits, since products
+# with few rows and the forcing sampled in short blocks make a small L
+# slower than stepping (L <= 4 ran 1.06-1.97x the stepped time at 399).
+_SQUARING_SHARE = 2
+
+# Magnitude bound below which a reduced block stands: 2**64 under overflow,
+# room for the round-off of summing the block in either order.
+_REDUCE_LIMIT = 2.0**960
+
 
 def _finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -115,7 +140,7 @@ class _Problem:
         self.u0 = _finite_array(self.u0, tuple(n for _, n in axes), "u0")
         if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError("t_final must be finite and nonnegative")
-        if not isinstance(self.n_steps, Integral):
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
@@ -141,7 +166,7 @@ class Problem1D(_Problem):
     declares it.  The declaration lives on the callable, so replacing the
     forcing drops it.  Non-finite or negative data raise ``ValueError``
     naming the argument, and so does an ``n_steps`` that is not an integer
-    or exceeds 2**53.  ``tau = t_final / n_steps``.
+    (a bool is not one) or exceeds 2**53.  ``tau = t_final / n_steps``.
     """
 
     grid: Grid1D
@@ -247,35 +272,88 @@ def _march(
     tau: float,
     return_history: bool,
     prepare: Callable[[np.ndarray], np.ndarray] | None = None,
+    powers: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
     """Advance ``u0`` by ``n_steps`` calls ``u = step(u, g[k])``.
 
     The half-step times ``t_{n+1/2}`` go to ``sample`` in blocks of at most
     ``_BLOCK_BYTES`` of forcing, and ``g = sample(t)``, or ``prepare`` of it,
-    is then stepped one row at a time.  A non-finite state raises ``ValueError``:
-    naming the forcing, the step and its time when that step's forcing
-    sample is non-finite, otherwise saying the state has infs or NaNs at that
-    step.  Overflow and invalid floating-point warnings are off inside the
-    loop, since the check reports their result.
+    is then stepped one row at a time.  When ``step`` is ``u -> P u + g[k]``,
+    ``powers`` may hold ``P, P^2, ..., P^(2^(L-1))``: a run without history
+    then takes blocks of ``2**L - 1`` steps and reduces each in L products
+    (``_reduce``), and steps a block row by row from its first state only
+    when the reduction cannot vouch that every state in it is finite.  A
+    non-finite state raises ``ValueError``: naming the forcing, the step and
+    its time when that step's forcing sample is non-finite, otherwise saying
+    the state has infs or NaNs at that step.  Overflow and invalid
+    floating-point warnings are off inside the loop, since the check reports
+    their result.
     """
     u = u0.copy()
     history = [u] if return_history else None
-    block = max(1, _BLOCK_BYTES // (8 * u.size))
+    reduce = bool(powers) and history is None
+    if reduce:
+        block = 2 ** len(powers) - 1
+        # 2-norm bound on every P^j, j < 2**L; the Frobenius norm needs no temporary
+        growth = math.prod(max(1.0, float(np.linalg.norm(q))) for q in powers)
+    else:
+        block = max(1, _BLOCK_BYTES // (8 * u.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             t = (np.arange(start, min(start + block, n_steps)) + 0.5) * tau
             f = sample(t)
-            for k, g in enumerate(f if prepare is None else prepare(f)):
-                u = step(u, g)
-                if not np.isfinite(u).all():
-                    culprit = "state has infs or NaNs"
-                    if not np.isfinite(f[k]).all():
-                        culprit = "forcing returned a non-finite value"
-                    raise ValueError(f"{culprit} at step {start + k} (t = {float(t[k])!r})")
-                if history is not None:
-                    history.append(u)
+            g = f if prepare is None else prepare(f)
+            if reduce and (end := _reduce(powers, growth, u, g)) is not None:
+                u = end
+            else:
+                for k in range(len(g)):
+                    u = step(u, g[k])
+                    if not np.isfinite(u).all():
+                        culprit = "state has infs or NaNs"
+                        if not np.isfinite(f[k]).all():
+                            culprit = "forcing returned a non-finite value"
+                        raise ValueError(f"{culprit} at step {start + k} (t = {float(t[k])!r})")
+                    if history is not None:
+                        history.append(u)
             del f, g  # free this block before sampling the next
     return np.array(history) if history is not None else u
+
+
+def _reduce(
+    powers: Sequence[np.ndarray], growth: float, u: np.ndarray, g: np.ndarray
+) -> np.ndarray | None:
+    """``u`` after the steps ``u -> P u + g[k]``, or None when a state among
+    them might not be finite.
+
+    The rows ``[u, g_0, ..., g_{m-1}]``, zero-padded at the old end to
+    ``2**L`` rows, are summed pairwise as ``older @ (P^(2^l))^T + newer`` at
+    level l = 0, ..., L - 1, one product per level; the last sum is the state
+    after the m <= 2**L - 1 steps.  Every state inside the block is a sum of
+    these rows times powers ``P^j``, ``j < 2**L``, whose 2-norms are at most
+    ``growth``.  So the reduction stands only when ``2**L sqrt(n) max|rows|
+    growth`` stays below ``_REDUCE_LIMIT`` (which also rejects infs and
+    NaNs in the rows) and the end state is finite.
+    """
+    rows = np.zeros((2 ** len(powers), u.size))
+    rows[-len(g) - 1] = u
+    rows[-len(g) :] = g
+    largest = np.maximum(rows.max(), -rows.min())  # NaN if any entry is
+    if not largest * growth * len(rows) * math.sqrt(u.size) < _REDUCE_LIMIT:
+        return None
+    for q in powers:
+        newer = rows[1::2]
+        rows = rows[0::2] @ q.T
+        rows += newer
+    return rows[0] if np.isfinite(rows[0]).all() else None
+
+
+def _levels(n: int, n_steps: int) -> int:
+    """Levels L of the block reduction for ``n`` unknowns and ``n_steps``
+    steps, or 0 when its squarings do not pay.  Blocks of ``2**L - 1`` steps
+    fit in ``_BLOCK_BYTES``, and L is at most the bit length of ``n_steps``."""
+    by_memory = (max(1, _BLOCK_BYTES // (8 * n)) + 1).bit_length() - 1
+    levels = min(by_memory, int(n_steps).bit_length())
+    return levels if (levels - 1) * n <= _SQUARING_SHARE * n_steps else 0
 
 
 def _operator_1d(problem: Problem1D, shifts: ShiftTuple | Sequence[int]) -> _TwoSided:
@@ -313,8 +391,12 @@ def solve_1d(
     below ``_FFT_MIN_INTERIOR`` (600) interior nodes it is folded into the
     propagator ``P = (I - G)^{-1} (I + G)`` and each step is
     ``u -> P u + h_n`` with ``h = (tau F) @ (I - G)^{-T}`` formed per block
-    of forcing samples, one matvec per step.  Otherwise each step solves
-    with the factors.  The two agree to round-off.  With at least
+    of forcing samples, one matvec per step.  Without history, and with
+    steps enough to pay for the squarings (``_levels``), blocks of
+    ``2**L - 1`` steps are instead composed in L products each (see
+    ``_march``), with ``P^(2^l)`` formed once by squaring; only the inverse
+    and these powers outlive the setup.  Otherwise each step solves with
+    the factors.  All of these agree to round-off.  With at least
     ``_FFT_MIN_INTERIOR`` interior nodes the explicit side ``u + G u`` goes
     through the FFT of the stencil instead and ``M_plus`` is never formed
     (see the module docstring); the implicit matrix has the same entries
@@ -335,12 +417,14 @@ def solve_1d(
         gt = op.dense(transposed=True)  # the rows of I - G^T are I - G in Fortran order
         m_minus, g = _identity_plus(-1.0, gt, gt).T, op.fft()
         explicit = lambda u: u + g(u)
-    prepare = None
-    # Inverse from n_steps >= n.  Break-even of the propagator P against LU
-    # solves, one BLAS thread on a 2-vCPU Xeon: 29 steps at n = 119, 83-104
-    # at 400 and 208-217 at 599; from 600 on (inverse against lu_solve) 482
-    # at n = 1000 and 2012 at 1999.  Conservative below ~1000 nodes, but one
-    # rule fits both sides of _FFT_MIN_INTERIOR.
+    prepare, powers = None, ()
+    # Inverse from n_steps >= n.  Break-even against LU solves, one BLAS
+    # thread on a 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three
+    # runs: stepping with P at 18-50 steps for n = 119, 85-164 at 399 and
+    # 143-213 at 599; the block reduction at 40-54, 256-289 and 270-309.
+    # From 600 on (inverse against lu_solve) 482 at n = 1000 and 2012 at
+    # 1999.  Conservative below ~1000 nodes, but one rule fits both sides
+    # of _FFT_MIN_INTERIOR, and no workload runs between n/4 and n steps.
     if problem.n_steps < n:
         lu = lu_factor(m_minus, overwrite_a=True)
         step = lambda u, f: lu_solve(lu, explicit(u) + tau * f, check_finite=False)
@@ -348,13 +432,21 @@ def solve_1d(
         inv = _inverse(m_minus)
         step = lambda u, f: inv @ (explicit(u) + tau * f)
     else:
-        inv = _inverse(m_minus)
-        p, inv_t = inv @ m_plus, inv.T
+        inv_t = _inverse(m_minus).T
+        del m_minus  # its LU factors
+        p = inv_t.T @ m_plus
+        del m_plus, explicit  # only P and the inverse from here on
         step = lambda u, h: p @ u + h
         # tau scales F before the product, so an overflowing tau F gives a non-finite state
         prepare = lambda f: (tau * f) @ inv_t
+        levels = 0 if return_history else _levels(n, problem.n_steps)
+        powers = [p][:levels]
+        while len(powers) < levels:
+            powers.append(powers[-1] @ powers[-1])
     sample = _sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,))
-    return _march(step, problem.u0, sample, problem.n_steps, tau, return_history, prepare)
+    return _march(
+        step, problem.u0, sample, problem.n_steps, tau, return_history, prepare, powers
+    )
 
 
 def build_adi_factors(

@@ -54,6 +54,11 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="^n_cells must be an integer"):
             Grid1D(0.0, 1.0, n_cells)
 
+    @pytest.mark.parametrize("n_cells", [True, False, np.True_])
+    def test_bool_n_cells_rejected(self, n_cells):
+        with pytest.raises(ValueError, match="^n_cells must be an integer"):
+            Grid1D(0.0, 1.0, n_cells)
+
     def test_numpy_integer_n_cells_accepted(self):
         g = Grid1D(0.0, 1.0, np.int64(10))
         assert g.n_interior == 9 and len(g.interior_nodes()) == 9

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wsld.coefficients import DegenerateTupleError
+from wsld.spectral import CERTIFIED_TUPLES
 from wsld.operators import Grid1D, _TwoSided, apply_stencil, assemble_left, table_for_grid
 import wsld.solvers as solvers
 from wsld.solvers import (
@@ -131,3 +132,88 @@ def test_declared_forcing_solves_bit_identical_1d(shifts, alpha, n, n_steps, row
 def test_declared_forcing_solves_bit_identical_2d(shifts, orders, n, n_steps, rows, variant):
     p = manufactured_2d(*orders).problem(n, n_steps)
     assert_declaration_changes_nothing(solve_2d, p, rows, *shifts, variant=variant)
+
+
+def final_or_message(problem, shifts, return_history):
+    """The final state, or the message when the run blows up."""
+    try:
+        u = solve_1d(problem, shifts, return_history=return_history)
+    except DegenerateTupleError:
+        assume(False)
+    except ValueError as exc:
+        return str(exc)
+    return u[-1] if return_history else u
+
+
+def assert_same_final_state(got, ref):
+    # assert_same_trajectory's bound in tests/test_solvers.py, or the same error
+    assert type(got) is type(ref)
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@PROPERTY_SETTINGS
+@given(
+    shifts=st.sampled_from(CERTIFIED_TUPLES),
+    alpha=alphas,
+    n=st.integers(4, 60) | st.integers(61, _FFT_MIN_INTERIOR - 1),
+    levels=st.integers(1, 3),
+    extra=st.integers(0, 15),
+)
+def test_block_reduction_matches_stepping_1d(shifts, alpha, n, levels, extra):
+    # propagator path with blocks of 1, 3 and 7 steps; from 2n steps on every
+    # last block length occurs, and the reduced final state is the stepped
+    # one.  Certified tuples keep the run bounded: an uncertified tuple can
+    # grow like 1e179 over 2n steps, and then any reordering of the sums
+    # moves the result by that growth times round-off.
+    n_steps = 2 * n + extra
+    p = manufactured_1d(alpha).problem(n + 1, n_steps)
+    with patch.object(solvers, "_BLOCK_BYTES", (2**levels - 1) * 8 * n):
+        assert solvers._levels(n, n_steps) == levels
+        got = final_or_message(p, shifts, return_history=False)
+        ref = final_or_message(p, shifts, return_history=True)
+    assert_same_final_state(got, ref)
+
+
+@PROPERTY_SETTINGS
+@given(
+    shifts=tuples_8,
+    alpha=alphas,
+    n=st.integers(4, 40),
+    levels=st.integers(1, 3),
+    full=st.integers(0, 3),
+    tail=st.integers(0, 7),
+)
+def test_block_reduction_matches_stepping_any_count(shifts, alpha, n, levels, full, tail):
+    # _march itself, so the step count may be 1, 2**L - 1, 2**L or any other
+    block = 2**levels - 1
+    n_steps = full * block + min(tail, block)
+    assume(n_steps >= 1)
+    p = manufactured_1d(alpha).problem(n + 1, n_steps)
+    try:
+        m_minus, m_plus = build_cn_system(p, shifts)
+    except DegenerateTupleError:
+        assume(False)
+    inv = np.linalg.inv(m_minus)
+    prop = inv @ m_plus
+    powers = [prop]
+    while len(powers) < levels:
+        powers.append(powers[-1] @ powers[-1])
+    march = (
+        lambda u, h: prop @ u + h,
+        p.u0,
+        lambda t: p.forcing(p.grid.interior_nodes(), t[:, None]),
+        n_steps,
+        p.tau,
+        False,
+        lambda f: (p.tau * f) @ inv.T,
+    )
+    results = []
+    for kwargs in ({}, {"powers": powers}):
+        try:
+            results.append(solvers._march(*march, **kwargs))
+        except ValueError as exc:
+            results.append(str(exc))
+    assert_same_final_state(results[1], results[0])

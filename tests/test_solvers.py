@@ -217,6 +217,7 @@ def march_extra_peak(monkeypatch, run):
 
     monkeypatch.setattr(solvers, "_march", measured)
     traced_peak(run)
+    assert len(extra) == 1, "the solve must step through solvers._march"
     return extra[0]
 
 
@@ -267,6 +268,12 @@ class TestProblemValidation:
     @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
     def test_non_integral_n_steps_rejected(self, make, bad):
         with pytest.raises(ValueError, match="^n_steps must be an integer"):
+            dataclasses.replace(make(), n_steps=bad)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_bool_n_steps_rejected(self, make, bad):
+        with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {bad}$"):
             dataclasses.replace(make(), n_steps=bad)
 
     @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
@@ -377,6 +384,17 @@ class TestSolve1D:
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
+    @pytest.mark.parametrize("n_steps,levels,bound", [(600, 0, 6.0), (1200, 5, 6.5)],
+                             ids=["stepped", "reduced"])
+    def test_propagator_holds_the_inverse_and_its_powers(self, n_steps, levels, bound):
+        # n = 599: neither M_plus nor the LU factors outlive P.  Row by row
+        # (600 steps) that leaves the inverse and P; the block reduction
+        # (from 2n steps) adds P^2 .. P^16 (measured 3.13 and 6.22 x 8n^2)
+        p = make_problem_1d(n_cells=600, n_steps=n_steps)
+        n = p.grid.n_interior
+        assert solvers._levels(n, n_steps) == levels
+        assert traced_peak(lambda: solve_1d(p)) < bound * 8 * n * n
+
     @pytest.mark.parametrize(
         "solve,problem",
         [(solve_1d, lambda: manufactured_1d(1.9).problem(120)),
@@ -406,13 +424,17 @@ class TestSolve1D:
         assert (len(cn), len(adi), len(left)) == (1, 0, 1)
         solve_2d(make_problem_2d())
         assert (len(cn), len(adi), len(left)) == (1, 1, 3)
-        # the verification.forcing span sees one call per block of steps
+        # the verification.forcing span sees one call per block of steps; the
+        # 1D propagator reduces blocks of 2**L - 1 steps (here one of 127)
         for case, solve in ((manufactured_1d(1.5), solve_1d),
                             (manufactured_2d(1.3, 1.7), solve_2d)):
             p = case.problem(20)
             forcing, calls = counted_forcing(p.forcing)
             solve(dataclasses.replace(p, forcing=forcing))
             block = solvers._BLOCK_BYTES // (8 * p.u0.size)
+            if solve is solve_1d:
+                block = 2 ** solvers._levels(p.u0.size, p.n_steps) - 1
+                assert block == 127
             assert len(calls) == math.ceil(p.n_steps / block) <= p.n_steps / 50
 
 
@@ -805,6 +827,26 @@ class TestForcingBlocks:
         with pytest.raises(ValueError, match=message):
             solve(p)
 
+    def test_non_finite_sample_named_in_last_row_of_partial_block(
+        self, make, declare, three_row_blocks
+    ):
+        # steps 6-7 form the last block; step 7 is its last row
+        p = self.blocked(make, declare, three_row_blocks,
+                         lambda s, t: np.where(np.abs(t - 1.5) < 0.05, np.nan, 0.0 * s))
+        t = re.escape(repr(7.5 * p.tau))
+        message = rf"^forcing returned a non-finite value at step 7 \(t = {t}\)$"
+        with pytest.raises(ValueError, match=message):
+            solve(p)
+
+    def test_state_overflowing_mid_block_is_named(self, make, declare, three_row_blocks):
+        # tau = 10: tau f overflows at step 4 only, the middle row of the
+        # second block, while f stays finite, so the state is blamed there
+        p = self.blocked(make, declare, three_row_blocks,
+                         lambda s, t: np.where(np.abs(t - 45.0) < 1.0, 1e308, 0.0 * s))
+        p = dataclasses.replace(p, t_final=80.0)
+        with pytest.raises(ValueError, match=r"^state has infs or NaNs at step 4 \(t = 45\.0\)$"):
+            solve(p)
+
     def test_overflowing_sample_blames_state_at_step_0(self, make, declare, three_row_blocks):
         p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.full_like(s, 1e308))
         p = dataclasses.replace(p, t_final=80.0)
@@ -841,6 +883,21 @@ class TestForcingBlocks:
                          lambda s, t: np.zeros(s.shape[:-1] + (s.shape[-1] + 1,)))
         with pytest.raises(ValueError, match=r"^forcing returned shape \(.*\) (at t|for 3 times)"):
             solve(p)
+
+
+def test_reduced_block_vouches_for_the_states_it_skips():
+    # u -> 0.9 u + g: the state after step 1 overflows (0.9e308 + 1e308),
+    # but the pairwise sums of the block, 1e308 and 0.9e308 - 0.9e308, end
+    # finite at 0.81e308; the reduction must decline and the row loop name it
+    p = 0.9 * np.eye(3)
+    g = np.array([[1.0], [1.0], [-0.9]]) * np.full(3, 1e308)
+    march = (lambda u, h: p @ u + h, np.zeros(3), lambda t: g[: len(t)], 3, 1.0, False)
+    with pytest.raises(ValueError, match=r"^state has infs or NaNs at step 1 \(t = 1\.5\)$"):
+        solvers._march(*march, powers=[p, p @ p])
+    # the same block well inside the float range is reduced to the stepped state
+    g /= 1e300
+    stepped = solvers._march(*march)
+    assert_same_trajectory(solvers._march(*march, powers=[p, p @ p]), stepped)
 
 
 class TestCoarseGrid:

@@ -114,6 +114,15 @@ def test_unrepresentable_step_count_rejected_by_name(make, t_final, n_steps):
         case.problem(8, n_steps)
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: manufactured_1d(1.5), lambda: manufactured_2d(1.2, 1.8)], ids=["1d", "2d"]
+)
+def test_bool_step_count_rejected_by_name(make):
+    # bool is an Integral; True would run one step and keep n_steps = True
+    with pytest.raises(ValueError, match="^n_steps must be an integer, got True$"):
+        make().problem(8, True)
+
+
 def test_unrepresentable_step_count_rejected_in_study():
     with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*53$"):
         convergence_study(manufactured_1d(1.5), h_list=[1 / 4], tau_law=lambda h: 1e-320)
