@@ -11,7 +11,7 @@ a strided view over the 2n - 1 diagonals of the n x n Toeplitz matrix (the
 right operator is its ``.T``); the h**(-alpha) scaling is applied by
 :func:`apply_stencil`.  The solvers use one private two-sided operator,
 ``_TwoSided``: ``G = tau/(2 h^alpha) (diag(c+) A + diag(c-) A^T)`` on one
-such view, with a dense form and an FFT form.
+such view, which they read as a dense matrix.
 
 The design accuracy of an order-k stencil assumes the zero-extended
 function stays smooth enough across the boundary; inputs that do not vanish
@@ -159,12 +159,10 @@ class _TwoSided:
     """Two-sided WSLD operator ``G = scale (diag(c+) A + diag(c-) A^T)``.
 
     ``A`` is the :func:`assemble_left` view, so the stencil table is computed
-    once per operator, and ``scale = tau / (2 h^alpha)``.  ``dense`` writes G
-    and ``fft`` applies it in O(n log n); the two agree to round-off.
+    once per operator, and ``scale = tau / (2 h^alpha)``.  ``dense`` writes G.
     """
 
     a: np.ndarray
-    max_shift: int
     c_plus: np.ndarray
     c_minus: np.ndarray
     scale: float
@@ -173,7 +171,7 @@ class _TwoSided:
     def on(cls, alpha, shifts, grid, c_plus, c_minus, tau) -> "_TwoSided":
         a = assemble_left(alpha, shifts, grid)
         scale = tau / (2.0 * grid.h**alpha)
-        return cls(a, ShiftTuple.of(shifts).max_shift, c_plus, c_minus, scale)
+        return cls(a, c_plus, c_minus, scale)
 
     def dense(self, transposed: bool = False) -> np.ndarray:
         """G as a dense C-order array.
@@ -200,19 +198,6 @@ class _TwoSided:
             block += np.multiply(c_minus[rows], second[rows], out=part[: len(block)])
             block *= self.scale
         return g
-
-    def fft(self) -> Callable[[np.ndarray], np.ndarray]:
-        """``u -> G u`` through the FFT of the stencil ``phi_0, ..., phi_{n-1+m}``,
-        read off the first row and column of A: no second table is computed."""
-        a, m = self.a, self.max_shift
-        pair = _toeplitz_pair(np.concatenate((a[0, m::-1], a[1:, 0])), m, len(a))
-        c_plus, c_minus = self.scale * self.c_plus, self.scale * self.c_minus
-
-        def apply(u: np.ndarray) -> np.ndarray:
-            a_u, at_u = pair(u)
-            return c_plus * a_u + c_minus * at_u
-
-        return apply
 
 
 def apply_stencil(

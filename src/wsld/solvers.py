@@ -6,8 +6,14 @@ is advanced by
 
     (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
-with ``I - G`` LU-factored once per run.  G is one two-sided operator,
-``operators._TwoSided``, which has a dense form and an FFT form.  2D adds
+with ``I - G`` LU-factored once per run.  The explicit side ``I + G`` is
+never applied: the step is the same equation written as
+
+    U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n,
+
+and every propagator is the Cayley transform
+``(I - G)^{-1} (I + G) = 2 (I - G)^{-1} - I``, formed from the inverse in
+O(n^2).  G is one two-sided operator, ``operators._TwoSided``.  2D adds
 the y-direction analog, one such operator per axis, and factors the
 implicit operator into two one-dimensional ones; the Peaceman-Rachford
 and Douglas sweeps of that factored equation are one propagator,
@@ -22,34 +28,24 @@ always in 2D, where they give the propagator matrices, and in 1D when the
 run has at least as many steps as unknowns (forming the inverse costs
 about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
 overhead, so large 1D grids with few steps keep solving with the
-factors).  A 1D inverse below ``_FFT_MIN_INTERIOR`` nodes is folded into
-one propagator ``P = (I - G)^{-1} (I + G)``, and each step is
-``u -> P u + h_n`` with ``h_n = (I - G)^{-1} tau F^{n+1/2}``: one matvec,
-the 1D shape of the ADI propagator.  Products do not reject infs or NaNs,
-so the time loop checks every new state itself.
+factors).  Either way a 1D step is one solve or one matvec with the
+inverse.  Products do not reject infs or NaNs, so the time loop checks
+every new state itself.
 
 The forcing is sampled in blocks of half-step times, at most
 ``_BLOCK_BYTES`` of samples at a time, and the block is then stepped one
 row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
-the declaration.  A 1D propagator run that returns only its final state,
+the declaration.  A 1D inverse run that returns only its final state,
 and has steps enough to pay for the squarings, composes its blocks
-instead: a block of ``2**L - 1`` affine steps is reduced pairwise, as in
-a parallel prefix (Blelloch 1990), in L matrix products with
-``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
-final state differs from the stepped one by round-off, and a block that
-could hold a non-finite state is stepped row by row, so errors name the
-same step.
-
-From ``_FFT_MIN_INTERIOR`` = 600 interior nodes on, the 1D explicit side
-``u + G u`` goes through the operator's FFT form, O(n log n) per step,
-instead of the dense ``M_plus @ u``, and ``M_plus`` is never formed; the
-rule depends on the grid size only, independently of the inverse-or-LU
-rule above.  Below it the output is bit-identical to the dense product;
-from it on the two differ by round-off.  The implicit ``I - G`` of a
-large grid is written as the rows of its transpose, which is the Fortran
-order that LAPACK factors in place.
+instead: with ``P = 2 (I - G)^{-1} - I`` and
+``h_n = (I - G)^{-1} tau F^{n+1/2}`` a block of ``2**L - 1`` affine steps
+``u -> P u + h_n`` is reduced pairwise, as in a parallel prefix
+(Blelloch 1990), in L matrix products with ``P, P^2, ..., P^(2^(L-1))``,
+which are formed once by squaring.  Its final state differs from the
+stepped one by round-off, and a block that could hold a non-finite state
+is stepped row by row, so errors name the same step.
 """
 
 from __future__ import annotations
@@ -78,12 +74,11 @@ __all__ = [
 
 ADI_VARIANTS = ("peaceman_rachford", "douglas")
 
-# 1D grids with at least this many interior nodes apply the explicit CN side
-# through the FFT of the stencil instead of the dense ``M_plus @ u``.  Per
-# step with one BLAS thread on a 2-vCPU Xeon, dense against FFT: 93 against
-# 102 us at n = 559, 108 against 101 us at n = 579, 115 against 100 us at
-# n = 599 (the FFT length is 2048 from n = 512 to 1023).
-_FFT_MIN_INTERIOR = 600
+# 1D grids with at least this many interior nodes write ``I - G`` alone and in
+# place; smaller grids take it from ``build_cn_system``, which also forms
+# ``M_plus`` (dropped at once).  The switch stays only because the benchmark
+# traces ``build_cn_system`` on its small 1D runs.
+_IN_PLACE_MIN_INTERIOR = 600
 
 # Forcing samples per block, in bytes.  ``_march`` holds about three blocks
 # on top of the solver's matrices: the manufactured forcings' temporaries
@@ -99,14 +94,17 @@ _MAX_STEPS = 2**53
 # Block reduction on the 1D propagator path (``_march``, ``_reduce``): its
 # L - 1 squarings, 2 n^3 flops each, may cost at most this many times the
 # 2 n^2 n_steps flops of the steps, which turns it on from 3.5 n steps at
-# n = 119, 2.5 n at 399 and 2 n at 599.  Reduced against stepped with one
-# BLAS thread on a 2-vCPU Xeon (best of nine): 0.83 at n = 119 with 4 n
-# steps and 0.68 with 8 n; 0.98 at n = 399 with 3 n and 1.01 with 5 n;
-# 0.72 at n = 599 with 2 n.  Below the rule: 1.04 and 0.85 at n = 119
-# with 2 n and 3 n, 1.07 and 1.05 at 399 with 2 n and 2.5 n, 1.03 and 0.87
-# at 599 with n and 1.5 n.  L is the largest that fits, since products
-# with few rows and the forcing sampled in short blocks make a small L
-# slower than stepping (L <= 4 ran 1.06-1.97x the stepped time at 399).
+# n = 119, 2.5 n at 399, 2 n at 599 to 999 and 1.5 n at 1999.  Reduced
+# against stepping with P, one BLAS thread on a 2-vCPU Xeon (best of
+# nine): 0.83 at n = 119 with 4 n steps and 0.68 with 8 n; 0.98 at n = 399
+# with 3 n and 1.01 with 5 n; 0.72 at n = 599 with 2 n.  Below the rule:
+# 1.04 and 0.85 at n = 119 with 2 n and 3 n, 1.07 and 1.05 at 399 with 2 n
+# and 2.5 n, 1.03 and 0.87 at 599 with n and 1.5 n.  Against stepping
+# with the inverse, the fits in ``solve_1d`` give 0.74-0.92 at n = 999
+# with 2 n and 0.81-0.87 at 1999 with 1.5 n.  L is the largest that fits,
+# since products with few rows and the forcing sampled in short blocks
+# make a small L slower than stepping (L <= 4 ran 1.06-1.97x the stepped
+# time at 399).
 _SQUARING_SHARE = 2
 
 # Magnitude bound below which a reduced block stands: 2**64 under overflow,
@@ -226,6 +224,14 @@ def _identity_plus(sign: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     or ``0.0 - g`` plus 1 on the diagonal, so zeros carry the signs of the sums."""
     out = np.add(g, 0.0, out=out) if sign > 0 else np.subtract(0.0, g, out=out)
     out.flat[:: len(out) + 1] += 1.0
+    return out
+
+
+def _cayley(inv: np.ndarray) -> np.ndarray:
+    """``2 inv - I``.  For ``inv = (I - K)^{-1}`` that is ``(I - K)^{-1} (I + K)``, which
+    equals ``(I + K) (I - K)^{-1}``, formed in O(n^2) without applying ``I + K``."""
+    out = 2.0 * inv
+    out.flat[:: len(out) + 1] -= 1.0
     return out
 
 
@@ -372,7 +378,8 @@ def build_cn_system(
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     ``M_minus`` comes in Fortran order, so LAPACK can factor it in place.
-    ``solve_1d`` calls this only below ``_FFT_MIN_INTERIOR`` interior nodes.
+    ``solve_1d`` calls this below ``_IN_PLACE_MIN_INTERIOR`` interior nodes
+    and uses only ``M_minus``: it never applies ``M_plus``.
     """
     g = _operator_1d(problem, shifts).dense()
     m_minus = _identity_plus(-1.0, g, np.empty_like(g, order="F"))
@@ -386,61 +393,57 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    The left-hand matrix is LU-factored once (it does not depend on time).
-    When ``n_steps >= n_interior`` its inverse is formed from the factors;
-    below ``_FFT_MIN_INTERIOR`` (600) interior nodes it is folded into the
-    propagator ``P = (I - G)^{-1} (I + G)`` and each step is
-    ``u -> P u + h_n`` with ``h = (tau F) @ (I - G)^{-T}`` formed per block
-    of forcing samples, one matvec per step.  Without history, and with
-    steps enough to pay for the squarings (``_levels``), blocks of
-    ``2**L - 1`` steps are instead composed in L products each (see
-    ``_march``), with ``P^(2^l)`` formed once by squaring; only the inverse
-    and these powers outlive the setup.  Otherwise each step solves with
-    the factors.  All of these agree to round-off.  With at least
-    ``_FFT_MIN_INTERIOR`` interior nodes the explicit side ``u + G u`` goes
-    through the FFT of the stencil instead and ``M_plus`` is never formed
-    (see the module docstring); the implicit matrix has the same entries
-    either way.  The forcing is sampled at the half steps ``t_{n+1/2}``, a
-    block of steps per call when it declares ``broadcasts_over_t``; a
-    non-finite sample raises ``ValueError`` naming the step and its time,
-    and any other non-finite state one saying it has infs or NaNs.  With
-    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
-    returned instead of the final slice.
+    The left-hand matrix is LU-factored once (it does not depend on time),
+    and each step is ``u -> solve(2 u + tau f) - u``: with the factors, or,
+    when ``n_steps >= n_interior``, as one matvec with the inverse formed
+    from them.  Without history, and with steps enough to pay for the
+    squarings (``_levels``), an inverse run instead composes blocks of
+    ``2**L - 1`` steps ``u -> P u + h_n`` in L products each (see
+    ``_march``), with ``P = 2 (I - G)^{-1} - I``, ``P^(2^l)`` formed once
+    by squaring and ``h = (tau F) @ (I - G)^{-T}`` formed per block of
+    forcing samples; only the inverse and these powers outlive the setup.
+    All of these agree to round-off.  Below ``_IN_PLACE_MIN_INTERIOR``
+    (600) interior nodes ``I - G`` comes from ``build_cn_system``, from it
+    on it is written alone, in place (see the module docstring); it has the
+    same entries either way.  The forcing is sampled at the half steps
+    ``t_{n+1/2}``, a block of steps per call when it declares
+    ``broadcasts_over_t``; a non-finite sample raises ``ValueError`` naming
+    the step and its time, and any other non-finite state one saying it has
+    infs or NaNs.  With ``return_history=True`` the full
+    ``(n_steps+1, n)`` trajectory is returned instead of the final slice.
     """
     n = problem.grid.n_interior
     tau = problem.tau
-    if n < _FFT_MIN_INTERIOR:
-        m_minus, m_plus = build_cn_system(problem, shifts)
-        explicit = m_plus.__matmul__
-    else:
-        op = _operator_1d(problem, shifts)
-        gt = op.dense(transposed=True)  # the rows of I - G^T are I - G in Fortran order
-        m_minus, g = _identity_plus(-1.0, gt, gt).T, op.fft()
-        explicit = lambda u: u + g(u)
-    prepare, powers = None, ()
+    if n < _IN_PLACE_MIN_INTERIOR:
+        m_minus = build_cn_system(problem, shifts)[0]
+    else:  # the rows of I - G^T are I - G in Fortran order
+        m_minus = _operator_1d(problem, shifts).dense(transposed=True)
+        m_minus = _identity_plus(-1.0, m_minus, m_minus).T
     # Inverse from n_steps >= n.  Break-even against LU solves, one BLAS
     # thread on a 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three
-    # runs: stepping with P at 18-50 steps for n = 119, 85-164 at 399 and
-    # 143-213 at 599; the block reduction at 40-54, 256-289 and 270-309.
-    # From 600 on (inverse against lu_solve) 482 at n = 1000 and 2012 at
-    # 1999.  Conservative below ~1000 nodes, but one rule fits both sides
-    # of _FFT_MIN_INTERIOR, and no workload runs between n/4 and n steps.
+    # runs: stepping with the inverse at 17-36 steps for n = 119, 178-877
+    # at 599, 860-1547 at 999 and 827-949 at 1999 (one run never); at 399
+    # its matvec costs about what the two triangular solves do, 212 and 341
+    # (one run never).  The block reduction at 45-58, 731-1563, 401-924,
+    # 1006-1063 and 1100-2522.  The steps are memory-bound from ~400 nodes,
+    # hence the spread; no workload runs between n/4 and n steps.
     if problem.n_steps < n:
         lu = lu_factor(m_minus, overwrite_a=True)
-        step = lambda u, f: lu_solve(lu, explicit(u) + tau * f, check_finite=False)
-    elif n >= _FFT_MIN_INTERIOR:
-        inv = _inverse(m_minus)
-        step = lambda u, f: inv @ (explicit(u) + tau * f)
+        solve = lambda b: lu_solve(lu, b, check_finite=False)
     else:
-        inv_t = _inverse(m_minus).T
-        del m_minus  # its LU factors
-        p = inv_t.T @ m_plus
-        del m_plus, explicit  # only P and the inverse from here on
+        inv = _inverse(m_minus)
+        solve = inv.__matmul__
+    del m_minus  # factored in place
+    # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
+    step = lambda u, f: solve(2.0 * u + tau * f) - u
+    prepare, powers = None, []
+    levels = 0 if return_history or problem.n_steps < n else _levels(n, problem.n_steps)
+    if levels:
+        p = _cayley(inv)  # P = (I - G)^{-1} (I + G)
         step = lambda u, h: p @ u + h
         # tau scales F before the product, so an overflowing tau F gives a non-finite state
-        prepare = lambda f: (tau * f) @ inv_t
-        levels = 0 if return_history else _levels(n, problem.n_steps)
-        powers = [p][:levels]
+        prepare = lambda f: (tau * f) @ inv.T
+        powers = [p]
         while len(powers) < levels:
             powers.append(powers[-1] @ powers[-1])
     sample = _sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,))
@@ -483,9 +486,11 @@ def step_adi(
         (I - Ax)(I - Ay) u^{n+1} = (I + Ax)(I + Ay) u^n + tau f^{n+1/2},
 
     whose solution is ``bx @ (u @ cy + g) + g`` with ``g = (tau/2 f) @ iy``,
-    ``bx = (I + kx)(I - kx)^{-1}``, ``cy = (I + ky)^T (I - ky)^{-T}`` and
-    ``iy = (I - ky)^{-T}``: three products per step.  For PR this is its
-    sweeps reassociated, for Douglas too since ``bx + I = 2 (I - kx)^{-1}``.
+    ``iy = (I - ky)^{-T}`` and the Cayley transforms
+    ``bx = (I + kx)(I - kx)^{-1} = 2 (I - kx)^{-1} - I`` and
+    ``cy = (I + ky)^T (I - ky)^{-T} = 2 iy - I``: three products per step.
+    For PR this is its sweeps reassociated, for Douglas too since
+    ``bx + I = 2 (I - kx)^{-1}``.
     ``f`` is scaled by ``tau/2`` before the product (so an overflowing
     ``tau/2 f`` gives a non-finite state) into an array of ``u``'s shape
     (so a forcing constant along x or y broadcasts).  Non-finite input
@@ -508,20 +513,21 @@ def solve_2d(
 
     Exactly two LU factorizations are computed per run -- one (n_x-1) system
     for x and one (n_y-1) system for y -- because the separable coefficients
-    make the sweep matrices identical across slices.  Each is inverted once
-    to form ``bx``, ``cy`` and ``iy``, so every ``step_adi`` is three dense
-    products.  ``variant`` must be one of ``ADI_VARIANTS``; both name the
-    same factored scheme, which this one propagator computes.  A non-finite
-    forcing sample raises ``ValueError`` naming the step and its time, and
-    any other non-finite state one saying it has infs or NaNs.
+    make the sweep matrices identical across slices.  Each is inverted once,
+    and ``bx``, ``cy`` and ``iy`` are read off the two inverses in O(n^2)
+    (``I + kx`` and ``I + ky`` are never formed), so every ``step_adi`` is
+    three dense products.  ``variant`` must be one of ``ADI_VARIANTS``; both
+    name the same factored scheme, which this one propagator computes.  A
+    non-finite forcing sample raises ``ValueError`` naming the step and its
+    time, and any other non-finite state one saying it has infs or NaNs.
     """
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     kx, ky = build_adi_factors(problem, shifts_x, shifts_y)
     minus_x, minus_y = (_identity_plus(-1.0, k, np.empty_like(k, order="F")) for k in (kx, ky))
-    bx = _identity_plus(1.0, kx, kx) @ _inverse(minus_x)
+    bx = _cayley(_inverse(minus_x))
     iy = _inverse(minus_y).T
-    cy = _identity_plus(1.0, ky, ky).T @ iy
+    cy = _cayley(iy)
     nodes = (problem.grid_x.interior_nodes()[:, None], problem.grid_y.interior_nodes()[None, :])
     tau = problem.tau
     return _march(

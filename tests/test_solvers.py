@@ -145,24 +145,6 @@ def count_lu_solve(monkeypatch):
     return calls
 
 
-def count_toeplitz_applies(monkeypatch):
-    """Count applications of the FFT stencil routine the 1D solver builds."""
-    calls = []
-    original = operators._toeplitz_pair
-
-    def counting(*args):
-        apply = original(*args)
-
-        def counted(u):
-            calls.append(1)
-            return apply(u)
-
-        return counted
-
-    monkeypatch.setattr(operators, "_toeplitz_pair", counting)
-    return calls
-
-
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every ``wsld`` module that names it, the
     way the benchmark's spans wrap its entry points."""
@@ -371,8 +353,8 @@ class TestSolve1D:
 
 
     def test_large_grid_holds_one_dense_matrix(self):
-        # from _FFT_MIN_INTERIOR on only I - G is formed, in place: no dense
-        # A, no M_plus and no transposed copy for lu_factor
+        # from _IN_PLACE_MIN_INTERIOR on only I - G is formed, in place: no
+        # dense A, no M_plus and no transposed copy for lu_factor
         p = make_problem_1d(n_cells=800, n_steps=20)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 1.5 * 8 * n * n
@@ -384,13 +366,17 @@ class TestSolve1D:
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
-    @pytest.mark.parametrize("n_steps,levels,bound", [(600, 0, 6.0), (1200, 5, 6.5)],
-                             ids=["stepped", "reduced"])
-    def test_propagator_holds_the_inverse_and_its_powers(self, n_steps, levels, bound):
-        # n = 599: neither M_plus nor the LU factors outlive P.  Row by row
-        # (600 steps) that leaves the inverse and P; the block reduction
-        # (from 2n steps) adds P^2 .. P^16 (measured 3.13 and 6.22 x 8n^2)
-        p = make_problem_1d(n_cells=600, n_steps=n_steps)
+    @pytest.mark.parametrize(
+        "n_cells,n_steps,levels,bound",
+        [(600, 600, 0, 2.5), (600, 1200, 5, 6.5), (800, 1600, 5, 6.5)],
+        ids=["stepped", "reduced", "reduced-in-place"],
+    )
+    def test_propagator_holds_the_inverse_and_its_powers(self, n_cells, n_steps, levels, bound):
+        # neither M_plus nor the LU factors outlive the inverse.  Row by row
+        # (n + 1 steps) it is the one matrix left; the block reduction (from
+        # 2n steps) adds P = 2 (I - G)^-1 - I and P^2 .. P^16, on both sides of
+        # _IN_PLACE_MIN_INTERIOR (measured 2.13, 6.22 and 6.16 x 8n^2)
+        p = make_problem_1d(n_cells=n_cells, n_steps=n_steps)
         n = p.grid.n_interior
         assert solvers._levels(n, n_steps) == levels
         assert traced_peak(lambda: solve_1d(p)) < bound * 8 * n * n
@@ -408,11 +394,11 @@ class TestSolve1D:
         extra = march_extra_peak(monkeypatch, lambda: solve(problem()))
         assert extra < 4 * solvers._BLOCK_BYTES
 
-    @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "fft"])
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "in-place"])
     def test_one_stencil_table_per_solve(self, offset, monkeypatch):
-        # the dense and the FFT form read the same table, on both sides of the switch
+        # one table on either side of the assembly switch
         calls = count_calls(monkeypatch, operators.stencil_coeffs)
-        solve_1d(make_problem_1d(n_cells=solvers._FFT_MIN_INTERIOR + offset + 1, n_steps=2))
+        solve_1d(make_problem_1d(n_cells=solvers._IN_PLACE_MIN_INTERIOR + offset + 1, n_steps=2))
         assert len(calls) == 1
 
     def test_traced_entry_points(self, monkeypatch):
@@ -694,26 +680,24 @@ class TestPropagatorStepping:
         assert_same_trajectory(got, lu_stepped_2d(p, variant))
 
 
-class TestFftExplicitSide:
-    # n_interior = _FFT_MIN_INTERIOR - 1 keeps the dense M_plus @ u; from the
-    # constant on, every step applies the stencil through its FFT once.  Both
-    # sides run with LU solves (20 steps) and with the inverse (n steps).
-    # Bound: FFT round-off in A u, amplified by tau/(2 h^alpha) (130 with 20
-    # steps); measured at most 4.7e-13 x max|u|.
-    @pytest.mark.parametrize("offset,fft", [(-1, False), (0, True)], ids=["dense", "fft"])
-    @pytest.mark.parametrize("backend", ["lu", "propagator"])
-    def test_matches_dense_explicit_side(self, offset, fft, backend, monkeypatch):
-        n = solvers._FFT_MIN_INTERIOR + offset
+class TestAssemblySwitch:
+    # n_interior = _IN_PLACE_MIN_INTERIOR - 1 takes I - G from build_cn_system;
+    # from the constant on it is written alone.  Neither side applies I + G,
+    # so neither builds the FFT stencil routine.  Both run with LU solves
+    # (20 steps) and with the inverse (n steps); measured at most
+    # 1.6e-13 x max|u| from the dense M_plus oracle.
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["system", "in-place"])
+    @pytest.mark.parametrize("backend", ["lu", "inverse"])
+    def test_matches_lu_stepping(self, offset, backend, monkeypatch):
+        n = solvers._IN_PLACE_MIN_INTERIOR + offset
         n_steps = 20 if backend == "lu" else n
         p = manufactured_1d(1.5).problem(n + 1, n_steps)
-        applies = count_toeplitz_applies(monkeypatch)
+        builds = count_calls(monkeypatch, operators._toeplitz_pair)
         lu_calls = count_lu_solve(monkeypatch)
         got = solve_1d(p, return_history=True)
-        assert len(applies) == (n_steps if fft else 0)
+        assert builds == []
         assert len(lu_calls) == (n_steps if backend == "lu" else 1)
-        ref = lu_stepped_1d(p)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert_same_trajectory(got, lu_stepped_1d(p))
 
 
 def solve_nan_forcing_1d(n_cells):
