@@ -10,9 +10,10 @@ negative real part.  Two complementary checks are combined:
   which bounds all real parts of eigenvalues of A from above.  For a
   Toeplitz A, H is symmetric Toeplitz and so centrosymmetric; its spectrum
   is then that of two half-size symmetric blocks together (Cantoni &
-  Butler, Linear Algebra Appl. 13 (1976) 275-288), and the two blocks are
-  solved instead of H, for about a quarter of the flops.  Other matrices
-  get one dense solve.
+  Butler, Linear Algebra Appl. 13 (1976) 275-288).  The even block is
+  solved, and the odd block is only screened by a Cholesky factorization
+  of ``top * I - odd``; it is solved too only when that fails.  Other
+  matrices get one dense solve.
 
 Both checks are numerical evidence on grids, not symbolic proofs, and the
 report never claims more.
@@ -26,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dpotrf
 
 from .coefficients import ShiftTuple, branch_weights, stencil_coeffs, validate_order
 from .operators import Grid1D, assemble_left
@@ -203,6 +205,26 @@ def _centrosymmetric_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
     return (even, odd) if k else (even,)
 
 
+def _top_eigenvalue(h: np.ndarray) -> float:
+    return float(eigvalsh(h, subset_by_index=[len(h) - 1, len(h) - 1])[0])
+
+
+def _below(block: np.ndarray, top: float) -> bool:
+    """True when ``top * I - block`` has a Cholesky factor.
+
+    Then ``top * I - block`` is positive definite, and every eigenvalue of
+    the symmetric ``block`` lies below ``top``.  Only the diagonal
+    ``top - block_ii`` can overflow, and an infinite pivot would pass the
+    factorization unchecked, so such a block is never screened as below.
+    """
+    scratch = np.negative(block, order="F")
+    with np.errstate(over="ignore"):
+        scratch.flat[:: len(block) + 1] += top
+    if not np.isfinite(scratch.diagonal()).all():
+        return False
+    return dpotrf(scratch, clean=0, overwrite_a=1)[1] == 0
+
+
 def max_real_part_bound(matrix: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric part H = (A + A^T)/2.
 
@@ -211,22 +233,35 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     centrosymmetric, which holds exactly for every Toeplitz A (the sum
     ``a_{i-j} + a_{j-i}`` is the same float either way round), its spectrum
     is the union of those of two half-size symmetric blocks (Cantoni &
-    Butler, Linear Algebra Appl. 13 (1976) 275-288), so each block is solved
-    and the larger top eigenvalue returned, for about a quarter of the
-    dense flops.  Any other square matrix gets one dense n x n solve.  A
-    0 x 0 or non-square matrix raises ``ValueError``, and so do non-finite
-    entries.
+    Butler, Linear Algebra Appl. 13 (1976) 275-288).  The even block (with
+    the middle node for odd n) is solved, giving ``top``, and the odd block
+    is screened: when ``top * I - odd`` has a Cholesky factor, every odd
+    eigenvalue lies below ``top`` and ``top`` is returned.  Otherwise the
+    odd block is solved as well and the larger top eigenvalue returned.  An
+    exact tie fails the screen, so it is solved; a screen that passes
+    bounds the odd top by ``top`` up to the round-off of the factorization,
+    which is of the order of the eigensolver's own error.  The WSLD
+    operators have their top eigenvalue in the even block, so they take one
+    half-size solve and one factorization.  Any other square matrix gets
+    one dense n x n solve.  A 0 x 0, non-square or non-finite matrix raises ``ValueError``
+    before any solve.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     if a.size == 0:
         raise ValueError("need a nonempty matrix")
-    h = (a + a.T) / 2.0
-    blocks = _centrosymmetric_blocks(h) if np.array_equal(h, h[::-1, ::-1]) else (h,)
-    return max(
-        float(eigvalsh(b, subset_by_index=[len(b) - 1, len(b) - 1])[0]) for b in blocks
-    )
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    h = a + a.T
+    h *= 0.5
+    if not np.array_equal(h, h[::-1, ::-1]):
+        return _top_eigenvalue(h)
+    even, *odd = _centrosymmetric_blocks(h)
+    top = _top_eigenvalue(even)
+    if odd and not _below(odd[0], top):
+        top = max(top, _top_eigenvalue(odd[0]))
+    return top
 
 
 def certify(

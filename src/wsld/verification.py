@@ -64,25 +64,25 @@ def _step_count(t_final: float, tau: float) -> int:
     return max(1, round(min(t_final / tau, _MAX_STEPS + 1)))
 
 
-def _node_memo(alpha: float) -> Callable[[np.ndarray], tuple]:
-    """One-slot cache of ``(profile(s), _two_sided_rl(alpha, s))``.
+def _node_memo(build: Callable[..., tuple]) -> Callable[..., tuple]:
+    """One-slot cache of ``build(*nodes)``.
 
-    The slot is keyed on a private copy of the node array, compared by shape
-    and values, so a caller mutating its array in place or alternating grids
-    gets a fresh evaluation.  Key and value are stored as one tuple, and a
-    build that raises stores nothing.
+    The slot is keyed on private copies of the node arrays, compared by
+    shape and values, so a caller mutating its arrays in place or
+    alternating grids gets a fresh evaluation.  Key and value are stored as
+    one tuple, and a build that raises stores nothing.
     """
     slot: tuple | None = None
 
-    def spatial(s: np.ndarray) -> tuple:
+    def cached(*nodes: np.ndarray) -> tuple:
         nonlocal slot
         entry = slot
-        if entry is None or not np.array_equal(entry[0], s):
-            entry = (s.copy(), (profile(s), _two_sided_rl(alpha, s)))
+        if entry is None or not all(map(np.array_equal, entry[0], nodes)):
+            entry = (tuple(s.copy() for s in nodes), build(*nodes))
             slot = entry
         return entry[1]
 
-    return spatial
+    return cached
 
 
 @dataclass
@@ -150,7 +150,7 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
     of samples per time, so the solvers sample many steps per call.
     """
     alpha = validate_order(alpha)
-    spatial = _node_memo(alpha)
+    spatial = _node_memo(lambda s: (profile(s), _two_sided_rl(alpha, s)))
 
     def exact(x, t):
         return np.sin(t + 1.0) * profile(np.asarray(x, dtype=float))
@@ -168,14 +168,23 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
 
     The forcing splits along the product structure: the x-direction
     two-sided derivative is multiplied by B(y) and vice versa.  As in 1D,
-    B and the two-sided derivative are computed once per distinct node
-    array, separately for x and for y, and the forcing declares
-    ``broadcasts_over_t`` as in 1D.
+    B(x), B(y) and the sum of the two products are computed once per
+    distinct pair of node arrays, and the forcing declares
+    ``broadcasts_over_t``.  On a column of times the forcing allocates one
+    block-sized array, its result: the cosine term is written first, and
+    the sine term is subtracted from it one time at a time through a
+    scratch the size of the nodes.  Each sample takes the same operations
+    in the same order as the one-shot expression used for a scalar time,
+    so the block is bit-identical to stacked scalar calls.
     """
     alpha = validate_order(alpha)
     beta = validate_order(beta)
-    spatial_x = _node_memo(alpha)
-    spatial_y = _node_memo(beta)
+
+    def parts(x, y):
+        px, py = profile(x), profile(y)
+        return px, py, _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
+
+    spatial = _node_memo(parts)
 
     def exact(x, y, t):
         x = np.asarray(x, dtype=float)
@@ -183,9 +192,17 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
         return np.sin(t + 1.0) * profile(x) * profile(y)
 
     def forcing(x, y, t):
-        px, rx = spatial_x(np.asarray(x, dtype=float))
-        py, ry = spatial_y(np.asarray(y, dtype=float))
-        return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * (rx * py + px * ry)
+        px, py, space = spatial(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        if np.ndim(t) <= np.ndim(space):
+            return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * space
+        # a column of times: the cosine term is the one block-sized array,
+        # and the sine term is subtracted a time at a time through a scratch
+        out = np.cos(t + 1.0) * px * py
+        sin_t = np.sin(t + 1.0)
+        scratch = np.empty_like(out[0])
+        for k in range(len(out)):
+            out[k] -= np.multiply(sin_t[k], space, out=scratch)
+        return out
 
     forcing.broadcasts_over_t = True
     return ManufacturedCase(dimension=2, alpha=alpha, beta=beta, exact=exact, forcing=forcing)

@@ -185,10 +185,39 @@ class TestEigenvalueBound:
         with pytest.raises(ValueError):
             max_real_part_bound(h)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name_before_any_solve(self, bad):
+        a = np.eye(6)
+        a[2, 3] = a[3, 2] = bad
+        with eigvalsh_sizes() as sizes, pytest.raises(ValueError, match="^matrix must be finite$"):
+            max_real_part_bound(a)
+        assert sizes == []
 
-def expected_block_sizes(n):
-    """Even block (with the middle node for odd n), then odd block."""
-    return [((n + 1) // 2,) * 2] + ([(n // 2,) * 2] if n > 1 else [])
+    def test_screen_never_passes_on_an_overflowed_pivot(self):
+        # finite and centrosymmetric, but top - odd_00 overflows to inf, and
+        # an infinite pivot would let the factorization pass although the
+        # odd block's top (about 4.9e307) lies above the even one (1.5e307)
+        h11 = np.array([[-0.89, 0.5], [0.5, 0.1]]) * 1e308
+        f = np.array([[0.89, -0.5], [-0.5, 0.05]]) * 1e308
+        j = np.eye(2)[::-1]
+        h = np.block([[h11, f @ j], [j @ f, j @ h11 @ j]])
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(h)
+        assert sizes == [(2, 2)] * 2
+
+
+def even_and_odd_tops(h):
+    """Dense oracle: top eigenvalues of h's J-symmetric and J-antisymmetric
+    eigenvectors (-inf for a parity with none)."""
+    lams, vecs = np.linalg.eigh(h)
+    parity = np.einsum("ij,ij->j", vecs, vecs[::-1])
+    even, odd = lams[parity > 0], lams[parity < 0]
+    return (even.max(initial=-np.inf), odd.max(initial=-np.inf))
+
+
+def expected_block_sizes(n, odd_solved):
+    """Even block (with the middle node for odd n), then the odd block if solved."""
+    return [((n + 1) // 2,) * 2] + ([(n // 2,) * 2] if odd_solved else [])
 
 
 class TestCentrosymmetricSplit:
@@ -198,9 +227,21 @@ class TestCentrosymmetricSplit:
         b = np.random.default_rng(seed).normal(size=(n, n))
         h = b + b.T
         h = h + h[::-1, ::-1]
+        even_top, odd_top = even_and_odd_tops(h)
         with eigvalsh_sizes() as sizes:
             assert_top_eigenvalue(h)
-        assert sizes == expected_block_sizes(n)
+        assert sizes == expected_block_sizes(n, odd_top > even_top)
+
+    @pytest.mark.parametrize("n", [6, 8, 40])
+    def test_odd_block_solved_when_its_top_is_larger(self, n):
+        # -(Z + Z^T) for the unit subdiagonal Z: the top eigenvector
+        # alternates in sign, so at even n it is J-antisymmetric
+        a = -np.eye(n, k=-1) - np.eye(n, k=1)
+        even_top, odd_top = even_and_odd_tops(a)
+        assert odd_top > even_top
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(a)
+        assert sizes == [(n // 2, n // 2)] * 2
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
@@ -210,12 +251,12 @@ class TestCentrosymmetricSplit:
             assert_top_eigenvalue(a)
         assert sizes == [(n, n)]
 
-    @pytest.mark.parametrize("n,blocks", [(400, [(200, 200)] * 2), (401, [(201, 201), (200, 200)])])
-    def test_wsld_operator_solves_two_half_blocks(self, n, blocks):
+    @pytest.mark.parametrize("n,block", [(400, (200, 200)), (401, (201, 201))])
+    def test_wsld_operator_solves_even_half_block_only(self, n, block):
         op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, n + 1))
         with eigvalsh_sizes() as sizes:
             assert_top_eigenvalue(op)
-        assert sizes == blocks
+        assert sizes == [block]
 
     def test_other_matrix_gets_one_dense_solve(self):
         op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, 65)).copy()
@@ -251,6 +292,19 @@ class TestCertify:
         assert report.verdict == "certified_negative"
         assert report.f_max <= ROUNDOFF_ZERO
         assert report.lambda_max_sym < 0.0
+
+    @pytest.mark.parametrize("shifts", CERTIFIED_TUPLES[::3])
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_eigenvalue_bound_at_benchmark_size(self, shifts, alpha):
+        # n = 400, as in the certification sweep, against the dense spectrum
+        if shifts == ShiftTuple((1, 2, 1, -1, 1, -1, 1, -2)) and alpha == 1.5:
+            with pytest.raises(DegenerateTupleError):
+                certify(shifts, alphas=[alpha], n_interior=400)
+            return
+        op = np.array(assemble_left(alpha, shifts, Grid1D(0.0, 1.0, 401)))
+        full = np.linalg.eigvalsh((op + op.T) / 2)[-1]
+        report = certify(shifts, alphas=[alpha], n_interior=400)
+        assert report.lambda_max_sym == pytest.approx(full, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("x_points", [1, 0])
     def test_rejects_scan_below_two_points(self, x_points):

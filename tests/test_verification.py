@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestForcingMechanism:
         t = (np.arange(7) + 0.5) / 9.0
         block = case.forcing(*args, t.reshape((-1,) + (1,) * dim))
         assert np.array_equal(block, [case.forcing(*args, float(t_k)) for t_k in t])
+
+    def test_column_of_times_allocates_one_block(self):
+        # a block of 5 times at 79 x 79 nodes, the solver's 256 KiB block at
+        # h = 1/40: the result plus one node-sized scratch, not the three
+        # block-sized temporaries of the one-shot expression.  A broadcast
+        # product in numpy 2 also takes two iterator buffers of at most
+        # getbufsize() doubles each, counted by tracemalloc; they are allowed for.
+        case = fresh_case(2)
+        s = np.linspace(0.0, 2.0, 81)[1:-1]
+        args = (s[:, None], s[None, :])
+        t = ((np.arange(5) + 0.5) / 9.0).reshape(-1, 1, 1)
+        case.forcing(*args, t)  # the spatial parts, cached per grid as in a solve
+        tracemalloc.start()
+        try:
+            block = case.forcing(*args, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (5, 79, 79)
+        assert peak <= 1.25 * block.nbytes + 2 * np.getbufsize() * 8
 
     def test_solve_1d_bit_identical_to_uncached(self):
         case = manufactured_1d(1.7)
