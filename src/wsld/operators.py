@@ -173,31 +173,23 @@ class _TwoSided:
         scale = tau / (2.0 * grid.h**alpha)
         return cls(a, c_plus, c_minus, scale)
 
-    def dense(self, transposed: bool = False) -> np.ndarray:
-        """G as a dense C-order array.
+    def dense(self) -> np.ndarray:
+        """G as a dense Fortran-order array, so LAPACK can factor ``I - G`` in place.
 
-        With ``transposed=True`` the rows of G^T are written instead, so the
-        result read as ``.T`` is G in Fortran order.  A and A^T have
-        contiguous rows, and each block of ``_ROW_BLOCK`` rows is written
-        once as ``(c+_i a_ij + c-_i a_ji) * scale``, the same per-entry
-        arithmetic in either layout.
+        It is written as the C-order rows of G^T: row j is
+        ``c+ (A^T)_j + c- A_j``, and A and A^T have contiguous rows.  Each
+        block of ``_ROW_BLOCK`` rows is written once as
+        ``(c+_i a_ij + c-_i a_ji) * scale``.
         """
-        a, c_plus, c_minus = self.a, self.c_plus, self.c_minus
-        n = len(a)
-        if transposed:  # row j of G^T is c+ (A^T)_j + c- A_j
-            first, second = a.T, a
-        else:  # row i of G is c+_i A_i + c-_i (A^T)_i
-            first, second = a, a.T
-            c_plus, c_minus = c_plus[:, None], c_minus[:, None]
-        c_plus, c_minus = np.broadcast_to(c_plus, (n, n)), np.broadcast_to(c_minus, (n, n))
-        g = np.empty((n, n))
+        a, n = self.a, len(self.a)
+        gt = np.empty((n, n))
         part = np.empty((min(n, _ROW_BLOCK), n))
         for s in range(0, n, _ROW_BLOCK):
             rows = slice(s, s + _ROW_BLOCK)
-            block = np.multiply(c_plus[rows], first[rows], out=g[rows])
-            block += np.multiply(c_minus[rows], second[rows], out=part[: len(block)])
+            block = np.multiply(self.c_plus, a.T[rows], out=gt[rows])
+            block += np.multiply(self.c_minus, a[rows], out=part[: len(block)])
             block *= self.scale
-        return g
+        return gt.T
 
 
 def apply_stencil(

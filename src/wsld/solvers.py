@@ -6,46 +6,42 @@ is advanced by
 
     (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
-with ``I - G`` LU-factored once per run.  The explicit side ``I + G`` is
-never applied: the step is the same equation written as
+with ``I - G`` LU-factored once per run.  G is one two-sided operator,
+``operators._TwoSided``, and ``I + G`` is never applied.  A run with fewer
+steps than unknowns (the inverse costs about ``2 n^3`` flops and saves
+only the per-step ``lu_solve`` call overhead) solves with the factors,
 
-    U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n,
+    U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
-and every propagator is the Cayley transform
-``(I - G)^{-1} (I + G) = 2 (I - G)^{-1} - I``, formed from the inverse in
-O(n^2).  G is one two-sided operator, ``operators._TwoSided``.  2D adds
-the y-direction analog, one such operator per axis, and factors the
-implicit operator into two one-dimensional ones; the Peaceman-Rachford
-and Douglas sweeps of that factored equation are one propagator,
-``u -> Bx (u Cy + g) + g``, three products per step.  Interior unknowns
-are stored as arrays ``u[i, j] = u(x_i, y_j)``; the x-operator acts as
+Any other marches ``w = (I - G) U``, for which the same equation is
+
+    w^{n+1} = P w^n + tau F^{n+1/2},   P = (I + G) (I - G)^{-1} = 2 (I - G)^{-1} - I,
+
+one matvec per step with the Cayley transform P, formed from the inverse
+in O(n^2); ``U = (I - G)^{-1} w`` is recovered once at the end, or once
+over the whole history.  2D adds the y-direction analog, one operator per
+axis, and factors the implicit operator into two one-dimensional ones;
+the Peaceman-Rachford and Douglas sweeps of that factored equation are
+one propagator, ``u -> Bx (u Cy + g) + g``, three products per step with
+matrices read off the two explicit inverses.  Interior unknowns are
+stored as arrays ``u[i, j] = u(x_i, y_j)``; the x-operator acts as
 ``kx @ u`` and the y-operator as ``u @ ky.T``, and the Kronecker-product
-form of the scheme is never materialized.
-
-The matrices never change during a run, so where it pays the factors are
-turned into explicit inverses once and every step is a dense product:
-always in 2D, where they give the propagator matrices, and in 1D when the
-run has at least as many steps as unknowns (forming the inverse costs
-about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
-overhead, so large 1D grids with few steps keep solving with the
-factors).  Either way a 1D step is one solve or one matvec with the
-inverse.  Products do not reject infs or NaNs, so the time loop checks
-every new state itself.
+form of the scheme is never materialized.  Products do not reject infs
+or NaNs, so the time loop checks every new state itself.
 
 The forcing is sampled in blocks of half-step times, at most
 ``_BLOCK_BYTES`` of samples at a time, and the block is then stepped one
 row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
-the declaration.  A 1D inverse run that returns only its final state,
-and has steps enough to pay for the squarings, composes its blocks
-instead: with ``P = 2 (I - G)^{-1} - I`` and
-``h_n = (I - G)^{-1} tau F^{n+1/2}`` a block of ``2**L - 1`` affine steps
-``u -> P u + h_n`` is reduced pairwise, as in a parallel prefix
-(Blelloch 1990), in L matrix products with ``P, P^2, ..., P^(2^(L-1))``,
-which are formed once by squaring.  Its final state differs from the
-stepped one by round-off, and a block that could hold a non-finite state
-is stepped row by row, so errors name the same step.
+the declaration.  A 1D run with P that returns only its final state, and
+has steps enough to pay for the squarings, composes its blocks instead:
+a block of ``2**L - 1`` affine steps is reduced pairwise, as in a
+parallel prefix (Blelloch 1990), in L matrix products with
+``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
+final state differs from the stepped one by round-off, and a block that
+could hold a non-finite state is stepped row by row, so errors name the
+same step.
 """
 
 from __future__ import annotations
@@ -80,12 +76,12 @@ ADI_VARIANTS = ("peaceman_rachford", "douglas")
 # traces ``build_cn_system`` on its small 1D runs.
 _IN_PLACE_MIN_INTERIOR = 600
 
-# Forcing samples per block, in bytes.  ``_march`` holds about three blocks
-# on top of the solver's matrices: the manufactured forcings' temporaries
-# while sampling, then the samples, ``tau F`` and ``h`` on the 1D propagator
-# path.  Against this cap, 1 MiB gave the Table 2 benchmark a peak RSS of
-# 88.3-88.4 MB against 87.9 MB and wall times of 1.23-1.31 s against
-# 1.33-1.35 s (two and three runs, one BLAS thread): too few to settle.
+# Forcing samples per block, in bytes.  ``_march`` holds a few blocks on top
+# of the solver's matrices: the samples, and the manufactured forcings'
+# scratch while sampling or the rows of ``_reduce``.  Against this cap,
+# 1 MiB gave the Table 2 benchmark a peak RSS of 88.3-88.4 MB against
+# 87.9 MB and wall times of 1.23-1.31 s against 1.33-1.35 s (two and three
+# runs, one BLAS thread): too few to settle.
 _BLOCK_BYTES = 256 * 1024
 
 # Largest step count whose half-step times ``(n + 0.5) * tau`` stay distinct.
@@ -277,72 +273,79 @@ def _march(
     n_steps: int,
     tau: float,
     return_history: bool,
-    prepare: Callable[[np.ndarray], np.ndarray] | None = None,
     powers: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
-    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, g[k])``.
+    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, f[k])``.
 
     The half-step times ``t_{n+1/2}`` go to ``sample`` in blocks of at most
-    ``_BLOCK_BYTES`` of forcing, and ``g = sample(t)``, or ``prepare`` of it,
-    is then stepped one row at a time.  When ``step`` is ``u -> P u + g[k]``,
-    ``powers`` may hold ``P, P^2, ..., P^(2^(L-1))``: a run without history
-    then takes blocks of ``2**L - 1`` steps and reduces each in L products
-    (``_reduce``), and steps a block row by row from its first state only
-    when the reduction cannot vouch that every state in it is finite.  A
-    non-finite state raises ``ValueError``: naming the forcing, the step and
-    its time when that step's forcing sample is non-finite, otherwise saying
-    the state has infs or NaNs at that step.  Overflow and invalid
-    floating-point warnings are off inside the loop, since the check reports
-    their result.
+    ``_BLOCK_BYTES`` of forcing, and the block ``f = sample(t)`` is then
+    stepped one row at a time; with ``return_history`` every state is written
+    into one ``(n_steps + 1, *u0.shape)`` array, ``u0`` first.  When ``step``
+    is ``u -> P u + tau f[k]``, ``powers`` may hold ``P, P^2, ...,
+    P^(2^(L-1))``: a run without history then takes blocks of ``2**L - 1``
+    steps and reduces each in L products (``_reduce``), and steps a block
+    row by row from its first state only when the reduction cannot vouch
+    that every state in it is finite.  A non-finite state raises
+    ``ValueError``: naming the forcing, the step and its time when that
+    step's forcing sample is non-finite, otherwise saying the state has
+    infs or NaNs at that step.  Overflow and invalid floating-point
+    warnings are off inside the loop, since the check reports their result.
     """
-    u = u0.copy()
-    history = [u] if return_history else None
+    u, history = u0, None
+    if return_history:
+        history = np.empty((n_steps + 1, *u0.shape))
+        history[0] = u0
     reduce = bool(powers) and history is None
     if reduce:
         block = 2 ** len(powers) - 1
         # 2-norm bound on every P^j, j < 2**L; the Frobenius norm needs no temporary
         growth = math.prod(max(1.0, float(np.linalg.norm(q))) for q in powers)
+        rows = np.empty((2 ** len(powers), u.size))  # one buffer for every block
     else:
         block = max(1, _BLOCK_BYTES // (8 * u.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             t = (np.arange(start, min(start + block, n_steps)) + 0.5) * tau
             f = sample(t)
-            g = f if prepare is None else prepare(f)
-            if reduce and (end := _reduce(powers, growth, u, g)) is not None:
+            if reduce and (end := _reduce(powers, growth, u, tau, f, rows)) is not None:
                 u = end
             else:
-                for k in range(len(g)):
-                    u = step(u, g[k])
+                for k in range(len(f)):
+                    u = step(u, f[k])
                     if not np.isfinite(u).all():
                         culprit = "state has infs or NaNs"
                         if not np.isfinite(f[k]).all():
                             culprit = "forcing returned a non-finite value"
-                        raise ValueError(f"{culprit} at step {start + k} (t = {float(t[k])!r})")
+                        raise _non_finite(culprit, start + k, tau)
                     if history is not None:
-                        history.append(u)
-            del f, g  # free this block before sampling the next
-    return np.array(history) if history is not None else u
+                        history[start + k + 1] = u
+            del f  # free this block before sampling the next
+    return u if history is None else history
 
 
-def _reduce(
-    powers: Sequence[np.ndarray], growth: float, u: np.ndarray, g: np.ndarray
-) -> np.ndarray | None:
-    """``u`` after the steps ``u -> P u + g[k]``, or None when a state among
+def _non_finite(culprit: str, step: int, tau: float) -> ValueError:
+    """The error naming ``culprit`` at ``step`` and its half-step time."""
+    return ValueError(f"{culprit} at step {step} (t = {(step + 0.5) * tau!r})")
+
+
+def _reduce(powers: Sequence[np.ndarray], growth: float, u: np.ndarray, tau: float,
+            f: np.ndarray, rows: np.ndarray) -> np.ndarray | None:
+    """``u`` after the steps ``u -> P u + tau f[k]``, or None when a state among
     them might not be finite.
 
-    The rows ``[u, g_0, ..., g_{m-1}]``, zero-padded at the old end to
-    ``2**L`` rows, are summed pairwise as ``older @ (P^(2^l))^T + newer`` at
-    level l = 0, ..., L - 1, one product per level; the last sum is the state
-    after the m <= 2**L - 1 steps.  Every state inside the block is a sum of
-    these rows times powers ``P^j``, ``j < 2**L``, whose 2-norms are at most
+    The rows ``[u, tau f_0, ..., tau f_{m-1}]`` are written into the
+    ``2**L x n`` buffer ``rows``, zero-padded at the old end, and summed
+    pairwise as ``older @ (P^(2^l))^T + newer`` at level l = 0, ..., L - 1,
+    one product per level; the last sum is the state after the
+    m <= 2**L - 1 steps.  Every state inside the block is a sum of these
+    rows times powers ``P^j``, ``j < 2**L``, whose 2-norms are at most
     ``growth``.  So the reduction stands only when ``2**L sqrt(n) max|rows|
     growth`` stays below ``_REDUCE_LIMIT`` (which also rejects infs and
     NaNs in the rows) and the end state is finite.
     """
-    rows = np.zeros((2 ** len(powers), u.size))
-    rows[-len(g) - 1] = u
-    rows[-len(g) :] = g
+    rows[: -len(f) - 1] = 0.0
+    rows[-len(f) - 1] = u
+    np.multiply(tau, f, out=rows[-len(f) :])
     largest = np.maximum(rows.max(), -rows.min())  # NaN if any entry is
     if not largest * growth * len(rows) * math.sqrt(u.size) < _REDUCE_LIMIT:
         return None
@@ -377,12 +380,12 @@ def build_cn_system(
     ``G = tau/(2 h^alpha) (D+ A + D- A^T)``, so ``M_minus + M_plus = 2 I``
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
-    ``M_minus`` comes in Fortran order, so LAPACK can factor it in place.
+    Both come in Fortran order, so LAPACK can factor them in place.
     ``solve_1d`` calls this below ``_IN_PLACE_MIN_INTERIOR`` interior nodes
     and uses only ``M_minus``: it never applies ``M_plus``.
     """
     g = _operator_1d(problem, shifts).dense()
-    m_minus = _identity_plus(-1.0, g, np.empty_like(g, order="F"))
+    m_minus = _identity_plus(-1.0, g, np.empty_like(g))
     return m_minus, _identity_plus(1.0, g, g)
 
 
@@ -393,32 +396,34 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    The left-hand matrix is LU-factored once (it does not depend on time),
-    and each step is ``u -> solve(2 u + tau f) - u``: with the factors, or,
-    when ``n_steps >= n_interior``, as one matvec with the inverse formed
-    from them.  Without history, and with steps enough to pay for the
-    squarings (``_levels``), an inverse run instead composes blocks of
-    ``2**L - 1`` steps ``u -> P u + h_n`` in L products each (see
-    ``_march``), with ``P = 2 (I - G)^{-1} - I``, ``P^(2^l)`` formed once
-    by squaring and ``h = (tau F) @ (I - G)^{-T}`` formed per block of
-    forcing samples; only the inverse and these powers outlive the setup.
-    All of these agree to round-off.  Below ``_IN_PLACE_MIN_INTERIOR``
-    (600) interior nodes ``I - G`` comes from ``build_cn_system``, from it
-    on it is written alone, in place (see the module docstring); it has the
-    same entries either way.  The forcing is sampled at the half steps
-    ``t_{n+1/2}``, a block of steps per call when it declares
-    ``broadcasts_over_t``; a non-finite sample raises ``ValueError`` naming
-    the step and its time, and any other non-finite state one saying it has
-    infs or NaNs.  With ``return_history=True`` the full
-    ``(n_steps+1, n)`` trajectory is returned instead of the final slice.
+    ``I - G`` is LU-factored once.  With fewer steps than unknowns each step
+    is ``u -> solve(2 u + tau f) - u`` with the factors; from
+    ``n_steps >= n_interior`` on every run, with or without history, marches
+    ``w = (I - G) u`` (see the module docstring): ``w0`` is one matvec
+    before the factorization, each step ``w -> P w + tau f``, and
+    ``u = (I - G)^{-1} w`` one matvec at the end, or one product over the
+    history, whose first row is ``u0`` itself.  Without history, and with
+    steps enough to pay for the squarings (``_levels``), blocks of those
+    steps are composed in L products each (see ``_march``); only the inverse
+    and the powers of P outlive the setup, and P goes before the conversion.
+    All of these agree to round-off.  Below ``_IN_PLACE_MIN_INTERIOR`` (600)
+    interior nodes ``I - G`` comes from ``build_cn_system``, from it on it
+    is written alone, in place, with the same entries.  The forcing is
+    sampled at the half steps ``t_{n+1/2}``; a non-finite sample raises
+    ``ValueError`` naming the step and its time, and any other non-finite
+    state (``w`` or the ``u`` recovered from it) one saying it has infs or
+    NaNs.  With ``return_history=True`` the full ``(n_steps+1, n)``
+    trajectory is returned instead of the final slice.
     """
     n = problem.grid.n_interior
     tau = problem.tau
     if n < _IN_PLACE_MIN_INTERIOR:
         m_minus = build_cn_system(problem, shifts)[0]
-    else:  # the rows of I - G^T are I - G in Fortran order
-        m_minus = _operator_1d(problem, shifts).dense(transposed=True)
-        m_minus = _identity_plus(-1.0, m_minus, m_minus).T
+    else:
+        m_minus = _operator_1d(problem, shifts).dense()
+        m_minus = _identity_plus(-1.0, m_minus, m_minus)
+    march = (_sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,)),
+             problem.n_steps, tau, return_history)
     # Inverse from n_steps >= n.  Break-even against LU solves, one BLAS
     # thread on a 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three
     # runs: stepping with the inverse at 17-36 steps for n = 119, 178-877
@@ -429,27 +434,29 @@ def solve_1d(
     # hence the spread; no workload runs between n/4 and n steps.
     if problem.n_steps < n:
         lu = lu_factor(m_minus, overwrite_a=True)
-        solve = lambda b: lu_solve(lu, b, check_finite=False)
-    else:
+        # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
+        step = lambda u, f: lu_solve(lu, 2.0 * u + tau * f, check_finite=False) - u
+        return _march(step, problem.u0, *march)
+    # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report non-finite states
+        w = m_minus @ problem.u0
         inv = _inverse(m_minus)
-        solve = inv.__matmul__
-    del m_minus  # factored in place
-    # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
-    step = lambda u, f: solve(2.0 * u + tau * f) - u
-    prepare, powers = None, []
-    levels = 0 if return_history or problem.n_steps < n else _levels(n, problem.n_steps)
-    if levels:
-        p = _cayley(inv)  # P = (I - G)^{-1} (I + G)
-        step = lambda u, h: p @ u + h
-        # tau scales F before the product, so an overflowing tau F gives a non-finite state
-        prepare = lambda f: (tau * f) @ inv.T
+        del m_minus  # factored in place
+        p = _cayley(inv)
         powers = [p]
+        levels = 0 if return_history else _levels(n, problem.n_steps)
         while len(powers) < levels:
             powers.append(powers[-1] @ powers[-1])
-    sample = _sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,))
-    return _march(
-        step, problem.u0, sample, problem.n_steps, tau, return_history, prepare, powers
-    )
+        w = _march(lambda w, f: p @ w + tau * f, w, *march, powers[:levels])
+        del p, powers  # before the conversion
+        u = w @ inv.T
+    if return_history:
+        u[0] = problem.u0
+    finite = np.isfinite(u).reshape(-1, n).all(axis=1)
+    if not finite.all():
+        step = problem.n_steps - len(finite) + int(np.argmin(finite))
+        raise _non_finite("state has infs or NaNs", step, tau)
+    return u
 
 
 def build_adi_factors(
@@ -524,7 +531,7 @@ def solve_2d(
     if variant not in ADI_VARIANTS:
         raise ValueError(f"variant must be one of {ADI_VARIANTS}, got {variant!r}")
     kx, ky = build_adi_factors(problem, shifts_x, shifts_y)
-    minus_x, minus_y = (_identity_plus(-1.0, k, np.empty_like(k, order="F")) for k in (kx, ky))
+    minus_x, minus_y = (_identity_plus(-1.0, k, k) for k in (kx, ky))
     bx = _cayley(_inverse(minus_x))
     iy = _inverse(minus_y).T
     cy = _cayley(iy)

@@ -242,13 +242,12 @@ def test_block_reduction_matches_stepping_any_count(shifts, alpha, n, levels, fu
     while len(powers) < levels:
         powers.append(powers[-1] @ powers[-1])
     march = (
-        lambda u, h: prop @ u + h,
+        lambda u, f: prop @ u + p.tau * f,
         p.u0,
         lambda t: p.forcing(p.grid.interior_nodes(), t[:, None]),
         n_steps,
         p.tau,
         False,
-        lambda f: (p.tau * f) @ inv.T,
     )
     results = []
     for kwargs in ({}, {"powers": powers}):

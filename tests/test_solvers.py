@@ -291,8 +291,8 @@ class TestProblemValidation:
 
 class TestCrankNicolsonSystem:
     def test_row_blocked_pair_matrix_matches_one_shot_sum(self, dense_left):
-        # below, at and past a multiple of the block, in both layouts: the
-        # same bits as the one-shot sum over the dense Toeplitz oracle
+        # below, at and past a multiple of the block: G in Fortran order with
+        # the same bits as the one-shot sum over the dense Toeplitz oracle
         block = operators._ROW_BLOCK
         for n_interior in (block - 7, block, 3 * block + 5):
             p = make_problem_1d(n_cells=n_interior + 1)
@@ -301,10 +301,8 @@ class TestCrankNicolsonSystem:
             ref *= p.tau / (2.0 * p.grid.h**p.alpha)
             op = _TwoSided.on(p.alpha, DEFAULT_TUPLE, p.grid, p.d_plus, p.d_minus, p.tau)
             g = op.dense()
-            gt = op.dense(transposed=True)
-            assert g.flags.c_contiguous and gt.flags.c_contiguous
-            for got in (g, gt.T):
-                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+            assert g.flags.f_contiguous
+            np.testing.assert_array_equal(g.view(np.int64), ref.view(np.int64))
 
     def test_zero_tau_gives_identity(self):
         p = make_problem_1d(tau=0.0, n_steps=1)
@@ -366,6 +364,15 @@ class TestSolve1D:
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
+    def test_large_grid_history_holds_three_dense_matrices(self):
+        # the history is written into one preallocated array and P is freed
+        # before the conversion u = w @ inv^T, so the inverse and the w and u
+        # histories are the three matrices left (measured 3.13 x 8n^2; a list
+        # stacked by np.array, or P kept alive, makes it 4)
+        p = make_problem_1d(n_cells=800, n_steps=799)
+        n = p.grid.n_interior
+        assert traced_peak(lambda: solve_1d(p, return_history=True)) < 3.25 * 8 * n * n
+
     @pytest.mark.parametrize(
         "n_cells,n_steps,levels,bound",
         [(600, 600, 0, 2.5), (600, 1200, 5, 6.5), (800, 1600, 5, 6.5)],
@@ -422,6 +429,33 @@ class TestSolve1D:
                 block = 2 ** solvers._levels(p.u0.size, p.n_steps) - 1
                 assert block == 127
             assert len(calls) == math.ceil(p.n_steps / block) <= p.n_steps / 50
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda: manufactured_1d(1.9).problem(40, 20), id="1d-lu"),
+     pytest.param(lambda: manufactured_1d(1.9).problem(40, 100), id="1d-inverse"),
+     pytest.param(lambda: manufactured_2d(1.3, 1.7).problem(12, n_steps=5), id="2d")],
+)
+def test_history_starts_at_u0_bit_for_bit(make):
+    # the 1D inverse path marches w = (I - G) u; its first row must not be
+    # u0 taken through (I - G) and back, which rounds
+    p = make()
+    history = solve(p, return_history=True)
+    np.testing.assert_array_equal(history[0].view(np.int64), p.u0.view(np.int64))
+
+
+@pytest.mark.parametrize("n_steps,levels", [(600, 0), (1200, 5)], ids=["stepped", "reduced"])
+def test_large_tau_inverse_paths_match_lu_oracle(n_steps, levels):
+    # tau = 1e-2 at n = 600 and alpha = 1.9, where cond(I - G) is 4.1e4 and
+    # the final u = (I - G)^-1 w may amplify the round-off of w by up to that;
+    # measured 2.7e-13 of max|u| on both paths (6.6e-13 and 3.6e-13 when the
+    # march stepped u itself)
+    p = dataclasses.replace(manufactured_1d(1.9).problem(601, n_steps), t_final=1e-2 * n_steps)
+    n = p.grid.n_interior
+    assert n >= solvers._IN_PLACE_MIN_INTERIOR and solvers._levels(n, n_steps) == levels
+    ref = lu_stepped_1d(p)[-1]
+    assert np.max(np.abs(solve_1d(p) - ref)) <= 5e-12 * np.max(np.abs(ref))
 
 
 class TestUnconditionalStability:

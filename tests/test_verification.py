@@ -285,6 +285,26 @@ class TestForcingMechanism:
         assert block.shape == (5, 79, 79)
         assert peak <= 1.25 * block.nbytes + 2 * np.getbufsize() * 8
 
+    def test_1d_column_of_times_allocates_one_block(self):
+        # 255 times at 119 nodes, the reduced solver's block at h = 1/60: the
+        # result plus a scratch of an eighth of its rows, numpy's two
+        # iterator buffers and a few time columns, where the one-shot
+        # expression took three block-sized arrays (measured 1.55 and 3.00
+        # blocks)
+        case = fresh_case(1)
+        s = np.linspace(0.0, 2.0, 121)[1:-1]
+        t = ((np.arange(255) + 0.5) / 3600.0)[:, None]
+        case.forcing(s, t)  # the spatial parts, cached per grid as in a solve
+        tracemalloc.start()
+        try:
+            block = case.forcing(s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (255, 119)
+        extra = block.nbytes / 8 + 2 * np.getbufsize() * 8 + 4 * t.nbytes
+        assert peak <= block.nbytes + extra
+
     def test_solve_1d_bit_identical_to_uncached(self):
         case = manufactured_1d(1.7)
         problem = case.problem(24, n_steps=40)
