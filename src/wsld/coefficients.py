@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "DegenerateTupleError",
@@ -120,6 +121,9 @@ class ShiftTuple:
 
 DEFAULT_TUPLE = ShiftTuple((1, 2, 1, 0, 1, 2, 1, -2))
 
+# Largest number of convolution terms lubich_coeffs forms at once (8 MiB).
+_TERMS_PER_CHUNK = 1 << 20
+
 
 def grunwald_coeffs(alpha: float, k_max: int) -> np.ndarray:
     """Coefficients ``g_k`` of the power series of (1-z)**alpha.
@@ -151,7 +155,10 @@ def lubich_coeffs(alpha: float, k_max: int) -> np.ndarray:
     convolution of the Gruenwald sequence with its 3**(-m)-damped copy.  The
     damping factor 3**(-m) falls below double-precision resolution near
     m = 33, so the convolution is truncated at m = min(k_max, 60), past that
-    point with margin, and the total cost is O(k_max).
+    point with margin, and the total cost is O(k_max).  The terms
+    ``3**(-m) g_m g_{k-m}`` are formed for a chunk of k at once and summed
+    in ascending m, the order of the term-by-term loop, so the result does
+    not depend on the chunking.
 
     The sequence starts at ``q_0 = (3/2)**alpha`` and sums to zero over
     k = 0..infinity; partial sums decay like ``k_max**(-alpha)``.
@@ -160,9 +167,23 @@ def lubich_coeffs(alpha: float, k_max: int) -> np.ndarray:
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     g = grunwald_coeffs(alpha, k_max)
-    q = np.zeros(k_max + 1)
-    for m in range(min(k_max, 60) + 1):
-        q[m:] += (3.0**-m) * g[m] * g[: k_max + 1 - m]
+    taps = min(k_max, 60) + 1
+    damped = np.array([3.0**-m for m in range(taps)]) * g[:taps]
+    n = k_max + 1
+    # shifted[m, k] = g_{k-m}, with zeros for k < m
+    shifted = sliding_window_view(np.concatenate((np.zeros(taps - 1), g)), n)[::-1]
+    # Columns in chunks of at most _TERMS_PER_CHUNK terms, so the product
+    # stays small at any k_max, and of near-equal widths, so no chunk is
+    # left with a single column, whose sum numpy would reorder.
+    chunks = -(-n * taps // _TERMS_PER_CHUNK)
+    terms = np.empty((taps, -(-n // chunks)))
+    q = np.empty(n)
+    for i in range(chunks):
+        lo, hi = i * n // chunks, (i + 1) * n // chunks
+        out = terms[:, : hi - lo]
+        np.multiply(damped[:, None], shifted[:, lo:hi], out=out)
+        # the rows of a C-order array are added one after another, m ascending
+        np.add.reduce(out, axis=0, out=q[lo:hi])
     q *= 1.5**alpha
     return q
 

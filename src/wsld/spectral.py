@@ -10,10 +10,12 @@ negative real part.  Two complementary checks are combined:
   which bounds all real parts of eigenvalues of A from above.  For a
   Toeplitz A, H is symmetric Toeplitz and so centrosymmetric; its spectrum
   is then that of two half-size symmetric blocks together (Cantoni &
-  Butler, Linear Algebra Appl. 13 (1976) 275-288).  The even block is
-  solved, and the odd block is only screened by a Cholesky factorization
-  of ``top * I - odd``; it is solved too only when that fails.  Other
-  matrices get one dense solve.
+  Butler, Linear Algebra Appl. 13 (1976) 275-288), Toeplitz plus and minus
+  Hankel in ``t_k = (a_k0 + a_0k)/2``, which are built from those O(n)
+  numbers without forming H.  The even block is solved, and the odd block
+  is only screened by a Cholesky factorization of ``top * I - odd``; it is
+  solved too only when that fails.  Other matrices form H and get the same
+  split when it is centrosymmetric, one dense solve otherwise.
 
 Both checks are numerical evidence on grids, not symbolic proofs, and the
 report never claims more.
@@ -26,6 +28,7 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpotrf
 
@@ -96,8 +99,11 @@ def generating_function(
     prefactor = (2.0 * s) ** alpha * (1.0 + 3.0 * s * s) ** (alpha / 2)
     phase = alpha * (x - np.pi / 2 - quadratic_symbol_phase(x))
     total = np.zeros_like(x)
+    waves = {}  # one cosine per distinct shift; branches often repeat one
     for w, t in branch_weights(alpha, st):
-        total += w * np.cos(phase - t * x)
+        if t not in waves:
+            waves[t] = np.cos(phase - t * x)
+        total += w * waves[t]
     out = prefactor * total
     return out if out.ndim else float(out)
 
@@ -184,25 +190,50 @@ def scan_nonpositivity(
     )
 
 
-def _centrosymmetric_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The half-size blocks whose spectra together make up that of ``h``.
+def _half_blocks(
+    h11: np.ndarray, flipped: np.ndarray, border: np.ndarray, middle: float | None
+) -> tuple[np.ndarray, ...]:
+    """The half-size blocks whose spectra together make up that of H.
 
-    ``h`` must be symmetric and centrosymmetric (``J h J = h``).  With
-    ``k = n // 2`` and ``F = H12 J``, the vectors ``[x; Jx]`` span an
-    invariant subspace on which ``h`` acts as ``H11 + F`` and ``[x; -Jx]``
-    one on which it acts as ``H11 - F``.  For odd n the even block is
-    bordered by the middle row and column, the border scaled by sqrt(2),
-    and the odd block is empty when n = 1.
+    H is symmetric and centrosymmetric (``J H J = H``) of order n, and the
+    arguments are its parts, with ``k = n // 2``: ``h11 = H[:k, :k]``,
+    ``flipped = H12 J`` (``H[i, n-1-j]``), ``border = H[:k, k]`` and
+    ``middle = H[k, k]``, the last two for odd n only (``middle`` is None
+    for even n).  The vectors ``[x; Jx]`` span an invariant subspace on
+    which H acts as ``h11 + flipped`` and ``[x; -Jx]`` one on which it
+    acts as ``h11 - flipped``.  For odd n the even block is bordered by the
+    middle row and column, the border scaled by sqrt(2), and the odd block
+    is empty when n = 1.
     """
+    even = h11 + flipped
+    odd = h11 - flipped
+    if middle is not None:
+        border = np.sqrt(2.0) * border[:, None]
+        even = np.block([[even, border], [border.T, np.full((1, 1), middle)]])
+    return (even, odd) if len(odd) else (even,)
+
+
+def _centrosymmetric_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_half_blocks` read off a dense symmetric centrosymmetric ``h``."""
     n = len(h)
     k = n // 2
-    flipped = h[:k, n - k :][:, ::-1]
-    even = h[:k, :k] + flipped
-    odd = h[:k, :k] - flipped
-    if n % 2:
-        border = np.sqrt(2.0) * h[:k, k : k + 1]
-        even = np.block([[even, border], [border.T, h[k : k + 1, k : k + 1]]])
-    return (even, odd) if k else (even,)
+    middle = h[k, k] if n % 2 else None
+    return _half_blocks(h[:k, :k], h[:k, n - k :][:, ::-1], h[:k, k], middle)
+
+
+def _toeplitz_blocks(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`_half_blocks` of the symmetric Toeplitz ``H_ij = t_|i-j|``, n >= 2.
+
+    ``H11`` is the Toeplitz ``T_ij = t_|i-j|`` and ``H12 J`` the Hankel
+    ``K_ij = t_(n-1-i-j)``, both strided views of O(n) data, so H itself is
+    never formed.
+    """
+    n = len(t)
+    k = n // 2
+    toeplitz = sliding_window_view(np.concatenate((t[k - 1 : 0 : -1], t[:k])), k)[::-1]
+    hankel = sliding_window_view(t[::-1], k)[:k]
+    middle = t[0] if n % 2 else None
+    return _half_blocks(toeplitz, hankel, t[k:0:-1], middle)
 
 
 def _top_eigenvalue(h: np.ndarray) -> float:
@@ -230,34 +261,48 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
 
     Upper bound for the real part of every eigenvalue of A; computed with a
     dense symmetric eigensolver asked for one eigenvalue only.  When H is
-    centrosymmetric, which holds exactly for every Toeplitz A (the sum
-    ``a_{i-j} + a_{j-i}`` is the same float either way round), its spectrum
-    is the union of those of two half-size symmetric blocks (Cantoni &
-    Butler, Linear Algebra Appl. 13 (1976) 275-288).  The even block (with
-    the middle node for odd n) is solved, giving ``top``, and the odd block
-    is screened: when ``top * I - odd`` has a Cholesky factor, every odd
-    eigenvalue lies below ``top`` and ``top`` is returned.  Otherwise the
-    odd block is solved as well and the larger top eigenvalue returned.  An
-    exact tie fails the screen, so it is solved; a screen that passes
-    bounds the odd top by ``top`` up to the round-off of the factorization,
-    which is of the order of the eigensolver's own error.  The WSLD
-    operators have their top eigenvalue in the even block, so they take one
-    half-size solve and one factorization.  Any other square matrix gets
-    one dense n x n solve.  A 0 x 0, non-square or non-finite matrix raises ``ValueError``
-    before any solve.
+    centrosymmetric, its spectrum is the union of those of two half-size
+    symmetric blocks (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
+    275-288).  The even block (with the middle node for odd n) is solved,
+    giving ``top``, and the odd block is screened: when ``top * I - odd``
+    has a Cholesky factor, every odd eigenvalue lies below ``top`` and
+    ``top`` is returned.  Otherwise the odd block is solved as well and the
+    larger top eigenvalue returned.  An exact tie fails the screen, so it
+    is solved; a screen that passes bounds the odd top by ``top`` up to the
+    round-off of the factorization, which is of the order of the
+    eigensolver's own error.  The WSLD operators have their top eigenvalue
+    in the even block, so they take one half-size solve and one
+    factorization.
+
+    A Toeplitz A, found by comparing ``a[1:, 1:]`` with ``a[:-1, :-1]``
+    (so a NaN never matches), needs no n x n work: its first column and
+    row give ``t_k = (a_k0 + a_0k)/2``, the same floats as the entries of
+    H, and the blocks are the Toeplitz ``t_|i-j|`` plus and minus the
+    Hankel ``t_(n-1-i-j)``, formed from views of t.  A 1 x 1 matrix takes
+    the dense route.  Any other matrix forms H and is split when H is
+    centrosymmetric, else gets one dense n x n solve.  A 0 x 0, non-square
+    or non-finite matrix raises ``ValueError`` before any solve.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("need a square matrix")
     if a.size == 0:
         raise ValueError("need a nonempty matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix must be finite")
-    h = a + a.T
-    h *= 0.5
-    if not np.array_equal(h, h[::-1, ::-1]):
-        return _top_eigenvalue(h)
-    even, *odd = _centrosymmetric_blocks(h)
+    if len(a) > 1 and np.array_equal(a[1:, 1:], a[:-1, :-1]):
+        # Toeplitz: every entry sits in the first column or row
+        if not (np.isfinite(a[:, 0]).all() and np.isfinite(a[0]).all()):
+            raise ValueError("matrix must be finite")
+        t = a[:, 0] + a[0, :]
+        t *= 0.5
+        even, *odd = _toeplitz_blocks(t)
+    else:
+        if not np.isfinite(a).all():
+            raise ValueError("matrix must be finite")
+        h = a + a.T
+        h *= 0.5
+        if not np.array_equal(h, h[::-1, ::-1]):
+            return _top_eigenvalue(h)
+        even, *odd = _centrosymmetric_blocks(h)
     top = _top_eigenvalue(even)
     if odd and not _below(odd[0], top):
         top = max(top, _top_eigenvalue(odd[0]))

@@ -244,3 +244,31 @@ class TestStencil:
         assert table.max_shift == 2
         with pytest.raises(ValueError):
             table.phi[0] = 0.0
+
+
+def lubich_by_loop(alpha, k_max):
+    """lubich_coeffs as one pass per m, as it was first written: the oracle
+    for the chunked product."""
+    g = grunwald_coeffs(alpha, k_max)
+    q = np.zeros(k_max + 1)
+    for m in range(min(k_max, 60) + 1):
+        q[m:] += (3.0**-m) * g[m] * g[: k_max + 1 - m]
+    q *= 1.5**alpha
+    return q
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestLubichChunkedProduct:
+    @pytest.mark.parametrize("k_max", [0, 1, 5, 59, 60, 61, 100, 402, 3001])
+    def test_bit_identical_to_loop(self, k_max):
+        for alpha in np.linspace(1.01, 1.99, 99):
+            assert same_bits(lubich_coeffs(alpha, k_max), lubich_by_loop(alpha, k_max))
+
+    # 17189 columns of 61 terms fill one chunk; 17190 take two
+    @pytest.mark.parametrize("k_max", [17188, 17189, 100_000])
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_bit_identical_to_loop_across_chunks(self, k_max, alpha):
+        assert same_bits(lubich_coeffs(alpha, k_max), lubich_by_loop(alpha, k_max))

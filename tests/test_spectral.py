@@ -1,13 +1,20 @@
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh
+from scipy.linalg import eigh, toeplitz
 
 import wsld.spectral as spectral
-from wsld.coefficients import DEFAULT_TUPLE, DegenerateTupleError, ShiftTuple, weights_order3
+from wsld.coefficients import (
+    DEFAULT_TUPLE,
+    DegenerateTupleError,
+    ShiftTuple,
+    branch_weights,
+    weights_order3,
+)
 from wsld.operators import Grid1D, assemble_left
 from wsld.spectral import (
     CERTIFIED_TUPLES,
@@ -340,3 +347,132 @@ class TestCertify:
                 lambda_max_sym=-1.0,
                 verdict="certified_negative",
             )
+
+
+def symbol_by_branch(shifts, alpha, x):
+    """generating_function with one cosine per branch, as it was first
+    written: the oracle for the shared cosines."""
+    s = np.sin(x / 2)
+    prefactor = (2.0 * s) ** alpha * (1.0 + 3.0 * s * s) ** (alpha / 2)
+    phase = alpha * (x - np.pi / 2 - quadratic_symbol_phase(x))
+    total = np.zeros_like(x)
+    for w, t in branch_weights(alpha, shifts):
+        total += w * np.cos(phase - t * x)
+    return prefactor * total
+
+
+class TestSharedCosines:
+    @pytest.mark.parametrize(
+        "shifts", list(CERTIFIED_TUPLES) + [(0,), (1, 2), (1, 2, 1, 0)], ids=str
+    )
+    def test_bit_identical_to_one_cosine_per_branch(self, shifts):
+        x = np.linspace(0.0, np.pi, 2001)
+        for alpha in np.round(np.arange(1.05, 1.951, 0.05), 2):
+            if ShiftTuple.of(shifts) == CERTIFIED_TUPLES[3] and alpha == 1.5:
+                continue  # degenerate weights; certify raises there
+            got = generating_function(shifts, alpha, x)
+            want = symbol_by_branch(shifts, alpha, x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def dense_split_bound(a):
+    """max_real_part_bound by its dense centrosymmetric route: H formed in
+    full and both blocks sliced from it."""
+    h = a + a.T
+    h *= 0.5
+    n = len(h)
+    k = n // 2
+    flipped = h[:k, n - k :][:, ::-1]
+    even = h[:k, :k] + flipped
+    odd = h[:k, :k] - flipped
+    if n % 2:
+        border = np.sqrt(2.0) * h[:k, k : k + 1]
+        even = np.block([[even, border], [border.T, h[k : k + 1, k : k + 1]]])
+    top = spectral._top_eigenvalue(even)
+    if k and not spectral._below(odd, top):
+        top = max(top, spectral._top_eigenvalue(odd))
+    return top
+
+
+@contextmanager
+def block_routes():
+    """Count the calls of the O(n) and of the dense block builder."""
+    calls = {"toeplitz": 0, "dense": 0}
+    toeplitz_blocks = spectral._toeplitz_blocks
+    dense_blocks = spectral._centrosymmetric_blocks
+
+    def count(route, builder):
+        def spy(*args):
+            calls[route] += 1
+            return builder(*args)
+
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_toeplitz_blocks", count("toeplitz", toeplitz_blocks))
+        mp.setattr(spectral, "_centrosymmetric_blocks", count("dense", dense_blocks))
+        yield calls
+
+
+finite_entries = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestToeplitzRoute:
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 60), data=st.data())
+    def test_matches_dense_split_bit_for_bit(self, n, data):
+        c = np.array(data.draw(st.lists(finite_entries, min_size=n, max_size=n)))
+        r = np.array(data.draw(st.lists(finite_entries, min_size=n, max_size=n)))
+        a = toeplitz(c, r)
+        want = dense_split_bound(a)
+        with eigvalsh_sizes() as sizes, block_routes() as calls:
+            got = max_real_part_bound(a)
+        assert got == want
+        assert sizes in (expected_block_sizes(n, False), expected_block_sizes(n, True))
+        # a 1 x 1 matrix is its own even block, on the dense route
+        assert calls == ({"toeplitz": 1, "dense": 0} if n > 1 else {"toeplitz": 0, "dense": 1})
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("diagonal", [0, 3, -2])
+    def test_infinite_diagonal_rejected_before_any_solve(self, bad, diagonal):
+        c, r = np.arange(1.0, 7.0), -np.arange(1.0, 7.0)
+        (c if diagonal < 0 else r)[abs(diagonal)] = bad
+        c[0] = r[0]
+        a = toeplitz(c, r)
+        with eigvalsh_sizes() as sizes, block_routes() as calls:
+            with pytest.raises(ValueError, match="^matrix must be finite$"):
+                max_real_part_bound(a)
+        assert sizes == [] and calls == {"toeplitz": 0, "dense": 0}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_overflowing_symmetric_part_raises_value_error(self, n):
+        # a_01 + a_10 overflows to inf, as it did when H was formed in full
+        c = np.zeros(n)
+        r = np.zeros(n)
+        c[1] = r[1] = 1.7e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            max_real_part_bound(toeplitz(c, r))
+
+    @pytest.mark.parametrize("n", [400, 401, 2000])
+    def test_peak_memory_below_one_n_by_n_array(self, n):
+        # H in full would be 8 n^2 bytes on its own; the blocks are a quarter
+        op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, n + 1))
+        max_real_part_bound(op[:16, :16])  # warm the lazy imports
+        tracemalloc.start()
+        try:
+            max_real_part_bound(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 8 * n * n
+
+    @pytest.mark.parametrize("shifts", CERTIFIED_TUPLES, ids=str)
+    def test_certify_takes_the_toeplitz_route(self, shifts):
+        with block_routes() as calls:
+            certify(shifts, alphas=[1.1, 1.9], n_interior=32)
+        assert calls == {"toeplitz": 2, "dense": 0}
+
+    def test_certify_defaults_take_the_toeplitz_route(self):
+        with block_routes() as calls:
+            certify(DEFAULT_TUPLE)
+        assert calls == {"toeplitz": 3, "dense": 0}
