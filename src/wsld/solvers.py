@@ -18,12 +18,13 @@ Any other marches ``w = (I - G) U``, for which the same equation is
     w^{n+1} = P w^n + tau F^{n+1/2},   P = (I + G) (I - G)^{-1} = 2 (I - G)^{-1} - I,
 
 one matvec per step with the Cayley transform P, formed from the inverse
-in O(n^2); ``U = (I - G)^{-1} w`` is recovered once at the end, or once
-over the whole history.  2D adds the y-direction analog, one operator per
-axis, and factors the implicit operator into two one-dimensional ones;
-the Peaceman-Rachford and Douglas sweeps of that factored equation are
-one propagator, ``u -> Bx (u Cy + g) + g``, three products per step with
-matrices read off the two explicit inverses.  Interior unknowns are
+in O(n^2) and in its place; ``U = (I - G)^{-1} w`` is recovered once at
+the end, or over the whole history in row blocks, with the inverse
+restored from P bit for bit.  2D adds the y-direction analog, one
+operator per axis, and factors the implicit operator into two
+one-dimensional ones; the Peaceman-Rachford and Douglas sweeps of that
+factored equation are one propagator, ``u -> Bx (u Cy + g) + g``, three
+products per step with matrices read off the two explicit inverses.  Interior unknowns are
 stored as arrays ``u[i, j] = u(x_i, y_j)``; the x-operator acts as
 ``kx @ u`` and the y-operator as ``u @ ky.T``, and the Kronecker-product
 form of the scheme is never materialized.  Products do not reject infs
@@ -223,10 +224,11 @@ def _identity_plus(sign: float, g: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cayley(inv: np.ndarray) -> np.ndarray:
-    """``2 inv - I``.  For ``inv = (I - K)^{-1}`` that is ``(I - K)^{-1} (I + K)``, which
-    equals ``(I + K) (I - K)^{-1}``, formed in O(n^2) without applying ``I + K``."""
-    out = 2.0 * inv
+def _cayley(inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``2 inv - I``, into ``out`` if given (which may be ``inv``).  For
+    ``inv = (I - K)^{-1}`` that is ``(I - K)^{-1} (I + K)``, which equals
+    ``(I + K) (I - K)^{-1}``, formed in O(n^2) without applying ``I + K``."""
+    out = np.multiply(2.0, inv, out=out)
     out.flat[:: len(out) + 1] -= 1.0
     return out
 
@@ -401,14 +403,19 @@ def solve_1d(
     ``n_steps >= n_interior`` on every run, with or without history, marches
     ``w = (I - G) u`` (see the module docstring): ``w0`` is one matvec
     before the factorization, each step ``w -> P w + tau f``, and
-    ``u = (I - G)^{-1} w`` one matvec at the end, or one product over the
-    history, whose first row is ``u0`` itself.  Without history, and with
-    steps enough to pay for the squarings (``_levels``), blocks of those
-    steps are composed in L products each (see ``_march``); only the inverse
-    and the powers of P outlive the setup, and P goes before the conversion.
-    All of these agree to round-off.  Below ``_IN_PLACE_MIN_INTERIOR`` (600)
-    interior nodes ``I - G`` comes from ``build_cn_system``, from it on it
-    is written alone, in place, with the same entries.  The forcing is
+    ``u = (I - G)^{-1} w`` one matvec at the end, or products over row
+    blocks of at most ``_BLOCK_BYTES`` of the history, written back into
+    it, whose first row is ``u0`` itself.  P is formed in place of the
+    inverse and halved back into it after the march, with the inverse's
+    diagonal saved aside, so the conversion uses the inverse bit for bit
+    and a history run holds two n x n arrays: P and the history.  Without
+    history, and with steps enough to pay for the squarings (``_levels``),
+    blocks of those steps are composed in L products each (see
+    ``_march``); only P and its powers outlive the setup, and the powers go
+    before the conversion.  All of these agree to round-off.  Below
+    ``_IN_PLACE_MIN_INTERIOR`` (600) interior nodes ``I - G`` comes from
+    ``build_cn_system``, from it on it is written alone, in place, with the
+    same entries.  The forcing is
     sampled at the half steps ``t_{n+1/2}``; a non-finite sample raises
     ``ValueError`` naming the step and its time, and any other non-finite
     state (``w`` or the ``u`` recovered from it) one saying it has infs or
@@ -442,16 +449,24 @@ def solve_1d(
         w = m_minus @ problem.u0
         inv = _inverse(m_minus)
         del m_minus  # factored in place
-        p = _cayley(inv)
+        diagonal = inv.diagonal().copy()
+        p = _cayley(inv, out=inv)  # P overwrites the inverse for the march
         powers = [p]
         levels = 0 if return_history else _levels(n, problem.n_steps)
         while len(powers) < levels:
             powers.append(powers[-1] @ powers[-1])
         w = _march(lambda w, f: p @ w + tau * f, w, *march, powers[:levels])
-        del p, powers  # before the conversion
-        u = w @ inv.T
-    if return_history:
-        u[0] = problem.u0
+        del powers  # before the conversion
+        # the inverse again, bit for bit: 0.5 (2 x) is x, and the diagonal is restored
+        inv = np.multiply(0.5, p, out=p)
+        inv.flat[:: n + 1] = diagonal
+        if not return_history:
+            u = w @ inv.T
+        else:  # in row blocks of at most _BLOCK_BYTES, written back into w
+            u, rows = w, max(1, _BLOCK_BYTES // (8 * n))
+            for start in range(0, len(u), rows):
+                u[start : start + rows] = u[start : start + rows] @ inv.T
+            u[0] = problem.u0
     finite = np.isfinite(u).reshape(-1, n).all(axis=1)
     if not finite.all():
         step = problem.n_steps - len(finite) + int(np.argmin(finite))

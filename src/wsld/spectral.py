@@ -64,6 +64,21 @@ CERTIFIED_TUPLES = (
 )
 
 
+def _half_angle(x: float | np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x`` as a float array, ``sin(x/2)`` and ``1 + 3 sin(x/2)**2``; an ``x``
+    outside [0, pi] raises ``ValueError`` naming it ``name``."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > np.pi):
+        raise ValueError(f"{name} must lie in [0, pi]")
+    s = np.sin(x / 2)
+    return x, s, 1.0 + 3.0 * s * s
+
+
+def _theta(x: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``quadratic_symbol_phase`` from the output of ``_half_angle``."""
+    return 2.0 * np.arctan(2.0 * s / (np.cos(x / 2) + np.sqrt(q)))
+
+
 def quadratic_symbol_phase(x: float | np.ndarray) -> float | np.ndarray:
     """Phase angle of the quadratic factor (3 - exp(ix))/2 of the symbol.
 
@@ -71,11 +86,7 @@ def quadratic_symbol_phase(x: float | np.ndarray) -> float | np.ndarray:
     and runs monotonically from 0 at x = 0 to pi/2 at x = pi.  Defined on
     [0, pi] only.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > np.pi):
-        raise ValueError("argument must lie in [0, pi]")
-    s = np.sin(x / 2)
-    out = 2.0 * np.arctan(2.0 * s / (np.cos(x / 2) + np.sqrt(1.0 + 3.0 * s * s)))
+    out = _theta(*_half_angle(x, "argument"))
     return out if out.ndim else float(out)
 
 
@@ -88,16 +99,14 @@ def generating_function(
     ``(2 sin(x/2))**alpha (1 + 3 sin(x/2)**2)**(alpha/2) cos(phase - t*x)``
     with ``phase = alpha*(x - pi/2 - theta(x))``; the weighted branch sum
     extends the closed form to every shift tuple.  Evaluated on [0, pi]; the
-    function is even and 2*pi-periodic.
+    function is even and 2*pi-periodic.  ``sin(x/2)``, ``1 + 3 sin(x/2)**2``
+    and the range check are computed once, for the prefactor and theta.
     """
     alpha = validate_order(alpha)
     st = ShiftTuple.of(shifts)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > np.pi):
-        raise ValueError("x must lie in [0, pi]")
-    s = np.sin(x / 2)
-    prefactor = (2.0 * s) ** alpha * (1.0 + 3.0 * s * s) ** (alpha / 2)
-    phase = alpha * (x - np.pi / 2 - quadratic_symbol_phase(x))
+    x, s, q = _half_angle(x, "x")
+    prefactor = (2.0 * s) ** alpha * q ** (alpha / 2)
+    phase = alpha * (x - np.pi / 2 - _theta(x, s, q))
     total = np.zeros_like(x)
     waves = {}  # one cosine per distinct shift; branches often repeat one
     for w, t in branch_weights(alpha, st):

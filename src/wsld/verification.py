@@ -6,6 +6,12 @@ The benchmark exact solution is ``sin(t+1) * B(x)`` in 1D and
 coefficients ``d_plus = x**alpha``, ``d_minus = 2 x**alpha`` (likewise in
 y with beta).  The forcing is assembled analytically from the exact
 monomial derivative rule, never by numerical quadrature.
+
+Both forcings have the form ``cos(t+1) P - sin(t+1) S`` with arrays P and S
+that do not depend on time: ``P = B(x)`` and S the two-sided derivative of
+the bump in 1D, ``P = B(x) B(y)`` and S the sum of the two direction terms
+in 2D.  The pair ``(P, S)`` is computed once per distinct node array, and
+one evaluator, ``_cos_minus_sine``, combines it with the time.
 """
 
 from __future__ import annotations
@@ -155,6 +161,20 @@ def _minus_sine_term(out: np.ndarray, t: np.ndarray, space: np.ndarray) -> np.nd
     return out
 
 
+def _cos_minus_sine(bump: np.ndarray, space: np.ndarray, t) -> np.ndarray:
+    """``cos(t + 1) bump - sin(t + 1) space``: the manufactured forcing from
+    its memoized pair, P and S of the module docstring.
+
+    A time of at most ``space``'s dimension is one expression; a column of
+    times gives one row of samples per time, allocated as the one
+    block-sized array and bit-identical to stacked scalar calls
+    (``_minus_sine_term``).
+    """
+    if np.ndim(t) <= np.ndim(space):
+        return np.cos(t + 1.0) * bump - np.sin(t + 1.0) * space
+    return _minus_sine_term(np.cos(t + 1.0) * bump, t, space)
+
+
 def manufactured_1d(alpha: float) -> ManufacturedCase:
     """1D benchmark: exact solution sin(t+1) B(x) on (0, 2), t in (0, 1].
 
@@ -163,11 +183,12 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
     ``cos(t+1) B(x) - sin(t+1) * [two-sided derivative of B]``.  Its
     time-independent factors, B(x) and the two-sided derivative, are
     computed once per distinct node array (same shape and values); each
-    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``.  The
-    forcing declares ``broadcasts_over_t``: a column of times gives one row
-    of samples per time, so the solvers sample many steps per call.  On a
-    column the result is the one block-sized array it allocates, and it is
-    bit-identical to stacked scalar calls (``_minus_sine_term``).
+    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``
+    (``_cos_minus_sine``).  The forcing declares ``broadcasts_over_t``: a
+    column of times gives one row of samples per time, so the solvers
+    sample many steps per call.  On a column the result is the one
+    block-sized array it allocates, and it is bit-identical to stacked
+    scalar calls.
     """
     alpha = validate_order(alpha)
     spatial = _node_memo(lambda s: (profile(s), _two_sided_rl(alpha, s)))
@@ -176,10 +197,7 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
         return np.sin(t + 1.0) * profile(np.asarray(x, dtype=float))
 
     def forcing(x, t):
-        p, r = spatial(np.asarray(x, dtype=float))
-        if np.ndim(t) <= np.ndim(r):
-            return np.cos(t + 1.0) * p - np.sin(t + 1.0) * r
-        return _minus_sine_term(np.cos(t + 1.0) * p, t, r)
+        return _cos_minus_sine(*spatial(np.asarray(x, dtype=float)), t)
 
     forcing.broadcasts_over_t = True
     return ManufacturedCase(dimension=1, alpha=alpha, beta=None, exact=exact, forcing=forcing)
@@ -189,18 +207,19 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
     """2D benchmark: exact solution sin(t+1) B(x) B(y) on (0, 2)^2.
 
     The forcing splits along the product structure: the x-direction
-    two-sided derivative is multiplied by B(y) and vice versa.  As in 1D,
-    B(x), B(y) and the sum of the two products are computed once per
-    distinct pair of node arrays, and the forcing declares
-    ``broadcasts_over_t``; on a column of times it allocates one
-    block-sized array, its result, as in 1D.
+    two-sided derivative is multiplied by B(y) and vice versa.  The memo
+    holds, per distinct pair of node arrays, the product B(x) B(y) and the
+    sum of the two direction terms, so each call is
+    ``cos(t+1) (B(x) B(y)) - sin(t+1) * space`` through the same evaluator
+    as in 1D.  The forcing declares ``broadcasts_over_t``; on a column of
+    times it allocates one block-sized array, its result, as in 1D.
     """
     alpha = validate_order(alpha)
     beta = validate_order(beta)
 
     def parts(x, y):
         px, py = profile(x), profile(y)
-        return px, py, _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
+        return px * py, _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
 
     spatial = _node_memo(parts)
 
@@ -210,10 +229,9 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
         return np.sin(t + 1.0) * profile(x) * profile(y)
 
     def forcing(x, y, t):
-        px, py, space = spatial(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        if np.ndim(t) <= np.ndim(space):
-            return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * space
-        return _minus_sine_term(np.cos(t + 1.0) * px * py, t, space)
+        return _cos_minus_sine(
+            *spatial(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), t
+        )
 
     forcing.broadcasts_over_t = True
     return ManufacturedCase(dimension=2, alpha=alpha, beta=beta, exact=exact, forcing=forcing)

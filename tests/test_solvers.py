@@ -365,13 +365,60 @@ class TestSolve1D:
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
     def test_large_grid_history_holds_three_dense_matrices(self):
-        # the history is written into one preallocated array and P is freed
-        # before the conversion u = w @ inv^T, so the inverse and the w and u
-        # histories are the three matrices left (measured 3.13 x 8n^2; a list
-        # stacked by np.array, or P kept alive, makes it 4)
+        # the history is written into one preallocated array, P takes the
+        # inverse's place and gives it back, and u = w @ inv^T overwrites w in
+        # row blocks; a list stacked by np.array, or a second history, makes
+        # it 3 or more (measured 2.13 x 8n^2; the tighter pin is below)
         p = make_problem_1d(n_cells=800, n_steps=799)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p, return_history=True)) < 3.25 * 8 * n * n
+
+    def test_large_grid_history_holds_two_dense_matrices(self):
+        # P (or the inverse, in its place) and the history, plus forcing
+        # blocks and one row block of the conversion: measured 2.13 x 8n^2
+        # against 3.13 when the inverse and P lived side by side and the u
+        # history was formed as a second array
+        p = make_problem_1d(n_cells=800, n_steps=799)
+        n = p.grid.n_interior
+        assert traced_peak(lambda: solve_1d(p, return_history=True)) < 2.4 * 8 * n * n
+
+    def test_history_row_blocks_match_one_product(self, monkeypatch):
+        # at n = 799 the conversion runs in blocks of 41 rows, which round
+        # differently from one product over the whole history (measured at
+        # most 3.7e-16 of max|u| over the history and 1.2e-15 of a row's own
+        # max|u|); row 0 is u0 either way
+        p = make_problem_1d(n_cells=800, n_steps=799, tau=1.0)
+        got = solve_1d(p, return_history=True)
+        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * got.size)
+        ref = solve_1d(p, return_history=True)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(got[0].view(np.int64), p.u0.view(np.int64))
+
+    @pytest.mark.parametrize("n_steps,levels", [(599, 0), (1200, 5)], ids=["stepped", "reduced"])
+    def test_final_state_inverse_restored_bit_for_bit(self, n_steps, levels, monkeypatch):
+        # P overwrites the inverse during the march and is halved back into
+        # it, with the saved diagonal: the final u = w @ inv^T uses the
+        # inverse itself, not a rounded copy
+        p = dataclasses.replace(
+            manufactured_1d(1.9).problem(600, n_steps), t_final=1e-2 * n_steps
+        )
+        assert solvers._levels(p.grid.n_interior, n_steps) == levels
+        seen = {}
+        inverse, march = solvers._inverse, solvers._march
+
+        def spy_inverse(a):
+            seen["inv"] = inverse(a)
+            return seen["inv"].copy(order="K")  # the solver's own array, overwritten by P
+
+        def spy_march(*args, **kwargs):
+            seen["w"] = march(*args, **kwargs)
+            return seen["w"]
+
+        monkeypatch.setattr(solvers, "_inverse", spy_inverse)
+        monkeypatch.setattr(solvers, "_march", spy_march)
+        got = solve_1d(p)
+        want = seen["w"] @ seen["inv"].T
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize(
         "n_cells,n_steps,levels,bound",

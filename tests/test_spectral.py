@@ -375,6 +375,31 @@ class TestSharedCosines:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestSharedHalfAngle:
+    def test_one_half_angle_per_call(self, monkeypatch):
+        # sin(x/2), 1 + 3 sin(x/2)**2 and the range check serve the prefactor
+        # and theta alike
+        calls = []
+        original = spectral._half_angle
+
+        def counting(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(spectral, "_half_angle", counting)
+        generating_function(DEFAULT_TUPLE, 1.5, np.linspace(0.0, np.pi, 11))
+        assert calls == ["x"]
+        quadratic_symbol_phase(np.linspace(0.0, np.pi, 11))
+        assert calls == ["x", "argument"]
+
+    @pytest.mark.parametrize("bad", [-1e-9, np.pi + 1e-9])
+    def test_range_errors_keep_their_names(self, bad):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, pi\]$"):
+            generating_function(DEFAULT_TUPLE, 1.5, np.array([0.5, bad]))
+        with pytest.raises(ValueError, match=r"^argument must lie in \[0, pi\]$"):
+            quadratic_symbol_phase(np.array([0.5, bad]))
+
+
 def dense_split_bound(a):
     """max_real_part_bound by its dense centrosymmetric route: H formed in
     full and both blocks sliced from it."""

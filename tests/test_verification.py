@@ -234,7 +234,7 @@ def uncached_forcing_2d(alpha, beta):
     def forcing(x, y, t):
         px, py = profile(x), profile(y)
         space = _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
-        return np.cos(t + 1.0) * px * py - np.sin(t + 1.0) * space
+        return np.cos(t + 1.0) * (px * py) - np.sin(t + 1.0) * space
 
     return forcing
 
@@ -304,6 +304,33 @@ class TestForcingMechanism:
         assert block.shape == (255, 119)
         extra = block.nbytes / 8 + 2 * np.getbufsize() * 8 + 4 * t.nbytes
         assert peak <= block.nbytes + extra
+
+    def test_2d_forcing_scales_the_stored_profile_product(self):
+        # the memo keeps px * py, so the cosine term is cos(t+1) * (px * py)
+        # (the association (cos(t+1) * px) * py rounds differently)
+        alpha, beta = 1.3, 1.7
+        x, y = node_args(2, 12)
+        px, py = profile(x), profile(y)
+        space = _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
+        t = 0.37
+        want = np.cos(t + 1.0) * (px * py) - np.sin(t + 1.0) * space
+        got = manufactured_2d(alpha, beta).forcing(x, y, t)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("column", [False, True], ids=["scalar-times", "column-of-times"])
+    def test_1d_forcing_unchanged(self, column):
+        # cos(t+1) * p - sin(t+1) * r, bit for bit, one time at a time or
+        # broadcast over a column of times
+        (s,) = node_args(1, 16)
+        p, r = profile(s), _two_sided_rl(1.3, s)
+        forcing = manufactured_1d(1.3).forcing
+        t = (np.arange(9) + 0.5) / 7.0
+        if column:
+            got = forcing(s, t[:, None])
+        else:
+            got = np.array([forcing(s, float(t_k)) for t_k in t])
+        want = np.cos(t[:, None] + 1.0) * p - np.sin(t[:, None] + 1.0) * r
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_solve_1d_bit_identical_to_uncached(self):
         case = manufactured_1d(1.7)
