@@ -14,8 +14,8 @@ negative real part.  Two complementary checks are combined:
   Hankel in ``t_k = (a_k0 + a_0k)/2``, which are built from those O(n)
   numbers without forming H.  The even block is solved, and the odd block
   is only screened by a Cholesky factorization of ``top * I - odd``; it is
-  solved too only when that fails.  Other matrices form H and get the same
-  split when it is centrosymmetric, one dense solve otherwise.
+  solved too only when that fails.  Other matrices form H and get one
+  dense solve.
 
 Both checks are numerical evidence on grids, not symbolic proofs, and the
 report never claims more.
@@ -199,50 +199,28 @@ def scan_nonpositivity(
     )
 
 
-def _half_blocks(
-    h11: np.ndarray, flipped: np.ndarray, border: np.ndarray, middle: float | None
-) -> tuple[np.ndarray, ...]:
-    """The half-size blocks whose spectra together make up that of H.
+def _toeplitz_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The half-size blocks whose spectra together make up that of the
+    symmetric Toeplitz ``H_ij = t_|i-j|`` of order n >= 2.
 
-    H is symmetric and centrosymmetric (``J H J = H``) of order n, and the
-    arguments are its parts, with ``k = n // 2``: ``h11 = H[:k, :k]``,
-    ``flipped = H12 J`` (``H[i, n-1-j]``), ``border = H[:k, k]`` and
-    ``middle = H[k, k]``, the last two for odd n only (``middle`` is None
-    for even n).  The vectors ``[x; Jx]`` span an invariant subspace on
-    which H acts as ``h11 + flipped`` and ``[x; -Jx]`` one on which it
-    acts as ``h11 - flipped``.  For odd n the even block is bordered by the
-    middle row and column, the border scaled by sqrt(2), and the odd block
-    is empty when n = 1.
-    """
-    even = h11 + flipped
-    odd = h11 - flipped
-    if middle is not None:
-        border = np.sqrt(2.0) * border[:, None]
-        even = np.block([[even, border], [border.T, np.full((1, 1), middle)]])
-    return (even, odd) if len(odd) else (even,)
-
-
-def _centrosymmetric_blocks(h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_half_blocks` read off a dense symmetric centrosymmetric ``h``."""
-    n = len(h)
-    k = n // 2
-    middle = h[k, k] if n % 2 else None
-    return _half_blocks(h[:k, :k], h[:k, n - k :][:, ::-1], h[:k, k], middle)
-
-
-def _toeplitz_blocks(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`_half_blocks` of the symmetric Toeplitz ``H_ij = t_|i-j|``, n >= 2.
-
-    ``H11`` is the Toeplitz ``T_ij = t_|i-j|`` and ``H12 J`` the Hankel
-    ``K_ij = t_(n-1-i-j)``, both strided views of O(n) data, so H itself is
-    never formed.
+    H is centrosymmetric (``J H J = H``).  With ``k = n // 2``, ``H[:k, :k]``
+    is the Toeplitz ``T_ij = t_|i-j|`` and ``H12 J`` (``H[i, n-1-j]``) the
+    Hankel ``K_ij = t_(n-1-i-j)``, both strided views of O(n) data, so H
+    itself is never formed.  The vectors ``[x; Jx]`` span an invariant
+    subspace on which H acts as ``T + K`` and ``[x; -Jx]`` one on which it
+    acts as ``T - K``.  For odd n the even block is bordered by the middle
+    row and column, ``H[:k, k]`` scaled by sqrt(2) and ``H[k, k] = t_0``.
     """
     n = len(t)
     k = n // 2
     toeplitz = sliding_window_view(np.concatenate((t[k - 1 : 0 : -1], t[:k])), k)[::-1]
     hankel = sliding_window_view(t[::-1], k)[:k]
-    middle = t[0] if n % 2 else None
-    return _half_blocks(toeplitz, hankel, t[k:0:-1], middle)
+    even = toeplitz + hankel
+    odd = toeplitz - hankel
+    if n % 2:
+        border = np.sqrt(2.0) * t[k:0:-1, None]
+        even = np.block([[even, border], [border.T, np.full((1, 1), t[0])]])
+    return even, odd
 
 
 def _top_eigenvalue(h: np.ndarray) -> float:
@@ -269,28 +247,27 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     """Largest eigenvalue of the symmetric part H = (A + A^T)/2.
 
     Upper bound for the real part of every eigenvalue of A; computed with a
-    dense symmetric eigensolver asked for one eigenvalue only.  When H is
-    centrosymmetric, its spectrum is the union of those of two half-size
-    symmetric blocks (Cantoni & Butler, Linear Algebra Appl. 13 (1976)
-    275-288).  The even block (with the middle node for odd n) is solved,
-    giving ``top``, and the odd block is screened: when ``top * I - odd``
-    has a Cholesky factor, every odd eigenvalue lies below ``top`` and
-    ``top`` is returned.  Otherwise the odd block is solved as well and the
-    larger top eigenvalue returned.  An exact tie fails the screen, so it
-    is solved; a screen that passes bounds the odd top by ``top`` up to the
-    round-off of the factorization, which is of the order of the
-    eigensolver's own error.  The WSLD operators have their top eigenvalue
-    in the even block, so they take one half-size solve and one
-    factorization.
+    dense symmetric eigensolver asked for one eigenvalue only.
 
-    A Toeplitz A, found by comparing ``a[1:, 1:]`` with ``a[:-1, :-1]``
-    (so a NaN never matches), needs no n x n work: its first column and
-    row give ``t_k = (a_k0 + a_0k)/2``, the same floats as the entries of
-    H, and the blocks are the Toeplitz ``t_|i-j|`` plus and minus the
-    Hankel ``t_(n-1-i-j)``, formed from views of t.  A 1 x 1 matrix takes
-    the dense route.  Any other matrix forms H and is split when H is
-    centrosymmetric, else gets one dense n x n solve.  A 0 x 0, non-square
-    or non-finite matrix raises ``ValueError`` before any solve.
+    A Toeplitz A of order n >= 2, found by comparing ``a[1:, 1:]`` with
+    ``a[:-1, :-1]`` (so a NaN never matches), needs no n x n work: its
+    first column and row give ``t_k = (a_k0 + a_0k)/2``, the same floats as
+    the entries of H, and H is split into two half-size symmetric blocks
+    whose spectra together make up its own (Cantoni & Butler, Linear
+    Algebra Appl. 13 (1976) 275-288), formed from views of t.  The even
+    block (with the middle node for odd n) is solved, giving ``top``, and
+    the odd block is screened: when ``top * I - odd`` has a Cholesky
+    factor, every odd eigenvalue lies below ``top`` and ``top`` is
+    returned.  Otherwise the odd block is solved as well and the larger top
+    eigenvalue returned.  An exact tie fails the screen, so it is solved; a
+    screen that passes bounds the odd top by ``top`` up to the round-off of
+    the factorization, which is of the order of the eigensolver's own
+    error.  The WSLD operators have their top eigenvalue in the even block,
+    so they take one half-size solve and one factorization.
+
+    Every other matrix, a 1 x 1 one included, forms H and gets one dense
+    n x n solve.  A 0 x 0, non-square or non-finite matrix raises
+    ``ValueError`` before any solve.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -303,19 +280,16 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
             raise ValueError("matrix must be finite")
         t = a[:, 0] + a[0, :]
         t *= 0.5
-        even, *odd = _toeplitz_blocks(t)
-    else:
-        if not np.isfinite(a).all():
-            raise ValueError("matrix must be finite")
-        h = a + a.T
-        h *= 0.5
-        if not np.array_equal(h, h[::-1, ::-1]):
-            return _top_eigenvalue(h)
-        even, *odd = _centrosymmetric_blocks(h)
-    top = _top_eigenvalue(even)
-    if odd and not _below(odd[0], top):
-        top = max(top, _top_eigenvalue(odd[0]))
-    return top
+        even, odd = _toeplitz_blocks(t)
+        top = _top_eigenvalue(even)
+        if not _below(odd, top):
+            top = max(top, _top_eigenvalue(odd))
+        return top
+    if not np.isfinite(a).all():
+        raise ValueError("matrix must be finite")
+    h = a + a.T
+    h *= 0.5
+    return _top_eigenvalue(h)
 
 
 def certify(
@@ -336,12 +310,13 @@ def certify(
     denominator ``72 - 48*alpha`` vanishes.  An ``x_points`` that is not an
     integer >= 2 raises ``ValueError``: one point scans only x = 0, where
     the symbol is 0.  So does an ``n_interior`` that is not an integer >= 1.
+    A bool is not an integer here.
     """
-    if not isinstance(x_points, Integral):
+    if isinstance(x_points, bool) or not isinstance(x_points, Integral):
         raise ValueError(f"x_points must be an integer, got {x_points!r}")
     if x_points < 2:
         raise ValueError(f"x_points must be at least 2, got {x_points}")
-    if not isinstance(n_interior, Integral) or n_interior < 1:
+    if isinstance(n_interior, bool) or not isinstance(n_interior, Integral) or n_interior < 1:
         raise ValueError(f"n_interior must be an integer >= 1, got {n_interior!r}")
     st = ShiftTuple.of(shifts)
     x_grid = np.linspace(0.0, np.pi, x_points)

@@ -181,8 +181,8 @@ class TestEigenvalueBound:
         with pytest.raises(ValueError, match="nonempty"):
             max_real_part_bound(np.zeros((0, 0)))
 
-    # a corner of 1 keeps an inf matrix centrosymmetric (the split path);
-    # nan never compares equal, so it always takes the dense path
+    # neither corner makes the matrix Toeplitz, so both take the dense route
+    # and its whole-matrix check
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("corner", [1.0, 2.0])
     def test_rejects_non_finite(self, bad, corner):
@@ -201,16 +201,13 @@ class TestEigenvalueBound:
         assert sizes == []
 
     def test_screen_never_passes_on_an_overflowed_pivot(self):
-        # finite and centrosymmetric, but top - odd_00 overflows to inf, and
+        # finite and Toeplitz, but a pivot top - odd_ii overflows to inf, and
         # an infinite pivot would let the factorization pass although the
-        # odd block's top (about 4.9e307) lies above the even one (1.5e307)
-        h11 = np.array([[-0.89, 0.5], [0.5, 0.1]]) * 1e308
-        f = np.array([[0.89, -0.5], [-0.5, 0.05]]) * 1e308
-        j = np.eye(2)[::-1]
-        h = np.block([[h11, f @ j], [j @ f, j @ h11 @ j]])
+        # odd block's top (about 1.14e308) lies above the even one (9.31e307)
+        h = toeplitz(np.array([-8, -7, 8, 8, -3, -6, -3, -8]) * 1e307)
         with eigvalsh_sizes() as sizes:
             assert_top_eigenvalue(h)
-        assert sizes == [(2, 2)] * 2
+        assert sizes == [(4, 4)] * 2
 
 
 def even_and_odd_tops(h):
@@ -229,15 +226,24 @@ def expected_block_sizes(n, odd_solved):
 
 class TestCentrosymmetricSplit:
     @PROPERTY_SETTINGS
-    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
-    def test_symmetric_centrosymmetric_matches_full_spectrum(self, n, seed):
-        b = np.random.default_rng(seed).normal(size=(n, n))
-        h = b + b.T
-        h = h + h[::-1, ::-1]
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+    def test_toeplitz_odd_block_solved_only_when_its_top_is_larger(self, n, seed):
+        h = toeplitz(np.random.default_rng(seed).normal(size=n))
         even_top, odd_top = even_and_odd_tops(h)
         with eigvalsh_sizes() as sizes:
             assert_top_eigenvalue(h)
         assert sizes == expected_block_sizes(n, odd_top > even_top)
+
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+    def test_non_toeplitz_centrosymmetric_gets_one_dense_solve(self, n, seed):
+        b = np.random.default_rng(seed).normal(size=(n, n))
+        h = b + b.T
+        h = h + h[::-1, ::-1]
+        assert not np.array_equal(h[1:, 1:], h[:-1, :-1])
+        with eigvalsh_sizes() as sizes:
+            assert_top_eigenvalue(h)
+        assert sizes == [(n, n)]
 
     @pytest.mark.parametrize("n", [6, 8, 40])
     def test_odd_block_solved_when_its_top_is_larger(self, n):
@@ -318,7 +324,7 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"x_points must be at least 2, got {x_points}"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=8, x_points=x_points)
 
-    @pytest.mark.parametrize("x_points", [2.5, 2.0, "11"])
+    @pytest.mark.parametrize("x_points", [2.5, 2.0, "11", True])
     def test_rejects_non_integer_x_points_by_name(self, x_points):
         with pytest.raises(ValueError, match=f"^x_points must be an integer, got {x_points!r}"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=8, x_points=x_points)
@@ -328,7 +334,7 @@ class TestCertify:
         with pytest.raises(ValueError, match=f"grid has {n_interior} interior nodes"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=n_interior, x_points=11)
 
-    @pytest.mark.parametrize("n_interior", [2.5, 0, -3, "8"])
+    @pytest.mark.parametrize("n_interior", [2.5, 0, -3, "8", True])
     def test_rejects_bad_n_interior_by_name(self, n_interior):
         with pytest.raises(ValueError, match=f"^n_interior must be an integer >= 1, got {n_interior!r}"):
             certify(DEFAULT_TUPLE, alphas=[1.5], n_interior=n_interior, x_points=11)
@@ -401,7 +407,7 @@ class TestSharedHalfAngle:
 
 
 def dense_split_bound(a):
-    """max_real_part_bound by its dense centrosymmetric route: H formed in
+    """max_real_part_bound's centrosymmetric split done densely: H formed in
     full and both blocks sliced from it."""
     h = a + a.T
     h *= 0.5
@@ -421,21 +427,16 @@ def dense_split_bound(a):
 
 @contextmanager
 def block_routes():
-    """Count the calls of the O(n) and of the dense block builder."""
-    calls = {"toeplitz": 0, "dense": 0}
+    """Record the order n of every call of the O(n) block builder."""
+    calls = []
     toeplitz_blocks = spectral._toeplitz_blocks
-    dense_blocks = spectral._centrosymmetric_blocks
 
-    def count(route, builder):
-        def spy(*args):
-            calls[route] += 1
-            return builder(*args)
-
-        return spy
+    def spy(t):
+        calls.append(len(t))
+        return toeplitz_blocks(t)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_toeplitz_blocks", count("toeplitz", toeplitz_blocks))
-        mp.setattr(spectral, "_centrosymmetric_blocks", count("dense", dense_blocks))
+        mp.setattr(spectral, "_toeplitz_blocks", spy)
         yield calls
 
 
@@ -454,8 +455,8 @@ class TestToeplitzRoute:
             got = max_real_part_bound(a)
         assert got == want
         assert sizes in (expected_block_sizes(n, False), expected_block_sizes(n, True))
-        # a 1 x 1 matrix is its own even block, on the dense route
-        assert calls == ({"toeplitz": 1, "dense": 0} if n > 1 else {"toeplitz": 0, "dense": 1})
+        # a 1 x 1 matrix takes the dense route
+        assert calls == ([n] if n > 1 else [])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     @pytest.mark.parametrize("diagonal", [0, 3, -2])
@@ -467,7 +468,7 @@ class TestToeplitzRoute:
         with eigvalsh_sizes() as sizes, block_routes() as calls:
             with pytest.raises(ValueError, match="^matrix must be finite$"):
                 max_real_part_bound(a)
-        assert sizes == [] and calls == {"toeplitz": 0, "dense": 0}
+        assert sizes == [] and calls == []
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_overflowing_symmetric_part_raises_value_error(self, n):
@@ -495,9 +496,9 @@ class TestToeplitzRoute:
     def test_certify_takes_the_toeplitz_route(self, shifts):
         with block_routes() as calls:
             certify(shifts, alphas=[1.1, 1.9], n_interior=32)
-        assert calls == {"toeplitz": 2, "dense": 0}
+        assert calls == [32, 32]
 
     def test_certify_defaults_take_the_toeplitz_route(self):
         with block_routes() as calls:
             certify(DEFAULT_TUPLE)
-        assert calls == {"toeplitz": 3, "dense": 0}
+        assert calls == [64] * 3
