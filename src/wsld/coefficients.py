@@ -16,6 +16,7 @@ live in :mod:`wsld.operators`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +40,15 @@ __all__ = [
 
 class DegenerateTupleError(ValueError):
     """Raised when a shift tuple makes the combination weights undefined."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, or ``ValueError`` naming ``name`` when it is not an
+    integer: Python and numpy ints pass, while a bool, a float or a string
+    is rejected rather than truncated or parsed."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def validate_order(alpha: float) -> float:
@@ -72,7 +82,7 @@ class ShiftTuple:
     shifts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        shifts = tuple(int(s) for s in self.shifts)
+        shifts = tuple(_integer(s, f"shifts[{i}]") for i, s in enumerate(self.shifts))
         object.__setattr__(self, "shifts", shifts)
         if len(shifts) not in _ORDER_BY_LENGTH:
             raise ValueError(
@@ -139,7 +149,7 @@ def grunwald_coeffs(alpha: float, k_max: int) -> np.ndarray:
         Last index; the returned array has ``k_max + 1`` entries.
     """
     alpha = validate_order(alpha)
-    if k_max < 0:
+    if _integer(k_max, "k_max") < 0:
         raise ValueError("k_max must be nonnegative")
     g = np.ones(k_max + 1)
     if k_max >= 1:
@@ -164,9 +174,7 @@ def lubich_coeffs(alpha: float, k_max: int) -> np.ndarray:
     k = 0..infinity; partial sums decay like ``k_max**(-alpha)``.
     """
     alpha = validate_order(alpha)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    g = grunwald_coeffs(alpha, k_max)
+    g = grunwald_coeffs(alpha, k_max)  # checks k_max
     taps = min(k_max, 60) + 1
     damped = np.array([3.0**-m for m in range(taps)]) * g[:taps]
     n = k_max + 1
@@ -311,9 +319,7 @@ def stencil_coeffs(
     """
     alpha = validate_order(alpha)
     st = ShiftTuple.of(shifts)
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
-    q = lubich_coeffs(alpha, k_max)
+    q = lubich_coeffs(alpha, k_max)  # checks k_max
     m = st.max_shift
     phi = np.zeros(k_max + 1)
     for w, t in branch_weights(alpha, st):

@@ -21,14 +21,13 @@ to high order at the interval ends converge at a reduced rate near them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gamma
 
-from .coefficients import CoefficientTable, ShiftTuple, stencil_coeffs, validate_order
+from .coefficients import CoefficientTable, ShiftTuple, _integer, stencil_coeffs, validate_order
 
 __all__ = [
     "Grid1D",
@@ -62,9 +61,7 @@ class Grid1D:
                 raise ValueError(f"{name} must be finite")
         if not self.x_left < self.x_right:
             raise ValueError("need x_left < x_right")
-        if isinstance(self.n_cells, bool) or not isinstance(self.n_cells, Integral):
-            raise ValueError(f"n_cells must be an integer, got {self.n_cells!r}")
-        if self.n_cells < 2:
+        if _integer(self.n_cells, "n_cells") < 2:
             raise ValueError("need at least 2 cells")
 
     @property
@@ -233,7 +230,7 @@ def rl_exact_poly(
     """
     alpha = validate_order(alpha)
     x_left, x_right = domain
-    powers = [int(p) for p in powers]
+    powers = [_integer(p, f"powers[{i}]") for i, p in enumerate(powers)]
     coeffs = [float(c) for c in coeffs]
     if len(powers) != len(coeffs):
         raise ValueError("powers and coeffs must have equal length")

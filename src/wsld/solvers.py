@@ -7,9 +7,10 @@ is advanced by
     (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
 with ``I - G`` LU-factored once per run.  G is one two-sided operator,
-``operators._TwoSided``, and ``I + G`` is never applied.  A run with fewer
-steps than unknowns (the inverse costs about ``2 n^3`` flops and saves
-only the per-step ``lu_solve`` call overhead) solves with the factors,
+``operators._TwoSided``, and ``I + G`` is never applied.  A run that
+returns its history, or has fewer steps than unknowns (the inverse costs
+about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
+overhead), solves with the factors,
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
@@ -19,15 +20,15 @@ Any other marches ``w = (I - G) U``, for which the same equation is
 
 one matvec per step with the Cayley transform P, formed from the inverse
 in O(n^2) and in its place; ``U = (I - G)^{-1} w`` is recovered once at
-the end, or over the whole history in row blocks, with the inverse
-restored from P bit for bit.  2D adds the y-direction analog, one
-operator per axis, and factors the implicit operator into two
-one-dimensional ones; the Peaceman-Rachford and Douglas sweeps of that
-factored equation are one propagator, ``u -> Bx (u Cy + g) + g``, three
-products per step with matrices read off the two explicit inverses.  Interior unknowns are
-stored as arrays ``u[i, j] = u(x_i, y_j)``; the x-operator acts as
-``kx @ u`` and the y-operator as ``u @ ky.T``, and the Kronecker-product
-form of the scheme is never materialized.  Products do not reject infs
+the end, with the inverse restored from P bit for bit.  2D adds the
+y-direction analog, one operator per axis, and factors the implicit
+operator into two one-dimensional ones; the Peaceman-Rachford and Douglas
+sweeps of that factored equation are one propagator,
+``u -> Bx (u Cy + g) + g``, three products per step with matrices read
+off the two explicit inverses.  Interior unknowns are stored as arrays
+``u[i, j] = u(x_i, y_j)``; the x-operator acts as ``kx @ u`` and the
+y-operator as ``u @ ky.T``, and the Kronecker-product form of the scheme
+is never materialized.  Products do not reject infs
 or NaNs, so the time loop checks every new state itself.
 
 The forcing is sampled in blocks of half-step times, at most
@@ -35,8 +36,8 @@ The forcing is sampled in blocks of half-step times, at most
 row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
-the declaration.  A 1D run with P that returns only its final state, and
-has steps enough to pay for the squarings, composes its blocks instead:
+the declaration.  A 1D run with P that has steps enough to pay for the
+squarings composes its blocks instead:
 a block of ``2**L - 1`` affine steps is reduced pairwise, as in a
 parallel prefix (Blelloch 1990), in L matrix products with
 ``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
@@ -49,13 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .coefficients import DEFAULT_TUPLE, ShiftTuple, validate_order
+from .coefficients import DEFAULT_TUPLE, ShiftTuple, _integer, validate_order
 from .operators import Grid1D, _TwoSided
 
 __all__ = [
@@ -135,9 +135,7 @@ class _Problem:
         self.u0 = _finite_array(self.u0, tuple(n for _, n in axes), "u0")
         if not (np.isfinite(self.t_final) and self.t_final >= 0.0):
             raise ValueError("t_final must be finite and nonnegative")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
+        if _integer(self.n_steps, "n_steps") < 1:
             raise ValueError("n_steps must be positive")
         if self.n_steps > _MAX_STEPS:
             raise ValueError("n_steps must be at most 2**53")
@@ -398,29 +396,26 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    ``I - G`` is LU-factored once.  With fewer steps than unknowns each step
-    is ``u -> solve(2 u + tau f) - u`` with the factors; from
-    ``n_steps >= n_interior`` on every run, with or without history, marches
-    ``w = (I - G) u`` (see the module docstring): ``w0`` is one matvec
-    before the factorization, each step ``w -> P w + tau f``, and
-    ``u = (I - G)^{-1} w`` one matvec at the end, or products over row
-    blocks of at most ``_BLOCK_BYTES`` of the history, written back into
-    it, whose first row is ``u0`` itself.  P is formed in place of the
-    inverse and halved back into it after the march, with the inverse's
-    diagonal saved aside, so the conversion uses the inverse bit for bit
-    and a history run holds two n x n arrays: P and the history.  Without
-    history, and with steps enough to pay for the squarings (``_levels``),
-    blocks of those steps are composed in L products each (see
-    ``_march``); only P and its powers outlive the setup, and the powers go
-    before the conversion.  All of these agree to round-off.  Below
+    ``I - G`` is LU-factored once.  A run that returns its history, or has
+    fewer steps than unknowns, steps ``u -> solve(2 u + tau f) - u`` with
+    the factors.  A final-state run from ``n_steps >= n_interior`` marches
+    ``w = (I - G) u`` instead (see the module docstring): ``w0`` is one
+    matvec before the factorization, each step ``w -> P w + tau f``, and
+    ``u = (I - G)^{-1} w`` one matvec at the end.  P is formed in place of
+    the inverse and halved back into it after the march, with the inverse's
+    diagonal saved aside, so the conversion uses the inverse bit for bit.
+    With steps enough to pay for the squarings (``_levels``), blocks of
+    those steps are composed in L products each (see ``_march``); only P
+    and its powers outlive the setup, and the powers go before the
+    conversion.  All of these agree to round-off.  Below
     ``_IN_PLACE_MIN_INTERIOR`` (600) interior nodes ``I - G`` comes from
     ``build_cn_system``, from it on it is written alone, in place, with the
-    same entries.  The forcing is
-    sampled at the half steps ``t_{n+1/2}``; a non-finite sample raises
-    ``ValueError`` naming the step and its time, and any other non-finite
-    state (``w`` or the ``u`` recovered from it) one saying it has infs or
-    NaNs.  With ``return_history=True`` the full ``(n_steps+1, n)``
-    trajectory is returned instead of the final slice.
+    same entries.  The forcing is sampled at the half steps ``t_{n+1/2}``;
+    a non-finite sample raises ``ValueError`` naming the step and its time,
+    and any other non-finite state (``w``, or the final ``u`` recovered
+    from it, named as the last step) one saying it has infs or NaNs.  With
+    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
+    returned instead of the final slice.
     """
     n = problem.grid.n_interior
     tau = problem.tau
@@ -431,28 +426,29 @@ def solve_1d(
         m_minus = _identity_plus(-1.0, m_minus, m_minus)
     march = (_sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,)),
              problem.n_steps, tau, return_history)
-    # Inverse from n_steps >= n.  Break-even against LU solves, one BLAS
-    # thread on a 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three
-    # runs: stepping with the inverse at 17-36 steps for n = 119, 178-877
-    # at 599, 860-1547 at 999 and 827-949 at 1999 (one run never); at 399
-    # its matvec costs about what the two triangular solves do, 212 and 341
-    # (one run never).  The block reduction at 45-58, 731-1563, 401-924,
-    # 1006-1063 and 1100-2522.  The steps are memory-bound from ~400 nodes,
-    # hence the spread; no workload runs between n/4 and n steps.
-    if problem.n_steps < n:
+    # Inverse for final-state runs from n_steps >= n.  Break-even against LU
+    # solves, one BLAS thread on a 2-vCPU Xeon, linear fits over n/8 to
+    # 1.5 n steps, three runs: stepping with the inverse at 17-36 steps for
+    # n = 119, 178-877 at 599, 860-1547 at 999 and 827-949 at 1999 (one run
+    # never); at 399 its matvec costs about what the two triangular solves
+    # do, 212 and 341 (one run never).  The block reduction at 45-58,
+    # 731-1563, 401-924, 1006-1063 and 1100-2522.  The steps are memory-bound
+    # from ~400 nodes, hence the spread; no workload runs between n/4 and n
+    # steps.
+    if problem.n_steps < n or return_history:
         lu = lu_factor(m_minus, overwrite_a=True)
         # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
         step = lambda u, f: lu_solve(lu, 2.0 * u + tau * f, check_finite=False) - u
         return _march(step, problem.u0, *march)
     # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
-    with np.errstate(over="ignore", invalid="ignore"):  # the checks report non-finite states
+    with np.errstate(over="ignore", invalid="ignore"):  # the check reports a non-finite state
         w = m_minus @ problem.u0
         inv = _inverse(m_minus)
         del m_minus  # factored in place
         diagonal = inv.diagonal().copy()
         p = _cayley(inv, out=inv)  # P overwrites the inverse for the march
         powers = [p]
-        levels = 0 if return_history else _levels(n, problem.n_steps)
+        levels = _levels(n, problem.n_steps)
         while len(powers) < levels:
             powers.append(powers[-1] @ powers[-1])
         w = _march(lambda w, f: p @ w + tau * f, w, *march, powers[:levels])
@@ -460,17 +456,9 @@ def solve_1d(
         # the inverse again, bit for bit: 0.5 (2 x) is x, and the diagonal is restored
         inv = np.multiply(0.5, p, out=p)
         inv.flat[:: n + 1] = diagonal
-        if not return_history:
-            u = w @ inv.T
-        else:  # in row blocks of at most _BLOCK_BYTES, written back into w
-            u, rows = w, max(1, _BLOCK_BYTES // (8 * n))
-            for start in range(0, len(u), rows):
-                u[start : start + rows] = u[start : start + rows] @ inv.T
-            u[0] = problem.u0
-    finite = np.isfinite(u).reshape(-1, n).all(axis=1)
-    if not finite.all():
-        step = problem.n_steps - len(finite) + int(np.argmin(finite))
-        raise _non_finite("state has infs or NaNs", step, tau)
+        u = w @ inv.T
+    if not np.isfinite(u).all():
+        raise _non_finite("state has infs or NaNs", problem.n_steps - 1, tau)
     return u
 
 

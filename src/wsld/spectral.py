@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpotrf
 
-from .coefficients import ShiftTuple, branch_weights, stencil_coeffs, validate_order
+from .coefficients import ShiftTuple, _integer, branch_weights, stencil_coeffs, validate_order
 from .operators import Grid1D, assemble_left
 
 __all__ = [
@@ -131,7 +131,7 @@ def generating_function_series(
     """
     alpha = validate_order(alpha)
     st = ShiftTuple.of(shifts)
-    table = stencil_coeffs(alpha, st, n_terms)
+    table = stencil_coeffs(alpha, st, _integer(n_terms, "n_terms"))
     x = np.asarray(x, dtype=float)
     k = np.arange(table.length) - st.max_shift
     out = np.cos(np.multiply.outer(x, k)) @ table.phi
@@ -312,9 +312,7 @@ def certify(
     the symbol is 0.  So does an ``n_interior`` that is not an integer >= 1.
     A bool is not an integer here.
     """
-    if isinstance(x_points, bool) or not isinstance(x_points, Integral):
-        raise ValueError(f"x_points must be an integer, got {x_points!r}")
-    if x_points < 2:
+    if _integer(x_points, "x_points") < 2:
         raise ValueError(f"x_points must be at least 2, got {x_points}")
     if isinstance(n_interior, bool) or not isinstance(n_interior, Integral) or n_interior < 1:
         raise ValueError(f"n_interior must be an integer >= 1, got {n_interior!r}")

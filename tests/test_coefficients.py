@@ -16,6 +16,7 @@ from wsld.coefficients import (
     weights_order3,
     weights_order4,
 )
+from wsld.spectral import generating_function_series
 
 ALPHAS = [1.1, 1.3, 1.5, 1.7, 1.9]
 
@@ -72,6 +73,17 @@ class TestShiftTuple:
     def test_of_passthrough(self):
         assert ShiftTuple.of(DEFAULT_TUPLE) is DEFAULT_TUPLE
         assert ShiftTuple.of([1, 2]) == ShiftTuple((1, 2))
+        # numpy ints are integers too, stored as Python ints
+        shifts = ShiftTuple.of(np.array([1, 2])).shifts
+        assert shifts == (1, 2) and all(type(s) is int for s in shifts)
+
+    @pytest.mark.parametrize(
+        "shifts,index", [((1.9, 2.2), 0), (("1", "2"), 0), ((True, 2), 0), ((1, 2.0), 1)]
+    )
+    def test_rejects_non_integer_shifts(self, shifts, index):
+        # rejected, not truncated or parsed into (1, 2); a bool is not an integer
+        with pytest.raises(ValueError, match=rf"^shifts\[{index}\] must be an integer, got "):
+            ShiftTuple(shifts)
 
 
 class TestGrunwald:
@@ -94,6 +106,17 @@ class TestGrunwald:
     def test_negative_k_max(self):
         with pytest.raises(ValueError):
             grunwald_coeffs(1.5, -1)
+        # a non-integer count is named, not truncated (True once gave lubich 2 terms)
+        for count in (2.5, True, "3"):
+            with pytest.raises(ValueError, match=r"^k_max must be an integer, got "):
+                grunwald_coeffs(1.5, count)
+            with pytest.raises(ValueError, match=r"^k_max must be an integer, got "):
+                lubich_coeffs(1.5, count)
+            with pytest.raises(ValueError, match=r"^k_max must be an integer, got "):
+                stencil_coeffs(1.5, (1, 2), count)
+            with pytest.raises(ValueError, match=r"^n_terms must be an integer, got "):
+                generating_function_series((1, 2), 1.5, 0.3, n_terms=count)
+        assert len(lubich_coeffs(1.5, np.int64(3))) == 4
 
 
 class TestLubich:

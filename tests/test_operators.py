@@ -217,6 +217,15 @@ class TestExactPolyDerivative:
         with pytest.raises(ValueError):
             rl_exact_poly("left", 1.5, [4], [1.0], 3.0, DOMAIN)
 
+    @pytest.mark.parametrize("power", [2.5, True, "4"])
+    def test_rejects_non_integer_power(self, power):
+        # 2.5 was truncated to 2 and gave the p = 2 value
+        with pytest.raises(ValueError, match=r"^powers\[1\] must be an integer, got "):
+            rl_exact_poly("left", 1.5, [4, power], [1.0, 1.0], 0.5, DOMAIN)
+        assert rl_exact_poly("left", 1.5, [np.int64(4)], [1.0], 1.0, DOMAIN) == (
+            rl_exact_poly("left", 1.5, [4], [1.0], 1.0, DOMAIN)
+        )
+
 
 class TestConsistencyOrder:
     @pytest.mark.parametrize("shifts,order", [((1, 2), 2), ((1, 2, 1, 0), 3)])

@@ -205,9 +205,10 @@ def assert_same_final_state(got, ref):
 def test_block_reduction_matches_stepping_1d(shifts, alpha, n, levels, extra):
     # propagator path with blocks of 1, 3 and 7 steps, on both sides of the
     # assembly switch; from 2n steps on every last block length occurs, and
-    # the reduced final state is the stepped one.  Certified tuples keep the run bounded: an uncertified tuple can
-    # grow like 1e179 over 2n steps, and then any reordering of the sums
-    # moves the result by that growth times round-off.
+    # the reduced final state is the LU-stepped one (a history steps with
+    # the LU factors).  Certified tuples keep the run bounded: an
+    # uncertified tuple can grow like 1e179 over 2n steps, and then any
+    # reordering of the sums moves the result by that growth times round-off.
     n_steps = 2 * n + extra
     p = manufactured_1d(alpha).problem(n + 1, n_steps)
     with patch.object(solvers, "_BLOCK_BYTES", (2**levels - 1) * 8 * n):

@@ -365,26 +365,13 @@ class TestSolve1D:
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
     def test_large_grid_history_holds_two_dense_matrices(self):
-        # P (or the inverse, in its place) and the history, plus forcing
-        # blocks and one row block of the conversion: measured 2.13 x 8n^2
-        # against 3.13 when the inverse and P lived side by side and the u
-        # history was formed as a second array; a list stacked by np.array,
-        # or a second history, makes it 3 or more
+        # a history steps with LU solves, so the factors of I - G (in its
+        # place) and the history live, plus forcing blocks: measured
+        # 2.06 x 8n^2; a list stacked by np.array, or a second history,
+        # makes it 3 or more
         p = make_problem_1d(n_cells=800, n_steps=799)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p, return_history=True)) < 2.4 * 8 * n * n
-
-    def test_history_row_blocks_match_one_product(self, monkeypatch):
-        # at n = 799 the conversion runs in blocks of 41 rows, which round
-        # differently from one product over the whole history (measured at
-        # most 3.7e-16 of max|u| over the history and 1.2e-15 of a row's own
-        # max|u|); row 0 is u0 either way
-        p = make_problem_1d(n_cells=800, n_steps=799, tau=1.0)
-        got = solve_1d(p, return_history=True)
-        monkeypatch.setattr(solvers, "_BLOCK_BYTES", 8 * got.size)
-        ref = solve_1d(p, return_history=True)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        np.testing.assert_array_equal(got[0].view(np.int64), p.u0.view(np.int64))
 
     @pytest.mark.parametrize("n_steps,levels", [(599, 0), (1200, 5)], ids=["stepped", "reduced"])
     def test_final_state_inverse_restored_bit_for_bit(self, n_steps, levels, monkeypatch):
@@ -474,12 +461,13 @@ class TestSolve1D:
 @pytest.mark.parametrize(
     "make",
     [pytest.param(lambda: manufactured_1d(1.9).problem(40, 20), id="1d-lu"),
-     pytest.param(lambda: manufactured_1d(1.9).problem(40, 100), id="1d-inverse"),
+     pytest.param(lambda: manufactured_1d(1.9).problem(40, 100), id="1d-lu-long"),
      pytest.param(lambda: manufactured_2d(1.3, 1.7).problem(12, n_steps=5), id="2d")],
 )
 def test_history_starts_at_u0_bit_for_bit(make):
-    # the 1D inverse path marches w = (I - G) u; its first row must not be
-    # u0 taken through (I - G) and back, which rounds
+    # a 1D history steps u with LU solves for any step count, also from
+    # n_steps >= n where a final-state run marches w = (I - G) u; its first
+    # row must be u0 itself, not u0 taken through (I - G) and back
     p = make()
     history = solve(p, return_history=True)
     np.testing.assert_array_equal(history[0].view(np.int64), p.u0.view(np.int64))
@@ -702,16 +690,21 @@ class TestSolve2D:
 
 
 class TestPropagatorStepping:
-    # n_interior = 19: 19 steps form the inverse (one lu_solve call),
-    # 18 steps solve with the factors at every step
-    @pytest.mark.parametrize("n_steps,lu_calls", [(19, 1), (60, 1), (18, 18)],
-                             ids=["propagator-at-rule", "propagator", "lu"])
-    def test_1d_matches_lu_stepping(self, n_steps, lu_calls, monkeypatch):
+    # n_interior = 19: a final state from 19 steps on forms the inverse (one
+    # lu_solve call); 18 steps, or a history of any length, solve with the
+    # factors at every step and never form the inverse
+    @pytest.mark.parametrize(
+        "n_steps,history,lu_calls",
+        [(19, False, 1), (60, False, 1), (18, True, 18), (60, True, 60)],
+        ids=["propagator-at-rule", "propagator", "lu", "lu-history"],
+    )
+    def test_1d_matches_lu_stepping(self, n_steps, history, lu_calls, monkeypatch):
         p = manufactured_1d(1.5).problem(20, n_steps)
         calls = count_lu_solve(monkeypatch)
-        got = solve_1d(p, return_history=True)
+        got = solve_1d(p, return_history=history)
         assert len(calls) == lu_calls
-        assert_same_trajectory(got, lu_stepped_1d(p))
+        ref = lu_stepped_1d(p)
+        assert_same_trajectory(got, ref if history else ref[-1])
 
     @pytest.mark.parametrize("variant", ADI_VARIANTS)
     def test_2d_matches_lu_stepping(self, variant, monkeypatch):
@@ -757,9 +750,9 @@ class TestPropagatorStepping:
 class TestAssemblySwitch:
     # n_interior = _IN_PLACE_MIN_INTERIOR - 1 takes I - G from build_cn_system;
     # from the constant on it is written alone.  Neither side applies I + G,
-    # so neither builds the FFT stencil routine.  Both run with LU solves
-    # (20 steps) and with the inverse (n steps); measured at most
-    # 1.6e-13 x max|u| from the dense M_plus oracle.
+    # so neither builds the FFT stencil routine.  Both run a 20-step history
+    # with LU solves and an n-step final state with the inverse; measured at
+    # most 1.6e-13 x max|u| from the dense M_plus oracle.
     @pytest.mark.parametrize("offset", [-1, 0], ids=["system", "in-place"])
     @pytest.mark.parametrize("backend", ["lu", "inverse"])
     def test_matches_lu_stepping(self, offset, backend, monkeypatch):
@@ -768,10 +761,12 @@ class TestAssemblySwitch:
         p = manufactured_1d(1.5).problem(n + 1, n_steps)
         builds = count_calls(monkeypatch, operators._toeplitz_pair)
         lu_calls = count_lu_solve(monkeypatch)
-        got = solve_1d(p, return_history=True)
+        history = backend == "lu"
+        got = solve_1d(p, return_history=history)
         assert builds == []
-        assert len(lu_calls) == (n_steps if backend == "lu" else 1)
-        assert_same_trajectory(got, lu_stepped_1d(p))
+        assert len(lu_calls) == (n_steps if history else 1)
+        ref = lu_stepped_1d(p)
+        assert_same_trajectory(got, ref if history else ref[-1])
 
 
 def solve_nan_forcing_1d(n_cells):
@@ -850,7 +845,8 @@ def three_row_blocks(monkeypatch):
 
 
 # 8 steps in blocks of 3: steps 0-2, 3-5 and 6-7.  11 unknowns with 8 steps
-# solve with LU factors, 3 unknowns step through the propagator P.
+# solve with LU factors; 3 unknowns step a final state through the
+# propagator P and a history with the LU factors.
 BLOCK_SIDES = [
     pytest.param(lambda: make_problem_1d(n_cells=12, tau=0.2, n_steps=8), id="1d-lu"),
     pytest.param(lambda: make_problem_1d(n_cells=4, tau=0.2, n_steps=8), id="1d-propagator"),
@@ -918,16 +914,13 @@ class TestForcingBlocks:
         assert len(calls) == (math.ceil(8 / 3) if declare else 8)
 
     def test_matches_one_step_blocks(self, make, declare, three_row_blocks, monkeypatch):
-        # bit for bit where each step reads its own row; the propagator's
-        # h = (tau F) @ inv^T is one product per block and may round differently
+        # bit for bit: a history steps row by row on every side, each step
+        # reading its own forcing row, so the block size cannot change it
         p = self.blocked(make, declare, three_row_blocks, lambda s, t: np.sin(s + t))
         got = solve(p, return_history=True)
         monkeypatch.setattr(solvers, "_BLOCK_BYTES", 1)
         ref = solve(p, return_history=True)
-        if isinstance(p, Problem1D) and p.n_steps >= p.grid.n_interior:
-            assert_same_trajectory(got, ref)
-        else:
-            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, ref)
 
     def test_time_independent_sample_broadcasts(self, make, declare, three_row_blocks):
         # a declared forcing may ignore t and return one sample for the block
