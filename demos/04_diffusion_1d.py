@@ -25,8 +25,7 @@ print(f"coefficient proportionality constant kappa = {np.unique(p.d_minus / p.d_
 print("\nerror at t = 1 under refinement with tau = h^2:")
 for n_cells in (10, 20, 40):
     problem = case.problem(n_cells)
-    u = solve_1d(problem)
-    err = max_error(u, case.exact(problem.grid.interior_nodes(), 1.0))
+    err = max_error(*case.run(problem))
     print(f"  h = 1/{n_cells // 2:<3} steps = {problem.n_steps:<5} error = {err:.4e}")
 
 print("\nstability with huge steps (zero forcing, 100 steps):")

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from wsld import manufactured_2d, max_error, solve_2d
+from wsld import manufactured_2d, max_error
 
 alpha, beta = 1.8, 1.9
 case = manufactured_2d(alpha, beta)
@@ -21,11 +21,9 @@ previous = None
 for n_cells in (10, 20, 40):
     problem = case.problem(n_cells)
     t0 = time.perf_counter()
-    u = solve_2d(problem, variant="peaceman_rachford")
+    u, exact = case.run(problem, variant="peaceman_rachford")
     elapsed = time.perf_counter() - t0
-    x = problem.grid_x.interior_nodes()[:, None]
-    y = problem.grid_y.interior_nodes()[None, :]
-    err = max_error(u, case.exact(x, y, 1.0))
+    err = max_error(u, exact)
     rate = "" if previous is None else f"rate = {np.log(previous / err) / np.log(2):.3f}"
     print(f"  dx = 1/{n_cells // 2:<3} error = {err:.4e}  ({elapsed:.2f}s) {rate}")
     previous = err

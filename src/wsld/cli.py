@@ -28,10 +28,11 @@ from .coefficients import (
     lubich_coeffs,
     stencil_coeffs,
 )
+from .spectral import _verdict
 from .spectral import certify as spectral_certify
 from .spectral import generating_function
-from .verification import convergence_study, manufactured_1d, manufactured_2d, max_error
-from .solvers import solve_1d, solve_2d
+from .verification import ManufacturedCase, convergence_study, max_error
+from .verification import manufactured_1d, manufactured_2d
 
 __all__ = ["main"]
 
@@ -196,78 +197,53 @@ def _cmd_certify(args) -> tuple[str, str]:
         "nx": args.nx,
         "x_points": args.x_points,
     }
-    rows = []
-    verdicts = []
-    for a in args.alpha:
-        report = spectral_certify(st, alphas=[a], n_interior=args.nx, x_points=args.x_points)
-        rows.append(
-            f'"{st}",{a:.12e},{report.f_max:.12e},{report.lambda_max_sym:.12e},{report.verdict}'
-        )
-        verdicts.append(report.verdict)
-    if all(v == "certified_negative" for v in verdicts):
-        overall = "certified_negative"
-    elif any(v == "positive" for v in verdicts):
-        overall = "positive"
-    else:
-        overall = "indeterminate"
+    reports = [
+        spectral_certify(st, alphas=[a], n_interior=args.nx, x_points=args.x_points)
+        for a in args.alpha
+    ]
+    rows = [
+        f'"{st}",{a:.12e},{r.f_max:.12e},{r.lambda_max_sym:.12e},{r.verdict}'
+        for a, r in zip(args.alpha, reports)
+    ]
+    # the verdict certify gives over all the alphas at once
+    overall = _verdict(max(r.f_max for r in reports), max(r.lambda_max_sym for r in reports))
     text = _csv_text(config, "tuple,alpha,f_max,lambda_max_sym,verdict", rows)
     return text, f"verdict: {overall}"
 
 
-def _cmd_solve1d(args) -> tuple[str, str]:
+def _manufactured(args, dim: int) -> ManufacturedCase:
+    """The benchmark case in ``dim`` dimensions; ``--beta`` defaults to ``--alpha``."""
+    if dim == 1:
+        return manufactured_1d(args.alpha)
+    return manufactured_2d(args.alpha, args.alpha if args.beta is None else args.beta)
+
+
+def _cmd_solve(args) -> tuple[str, str]:
+    """``solve1d`` and ``solve2d``: one row per interior node, x-major in 2D."""
+    dim = 1 if args.command == "solve1d" else 2
     st = _pick_tuple(args)
-    case = manufactured_1d(args.alpha)
+    case = _manufactured(args, dim)
     case.t_final = args.t_final
     problem = case.problem(args.nx, args.nt)
+    variant = _ADI_VARIANTS[getattr(args, "adi", None) or "pr"]  # solve1d has no --adi
     config = {
-        "command": "solve1d",
+        "command": args.command,
         "alpha": repr(args.alpha),
         "tuple": str(st),
         "nx": args.nx,
         "nt": problem.n_steps,
         "t_final": repr(args.t_final),
     }
-    u = solve_1d(problem, st)
-    x = problem.grid.interior_nodes()
-    exact = case.exact(x, args.t_final)
+    if dim == 2:
+        config.update(beta=repr(case.beta), adi=variant)
+    u, exact = case.run(problem, st, variant)
+    columns = [c.ravel() for c in np.broadcast_arrays(*case.nodes(problem), u, exact)]
     rows = [
-        f"{xi:.12e},{ui:.12e},{ei:.12e},{abs(ui - ei):.12e}"
-        for xi, ui, ei in zip(x, u, exact)
+        ",".join(f"{v:.12e}" for v in (*nodes, ui, ei, abs(ui - ei)))
+        for *nodes, ui, ei in zip(*columns)
     ]
-    text = _csv_text(config, "x,u_numeric,u_exact,abs_error", rows)
-    return text, f"max_error: {max_error(u, exact):.12e}"
-
-
-def _cmd_solve2d(args) -> tuple[str, str]:
-    beta = args.alpha if args.beta is None else args.beta
-    st = _pick_tuple(args)
-    variant = _ADI_VARIANTS[args.adi or "pr"]
-    case = manufactured_2d(args.alpha, beta)
-    case.t_final = args.t_final
-    problem = case.problem(args.nx, args.nt)
-    config = {
-        "command": "solve2d",
-        "alpha": repr(args.alpha),
-        "beta": repr(beta),
-        "tuple": str(st),
-        "nx": args.nx,
-        "nt": problem.n_steps,
-        "t_final": repr(args.t_final),
-        "adi": variant,
-    }
-    u = solve_2d(problem, st, variant=variant)
-    x = problem.grid_x.interior_nodes()
-    y = problem.grid_y.interior_nodes()
-    exact = case.exact(x[:, None], y[None, :], args.t_final)
-    rows = []
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            rows.append(
-                f"{xi:.12e},{yj:.12e},{u[i, j]:.12e},{exact[i, j]:.12e},"
-                f"{abs(u[i, j] - exact[i, j]):.12e}"
-            )
-    text = _csv_text(config, "x,y,u_numeric,u_exact,abs_error", rows)
-    return text, f"max_error: {max_error(u, exact):.12e}"
+    header = ",".join(("x", "y")[:dim]) + ",u_numeric,u_exact,abs_error"
+    return _csv_text(config, header, rows), f"max_error: {max_error(u, exact):.12e}"
 
 
 def _cmd_converge(args) -> tuple[str, None]:
@@ -277,24 +253,19 @@ def _cmd_converge(args) -> tuple[str, None]:
     if dim == 1 and (args.beta is not None or args.adi is not None):
         raise ConfigError("--beta and --adi apply only to --dim 2")
     variant = _ADI_VARIANTS[args.adi or "pr"]
-    if dim == 1:
-        case = manufactured_1d(alpha)
-        beta = None
-    else:
-        beta = alpha if args.beta is None else args.beta
-        case = manufactured_2d(alpha, beta)
+    case = _manufactured(args, dim)
     config = {
         "command": "converge",
         "dim": dim,
         "alpha": repr(alpha),
-        "beta": "" if beta is None else repr(beta),
+        "beta": "" if case.beta is None else repr(case.beta),
         "tuple": str(st),
         "h_list": ",".join(repr(h) for h in h_list),
         "adi": variant if dim == 2 else "",
     }
     table = convergence_study(case, st, h_list, variant=variant)
     # the tuple field contains commas, so it is always quoted
-    fixed = f'"{st}",{alpha:.12e},' + ("" if beta is None else f"{beta:.12e}")
+    fixed = f'"{st}",{alpha:.12e},' + ("" if case.beta is None else f"{case.beta:.12e}")
     rows = [
         f"{fixed},{h:.12e},{tau:.12e},{err:.12e}," + ("" if rate is None else f"{rate:.12e}")
         for h, tau, err, rate in table.rows
@@ -307,8 +278,8 @@ _COMMANDS = {
     "coeffs": _cmd_coeffs,
     "spectrum": _cmd_spectrum,
     "certify": _cmd_certify,
-    "solve1d": _cmd_solve1d,
-    "solve2d": _cmd_solve2d,
+    "solve1d": _cmd_solve,
+    "solve2d": _cmd_solve,
     "converge": _cmd_converge,
 }
 

@@ -325,5 +325,5 @@ def stencil_coeffs(
     for w, t in branch_weights(alpha, st):
         off = t - m  # q-index offset; off <= 0 always
         k0 = -off
-        phi[k0:] += w * q[: k_max + 1 + off if off < 0 else None]
+        phi[k0:] += w * q[: max(k_max + 1 + off, 0)]  # empty when k0 > k_max
     return CoefficientTable(alpha=alpha, shifts=st, phi=phi)

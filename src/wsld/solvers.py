@@ -281,21 +281,22 @@ def _march(
     ``_BLOCK_BYTES`` of forcing, and the block ``f = sample(t)`` is then
     stepped one row at a time; with ``return_history`` every state is written
     into one ``(n_steps + 1, *u0.shape)`` array, ``u0`` first.  When ``step``
-    is ``u -> P u + tau f[k]``, ``powers`` may hold ``P, P^2, ...,
-    P^(2^(L-1))``: a run without history then takes blocks of ``2**L - 1``
-    steps and reduces each in L products (``_reduce``), and steps a block
-    row by row from its first state only when the reduction cannot vouch
-    that every state in it is finite.  A non-finite state raises
-    ``ValueError``: naming the forcing, the step and its time when that
-    step's forcing sample is non-finite, otherwise saying the state has
-    infs or NaNs at that step.  Overflow and invalid floating-point
-    warnings are off inside the loop, since the check reports their result.
+    is ``u -> P u + tau f[k]``, a run without history may pass ``powers``,
+    ``P, P^2, ..., P^(2^(L-1))`` (they imply no history): it then takes
+    blocks of ``2**L - 1`` steps and reduces each in L products
+    (``_reduce``), and steps a block row by row from its first state only
+    when the reduction cannot vouch that every state in it is finite.  A
+    non-finite state raises ``ValueError``: naming the forcing, the step and
+    its time when that step's forcing sample is non-finite, otherwise saying
+    the state has infs or NaNs at that step.  Overflow and invalid
+    floating-point warnings are off inside the loop, since the check reports
+    their result.
     """
     u, history = u0, None
     if return_history:
         history = np.empty((n_steps + 1, *u0.shape))
         history[0] = u0
-    reduce = bool(powers) and history is None
+    reduce = bool(powers)
     if reduce:
         block = 2 ** len(powers) - 1
         # 2-norm bound on every P^j, j < 2**L; the Frobenius norm needs no temporary

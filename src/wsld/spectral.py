@@ -292,6 +292,15 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     return _top_eigenvalue(h)
 
 
+def _verdict(f_max: float, lam: float) -> str:
+    """``certified_negative`` when the scan maximum ``f_max`` is at most
+    ``ROUNDOFF_ZERO`` and the eigenvalue bound ``lam`` negative, ``positive``
+    when ``lam`` is positive, otherwise ``indeterminate``."""
+    if f_max <= ROUNDOFF_ZERO and lam < 0.0:
+        return "certified_negative"
+    return "positive" if lam > 0.0 else "indeterminate"
+
+
 def certify(
     shifts: ShiftTuple | Sequence[int],
     alphas: Sequence[float] = (1.1, 1.5, 1.9),
@@ -323,17 +332,10 @@ def certify(
     lam = max(
         max_real_part_bound(assemble_left(a, st, grid)) for a in alphas
     )
-    scan_ok = partial.f_max <= ROUNDOFF_ZERO
-    if scan_ok and lam < 0.0:
-        verdict = "certified_negative"
-    elif lam > 0.0:
-        verdict = "positive"
-    else:
-        verdict = "indeterminate"
     return SpectralReport(
         shifts=st,
         alpha=partial.alpha,
         f_max=partial.f_max,
         lambda_max_sym=float(lam),
-        verdict=verdict,
+        verdict=_verdict(partial.f_max, lam),
     )

@@ -98,6 +98,8 @@ class ManufacturedCase:
     ``exact`` takes ``(x, t)`` in 1D or ``(x, y, t)`` in 2D and broadcasts
     over node arrays.  ``problem(n_cells, ...)`` discretizes the case on a
     uniform grid; the default step count follows the tau = h**2 law.
+    ``run(problem, ...)`` solves it and samples ``exact`` on
+    ``nodes(problem)``, so callers never branch on ``dimension``.
     """
 
     dimension: int
@@ -141,6 +143,25 @@ class ManufacturedCase:
             t_final=self.t_final,
             n_steps=n_steps,
         )
+
+    def nodes(self, problem) -> tuple[np.ndarray, ...]:
+        """The interior nodes of ``problem`` as ``exact`` takes them: ``(x,)``
+        in 1D, ``(x[:, None], y[None, :])`` in 2D."""
+        if self.dimension == 1:
+            return (problem.grid.interior_nodes(),)
+        return problem.grid_x.interior_nodes()[:, None], problem.grid_y.interior_nodes()[None, :]
+
+    def run(
+        self, problem, shifts=DEFAULT_TUPLE, variant: str = "peaceman_rachford"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(numeric, exact)``: ``problem`` solved by ``solve_1d``, or in 2D by
+        ``solve_2d`` with ``shifts`` on both axes and ``variant``, and the exact
+        solution at ``problem.t_final`` on ``nodes(problem)``."""
+        if self.dimension == 1:
+            numeric = solve_1d(problem, shifts)
+        else:
+            numeric = solve_2d(problem, shifts, variant=variant)
+        return numeric, self.exact(*self.nodes(problem), problem.t_final)
 
 
 def _minus_sine_term(out: np.ndarray, t: np.ndarray, space: np.ndarray) -> np.ndarray:
@@ -277,15 +298,15 @@ def convergence_study(
     tau_law: Callable[[float], float] | None = None,
     variant: str = "peaceman_rachford",
 ) -> ConvergenceTable:
-    """Run the solver over a decreasing h sequence and tabulate errors/rates.
+    """Run the case over a decreasing h sequence and tabulate errors/rates.
 
     ``tau_law`` maps h to the target time step (default h**2); the actual
-    tau divides t_final exactly.  Errors are measured against the exact
-    solution at the final time in the max norm.  ``variant`` is used by 2D
-    cases only, but one outside ``ADI_VARIANTS`` raises ``ValueError`` in
-    either dimension before any level runs.  So does an ``h_list`` entry
-    that is not finite and positive, naming the level, and a ``tau_law``
-    result that is not finite and positive, naming h.
+    tau divides t_final exactly.  Each level is one ``case.run``, its error
+    the max norm of ``numeric - exact`` at the final time.  ``variant`` is
+    used by 2D cases only, but one outside ``ADI_VARIANTS`` raises
+    ``ValueError`` in either dimension before any level runs.  So does an
+    ``h_list`` entry that is not finite and positive, naming the level, and
+    a ``tau_law`` result that is not finite and positive, naming h.
     """
     st = ShiftTuple.of(shifts)
     if variant not in ADI_VARIANTS:
@@ -311,16 +332,7 @@ def convergence_study(
     rows: list[tuple[float, float, float, float | None]] = []
     for i, (h, (n_cells, n_steps)) in enumerate(zip(hs, levels)):
         problem = case.problem(n_cells, n_steps)
-        if case.dimension == 1:
-            numeric = solve_1d(problem, st)
-            exact = case.exact(problem.grid.interior_nodes(), case.t_final)
-        else:
-            numeric = solve_2d(problem, st, variant=variant)
-            exact = case.exact(
-                problem.grid_x.interior_nodes()[:, None],
-                problem.grid_y.interior_nodes()[None, :],
-                case.t_final,
-            )
+        numeric, exact = case.run(problem, st, variant)
         err = max_error(numeric, exact)
         rate = None if i == 0 else observed_rate(rows[-1][2], err, hs[i - 1], h)
         rows.append((h, problem.tau, err, rate))

@@ -9,6 +9,7 @@ import pytest
 
 from wsld.cli import _COMMANDS, _build_parser, main
 from wsld.coefficients import lubich_coeffs
+from wsld.spectral import certify
 from wsld.verification import convergence_study, manufactured_1d, manufactured_2d
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -68,6 +69,14 @@ class TestCoeffs:
         assert header == ["k", "g", "q", "phi"]
         assert float(rows[0].split(",")[3]) == pytest.approx(-(1.5**1.5), rel=1e-12)
 
+    def test_phi_below_the_branch_starts(self, tmp_path):
+        # k = 2 ends before the branch of shift -2 starts at k0 = 4
+        short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+        argv = ["coeffs", "--alpha", "1.5", "--tuple", "1,2,1,0,1,2,1,-2", "--out"]
+        assert main(argv + [str(short), "--k", "2"]) == 0
+        assert main(argv + [str(full), "--k", "8"]) == 0
+        assert read_csv(short)[2] == read_csv(full)[2][:3]
+
     def test_missing_alpha_is_config_error(self, capsys):
         rc = main(["coeffs", "--k", "3"])
         assert rc == 2
@@ -120,6 +129,18 @@ class TestCertify:
         assert main(["certify", "--nx", nx, "--x-points", "11"]) == 2
         assert capsys.readouterr().err == "config-error: --nx must be at least 1\n"
 
+    @pytest.mark.parametrize(
+        "shifts, verdict", [("1,2,1,0,1,2,1,-2", "certified_negative"), ("0", "positive")]
+    )
+    def test_summary_is_certify_over_all_alphas(self, shifts, verdict, tmp_path, capsys):
+        argv = ["certify", "--tuple", shifts, "--alpha", "1.1,1.5,1.9", "--nx", "16",
+                "--x-points", "201", "--out", str(tmp_path / "cert.csv")]
+        assert main(argv) == 0
+        st = tuple(int(s) for s in shifts.split(","))
+        report = certify(st, alphas=[1.1, 1.5, 1.9], n_interior=16, x_points=201)
+        assert report.verdict == verdict
+        assert capsys.readouterr().out == f"verdict: {report.verdict}\n"
+
     def test_matrix_not_wider_than_stencil_is_numeric_error(self, capsys):
         assert main(["certify", "--nx", "1", "--x-points", "11"]) == 3
         assert capsys.readouterr().err.startswith(
@@ -155,6 +176,37 @@ class TestSolve:
         _, header, rows = read_csv(out)
         assert header == ["x", "y", "u_numeric", "u_exact", "abs_error"]
         assert len(rows) == 49
+
+
+def rounded(a):
+    """``a`` through the CSV's ``.12e`` text, elementwise."""
+    return np.vectorize(lambda v: float(f"{v:.12e}"))(a)
+
+
+@pytest.mark.parametrize("command", ["solve1d", "solve2d"])
+def test_solve_csv_values_are_case_run(command, tmp_path, capsys):
+    # alpha != beta makes u asymmetric, so a swapped axis or row order shows
+    out = tmp_path / "u.csv"
+    argv = [command, "--alpha", "1.3", "--nx", "9", "--nt", "5", "--tuple", "1,2,1,-2"]
+    if command == "solve1d":
+        case, variant = manufactured_1d(1.3), "peaceman_rachford"
+    else:
+        argv += ["--beta", "1.8", "--adi", "douglas"]
+        case, variant = manufactured_2d(1.3, 1.8), "douglas"
+    assert main(argv + ["--out", str(out)]) == 0
+    problem = case.problem(9, 5)
+    u, exact = case.run(problem, (1, 2, 1, -2), variant)
+    assert capsys.readouterr().out == f"max_error: {np.max(np.abs(u - exact)):.12e}\n"
+    if command == "solve1d":
+        nodes = [problem.grid.interior_nodes()]
+    else:
+        x, y = problem.grid_x.interior_nodes(), problem.grid_y.interior_nodes()
+        nodes = [np.repeat(x, len(y)), np.tile(y, len(x))]  # x-major: y varies fastest
+    expected = np.column_stack([*nodes, u.ravel(), exact.ravel(), np.abs(u - exact).ravel()])
+    _, header, rows = read_csv(out)
+    assert len(header) == expected.shape[1]
+    parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
+    np.testing.assert_array_equal(parsed, rounded(expected))
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,7 +16,7 @@ from wsld.coefficients import (
     weights_order3,
     weights_order4,
 )
-from wsld.spectral import generating_function_series
+from wsld.spectral import CERTIFIED_TUPLES, generating_function_series
 
 ALPHAS = [1.1, 1.3, 1.5, 1.7, 1.9]
 
@@ -259,6 +259,25 @@ class TestStencil:
         original = stencil_coeffs(alpha, (1, 2, 1, 0, 1, 2, 1, -2), 40).phi
         swapped = stencil_coeffs(alpha, (1, 2, 1, -2, 1, 2, 1, 0), 40).phi
         np.testing.assert_allclose(swapped, original, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "shifts",
+        [*CERTIFIED_TUPLES, (0,), (1,), (2,), (3,), (1, 2), (2, 3), (1, -2), (3, -3),
+         (1, 2, 1, -2), (2, 3, 1, -3), (1, 2, 1, -3, 1, 2, 1, -2), (2, 3, 1, -3, 1, 2, 1, -2)],
+        ids=str,
+    )
+    def test_short_table_is_prefix_of_long_one(self, shifts):
+        # a branch may start past k_max (k0 = m - t up to 6 here): it then adds
+        # nothing, so every k_max gives the leading entries of a longer table
+        for alpha in (1.1, 1.5, 1.9):
+            try:
+                full = stencil_coeffs(alpha, shifts, 40).phi
+            except DegenerateTupleError:  # (1,2,1,-1,1,-1,1,-2) at 1.5, by design
+                continue
+            for k_max in range(40):
+                np.testing.assert_array_equal(
+                    stencil_coeffs(alpha, shifts, k_max).phi, full[: k_max + 1]
+                )
 
     def test_table_fields(self):
         table = stencil_coeffs(1.5, DEFAULT_TUPLE, 10)

@@ -20,7 +20,7 @@ from wsld.verification import (
     observed_rate,
     profile,
 )
-from wsld.solvers import solve_1d, solve_2d
+from wsld.solvers import ADI_VARIANTS, solve_1d, solve_2d
 
 ALPHA = 1.3
 
@@ -348,6 +348,42 @@ class TestForcingMechanism:
         assert np.array_equal(
             solve_2d(problem, variant=variant, return_history=True),
             solve_2d(plain, variant=variant, return_history=True),
+        )
+
+
+class TestRun:
+    def test_1d_is_solve_1d_and_exact_at_the_nodes(self):
+        case = manufactured_1d(ALPHA)
+        case.t_final = 0.6
+        problem = case.problem(12, 7)
+        x = problem.grid.interior_nodes()
+        (nodes,) = case.nodes(problem)
+        np.testing.assert_array_equal(nodes, x)
+        numeric, exact = case.run(problem, (1, 2))
+        np.testing.assert_array_equal(numeric, solve_1d(problem, (1, 2)))
+        np.testing.assert_array_equal(exact, case.exact(x, 0.6))
+
+    @pytest.mark.parametrize("variant", ADI_VARIANTS)
+    def test_2d_is_solve_2d_and_exact_at_the_nodes(self, variant):
+        case = manufactured_2d(ALPHA, 1.8)  # alpha != beta: a swapped axis shows
+        problem = case.problem(10, 6)
+        x = problem.grid_x.interior_nodes()[:, None]
+        y = problem.grid_y.interior_nodes()[None, :]
+        nodes = case.nodes(problem)
+        assert len(nodes) == 2
+        np.testing.assert_array_equal(nodes[0], x)
+        np.testing.assert_array_equal(nodes[1], y)
+        numeric, exact = case.run(problem, (1, 2, 1, -2), variant)
+        np.testing.assert_array_equal(numeric, solve_2d(problem, (1, 2, 1, -2), variant=variant))
+        np.testing.assert_array_equal(exact, case.exact(x, y, 1.0))
+        assert exact.shape == numeric.shape == (9, 9)
+
+    def test_defaults(self):
+        case = manufactured_2d(ALPHA, 1.8)
+        problem = case.problem(8, 3)
+        numeric, _ = case.run(problem)
+        np.testing.assert_array_equal(
+            numeric, solve_2d(problem, DEFAULT_TUPLE, variant="peaceman_rachford")
         )
 
 
