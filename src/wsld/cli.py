@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config-error, 3 numeric-error, 4 io-error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -237,7 +238,7 @@ def _cmd_solve(args) -> tuple[str, str]:
     if dim == 2:
         config.update(beta=repr(case.beta), adi=variant)
     u, exact = case.run(problem, st, variant)
-    columns = [c.ravel() for c in np.broadcast_arrays(*case.nodes(problem), u, exact)]
+    columns = [c.ravel() for c in np.broadcast_arrays(*problem.nodes, u, exact)]
     rows = [
         ",".join(f"{v:.12e}" for v in (*nodes, ui, ei, abs(ui - ei)))
         for *nodes, ui, ei in zip(*columns)
@@ -284,6 +285,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="wsld",

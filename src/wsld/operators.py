@@ -241,7 +241,7 @@ def rl_exact_poly(
                 f"power {p} < ceil(alpha) = {min_power} has no classical derivative"
             )
     x = np.asarray(x, dtype=float)
-    if np.any(x < x_left) or np.any(x > x_right):
+    if not np.all((x >= x_left) & (x <= x_right)):  # NaN fails both
         raise ValueError("evaluation point outside the domain")
     if side == "left":
         s = x - x_left

@@ -174,6 +174,11 @@ class Problem1D(_Problem):
     def __post_init__(self) -> None:
         self._validate(("alpha",), (("d", self.grid.n_interior),))
 
+    @property
+    def nodes(self) -> tuple[np.ndarray]:
+        """The interior nodes as ``forcing`` takes them: ``(x,)``."""
+        return (self.grid.interior_nodes(),)
+
 
 @dataclass
 class Problem2D(_Problem):
@@ -206,6 +211,11 @@ class Problem2D(_Problem):
     def __post_init__(self) -> None:
         axes = (("d", self.grid_x.n_interior), ("e", self.grid_y.n_interior))
         self._validate(("alpha", "beta"), axes)
+
+    @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The interior nodes as ``forcing`` takes them: ``(x[:, None], y[None, :])``."""
+        return np.ix_(self.grid_x.interior_nodes(), self.grid_y.interior_nodes())
 
 
 def _inverse(a: np.ndarray) -> np.ndarray:
@@ -425,7 +435,7 @@ def solve_1d(
     else:
         m_minus = _operator_1d(problem, shifts).dense()
         m_minus = _identity_plus(-1.0, m_minus, m_minus)
-    march = (_sampler(problem.forcing, (problem.grid.interior_nodes(),), (n,)),
+    march = (_sampler(problem.forcing, problem.nodes, (n,)),
              problem.n_steps, tau, return_history)
     # Inverse for final-state runs from n_steps >= n.  Break-even against LU
     # solves, one BLAS thread on a 2-vCPU Xeon, linear fits over n/8 to
@@ -539,12 +549,11 @@ def solve_2d(
     bx = _cayley(_inverse(minus_x))
     iy = _inverse(minus_y).T
     cy = _cayley(iy)
-    nodes = (problem.grid_x.interior_nodes()[:, None], problem.grid_y.interior_nodes()[None, :])
     tau = problem.tau
     return _march(
         lambda u, f: step_adi(u, f, tau, bx, cy, iy),
         problem.u0,
-        _sampler(problem.forcing, nodes, problem.u0.shape),
+        _sampler(problem.forcing, problem.nodes, problem.u0.shape),
         problem.n_steps,
         tau,
         return_history,

@@ -68,7 +68,7 @@ def _half_angle(x: float | np.ndarray, name: str) -> tuple[np.ndarray, np.ndarra
     """``x`` as a float array, ``sin(x/2)`` and ``1 + 3 sin(x/2)**2``; an ``x``
     outside [0, pi] raises ``ValueError`` naming it ``name``."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > np.pi):
+    if not np.all((x >= 0.0) & (x <= np.pi)):  # NaN fails both
         raise ValueError(f"{name} must lie in [0, pi]")
     s = np.sin(x / 2)
     return x, s, 1.0 + 3.0 * s * s

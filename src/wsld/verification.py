@@ -10,8 +10,8 @@ monomial derivative rule, never by numerical quadrature.
 Both forcings have the form ``cos(t+1) P - sin(t+1) S`` with arrays P and S
 that do not depend on time: ``P = B(x)`` and S the two-sided derivative of
 the bump in 1D, ``P = B(x) B(y)`` and S the sum of the two direction terms
-in 2D.  The pair ``(P, S)`` is computed once per distinct node array, and
-one evaluator, ``_cos_minus_sine``, combines it with the time.
+in 2D.  One builder, ``_separable_forcing``, computes the pair ``(P, S)``
+once per distinct node array and combines it with the time.
 """
 
 from __future__ import annotations
@@ -70,27 +70,6 @@ def _step_count(t_final: float, tau: float) -> int:
     return max(1, round(min(t_final / tau, _MAX_STEPS + 1)))
 
 
-def _node_memo(build: Callable[..., tuple]) -> Callable[..., tuple]:
-    """One-slot cache of ``build(*nodes)``.
-
-    The slot is keyed on private copies of the node arrays, compared by
-    shape and values, so a caller mutating its arrays in place or
-    alternating grids gets a fresh evaluation.  Key and value are stored as
-    one tuple, and a build that raises stores nothing.
-    """
-    slot: tuple | None = None
-
-    def cached(*nodes: np.ndarray) -> tuple:
-        nonlocal slot
-        entry = slot
-        if entry is None or not all(map(np.array_equal, entry[0], nodes)):
-            entry = (tuple(s.copy() for s in nodes), build(*nodes))
-            slot = entry
-        return entry[1]
-
-    return cached
-
-
 @dataclass
 class ManufacturedCase:
     """A problem with a known exact solution and analytically built forcing.
@@ -99,7 +78,7 @@ class ManufacturedCase:
     over node arrays.  ``problem(n_cells, ...)`` discretizes the case on a
     uniform grid; the default step count follows the tau = h**2 law.
     ``run(problem, ...)`` solves it and samples ``exact`` on
-    ``nodes(problem)``, so callers never branch on ``dimension``.
+    ``problem.nodes``, so callers never branch on ``dimension``.
     """
 
     dimension: int
@@ -115,85 +94,78 @@ class ManufacturedCase:
         grid = Grid1D(*DOMAIN, n_cells)
         if n_steps is None:
             n_steps = _step_count(self.t_final, grid.h**2)
-        if self.dimension == 1:
-            x = grid.interior_nodes()
-            return Problem1D(
-                grid=grid,
-                alpha=self.alpha,
-                d_plus=x**self.alpha,
-                d_minus=2.0 * x**self.alpha,
-                forcing=self.forcing,
-                u0=self.exact(x, 0.0),
-                t_final=self.t_final,
-                n_steps=n_steps,
-            )
-        x = grid.interior_nodes()[:, None]
-        y = grid.interior_nodes()[None, :]
-        return Problem2D(
-            grid_x=grid,
-            grid_y=grid,
+        s = grid.interior_nodes()
+        d_plus = s**self.alpha
+        common = dict(
             alpha=self.alpha,
-            beta=self.beta,
-            d_plus=(x**self.alpha).ravel(),
-            d_minus=2.0 * (x**self.alpha).ravel(),
-            e_plus=(y**self.beta).ravel(),
-            e_minus=2.0 * (y**self.beta).ravel(),
+            d_plus=d_plus,
+            d_minus=2.0 * d_plus,
             forcing=self.forcing,
-            u0=self.exact(x, y, 0.0),
+            u0=self.exact(*np.ix_(*[s] * self.dimension), 0.0),
             t_final=self.t_final,
             n_steps=n_steps,
         )
-
-    def nodes(self, problem) -> tuple[np.ndarray, ...]:
-        """The interior nodes of ``problem`` as ``exact`` takes them: ``(x,)``
-        in 1D, ``(x[:, None], y[None, :])`` in 2D."""
         if self.dimension == 1:
-            return (problem.grid.interior_nodes(),)
-        return problem.grid_x.interior_nodes()[:, None], problem.grid_y.interior_nodes()[None, :]
+            return Problem1D(grid=grid, **common)
+        e_plus = s**self.beta
+        return Problem2D(
+            grid_x=grid, grid_y=grid, beta=self.beta, e_plus=e_plus, e_minus=2.0 * e_plus, **common
+        )
 
     def run(
         self, problem, shifts=DEFAULT_TUPLE, variant: str = "peaceman_rachford"
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(numeric, exact)``: ``problem`` solved by ``solve_1d``, or in 2D by
         ``solve_2d`` with ``shifts`` on both axes and ``variant``, and the exact
-        solution at ``problem.t_final`` on ``nodes(problem)``."""
+        solution at ``problem.t_final`` on ``problem.nodes``."""
         if self.dimension == 1:
             numeric = solve_1d(problem, shifts)
         else:
             numeric = solve_2d(problem, shifts, variant=variant)
-        return numeric, self.exact(*self.nodes(problem), problem.t_final)
+        return numeric, self.exact(*problem.nodes, problem.t_final)
 
 
-def _minus_sine_term(out: np.ndarray, t: np.ndarray, space: np.ndarray) -> np.ndarray:
-    """``out - sin(t + 1) * space`` written into ``out``, the block of cosine
-    terms with one row per time of the column ``t``.
+def _separable_forcing(parts: Callable[..., tuple]) -> Callable[..., np.ndarray]:
+    """``forcing(*nodes, t) = cos(t + 1) P - sin(t + 1) S`` with
+    ``(P, S) = parts(*nodes)``, the pair of the module docstring.
 
-    The products go through a scratch of an eighth of the rows (at least
-    one), so ``out`` stays the one block-sized array.  Each row takes the
-    same operations in the same order as the one-shot expression for a
-    scalar time, so the block is bit-identical to stacked scalar calls.
+    The pair is held in a one-slot cache keyed on private copies of the node
+    arrays, compared by shape and values, so a caller mutating its arrays in
+    place or alternating grids gets a fresh evaluation.  Key and value are
+    stored as one tuple, and a ``parts`` that raises stores nothing.
+
+    A time of at most S's dimension is one expression.  A column of times
+    gives one row of samples per time: the cosine terms are the one
+    block-sized array, and the sine products go through a scratch of an
+    eighth of its rows (at least one).  Each row takes the same operations
+    in the same order as the one-shot expression for a scalar time, so the
+    block is bit-identical to stacked scalar calls.  The forcing declares
+    ``broadcasts_over_t``.
     """
-    sin_t = np.sin(t + 1.0)
-    rows = max(1, len(out) // 8)
-    scratch = np.empty_like(out[:rows])
-    for s in range(0, len(out), rows):
-        chunk = out[s : s + rows]
-        chunk -= np.multiply(sin_t[s : s + rows], space, out=scratch[: len(chunk)])
-    return out
+    slot: tuple | None = None
 
+    def forcing(*args):
+        nonlocal slot
+        nodes = [np.asarray(s, dtype=float) for s in args[:-1]]
+        t = args[-1]
+        entry = slot
+        if entry is None or not all(map(np.array_equal, entry[0], nodes)):
+            entry = (tuple(s.copy() for s in nodes), parts(*nodes))
+            slot = entry
+        bump, space = entry[1]
+        if np.ndim(t) <= np.ndim(space):
+            return np.cos(t + 1.0) * bump - np.sin(t + 1.0) * space
+        out = np.cos(t + 1.0) * bump
+        sin_t = np.sin(t + 1.0)
+        rows = max(1, len(out) // 8)
+        scratch = np.empty_like(out[:rows])
+        for s in range(0, len(out), rows):
+            chunk = out[s : s + rows]
+            chunk -= np.multiply(sin_t[s : s + rows], space, out=scratch[: len(chunk)])
+        return out
 
-def _cos_minus_sine(bump: np.ndarray, space: np.ndarray, t) -> np.ndarray:
-    """``cos(t + 1) bump - sin(t + 1) space``: the manufactured forcing from
-    its memoized pair, P and S of the module docstring.
-
-    A time of at most ``space``'s dimension is one expression; a column of
-    times gives one row of samples per time, allocated as the one
-    block-sized array and bit-identical to stacked scalar calls
-    (``_minus_sine_term``).
-    """
-    if np.ndim(t) <= np.ndim(space):
-        return np.cos(t + 1.0) * bump - np.sin(t + 1.0) * space
-    return _minus_sine_term(np.cos(t + 1.0) * bump, t, space)
+    forcing.broadcasts_over_t = True
+    return forcing
 
 
 def manufactured_1d(alpha: float) -> ManufacturedCase:
@@ -203,24 +175,17 @@ def manufactured_1d(alpha: float) -> ManufacturedCase:
     (so the stability hypothesis holds with kappa = 2), and the forcing is
     ``cos(t+1) B(x) - sin(t+1) * [two-sided derivative of B]``.  Its
     time-independent factors, B(x) and the two-sided derivative, are
-    computed once per distinct node array (same shape and values); each
-    call then only combines them with ``cos(t+1)`` and ``sin(t+1)``
-    (``_cos_minus_sine``).  The forcing declares ``broadcasts_over_t``: a
-    column of times gives one row of samples per time, so the solvers
-    sample many steps per call.  On a column the result is the one
-    block-sized array it allocates, and it is bit-identical to stacked
-    scalar calls.
+    computed once per distinct node array (same shape and values) by
+    ``_separable_forcing``, and each call only combines them with the time.
+    The forcing declares ``broadcasts_over_t``, so the solvers sample many
+    steps per call on a column of times.
     """
     alpha = validate_order(alpha)
-    spatial = _node_memo(lambda s: (profile(s), _two_sided_rl(alpha, s)))
 
     def exact(x, t):
         return np.sin(t + 1.0) * profile(np.asarray(x, dtype=float))
 
-    def forcing(x, t):
-        return _cos_minus_sine(*spatial(np.asarray(x, dtype=float)), t)
-
-    forcing.broadcasts_over_t = True
+    forcing = _separable_forcing(lambda s: (profile(s), _two_sided_rl(alpha, s)))
     return ManufacturedCase(dimension=1, alpha=alpha, beta=None, exact=exact, forcing=forcing)
 
 
@@ -228,12 +193,11 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
     """2D benchmark: exact solution sin(t+1) B(x) B(y) on (0, 2)^2.
 
     The forcing splits along the product structure: the x-direction
-    two-sided derivative is multiplied by B(y) and vice versa.  The memo
+    two-sided derivative is multiplied by B(y) and vice versa.  The cache
     holds, per distinct pair of node arrays, the product B(x) B(y) and the
     sum of the two direction terms, so each call is
-    ``cos(t+1) (B(x) B(y)) - sin(t+1) * space`` through the same evaluator
-    as in 1D.  The forcing declares ``broadcasts_over_t``; on a column of
-    times it allocates one block-sized array, its result, as in 1D.
+    ``cos(t+1) (B(x) B(y)) - sin(t+1) * space`` through the same builder,
+    which declares ``broadcasts_over_t``, as in 1D.
     """
     alpha = validate_order(alpha)
     beta = validate_order(beta)
@@ -242,19 +206,12 @@ def manufactured_2d(alpha: float, beta: float) -> ManufacturedCase:
         px, py = profile(x), profile(y)
         return px * py, _two_sided_rl(alpha, x) * py + px * _two_sided_rl(beta, y)
 
-    spatial = _node_memo(parts)
-
     def exact(x, y, t):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         return np.sin(t + 1.0) * profile(x) * profile(y)
 
-    def forcing(x, y, t):
-        return _cos_minus_sine(
-            *spatial(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), t
-        )
-
-    forcing.broadcasts_over_t = True
+    forcing = _separable_forcing(parts)
     return ManufacturedCase(dimension=2, alpha=alpha, beta=beta, exact=exact, forcing=forcing)
 
 

@@ -1,6 +1,7 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ and the README Quick tour run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,17 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_tour(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"## Quick tour\n+```python\n(.*?)```", readme, re.DOTALL).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", tour], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    verdict, error = result.stdout.split()
+    assert verdict == "certified_negative"
+    assert f"{float(error):.4e}" == "4.7848e-03"

@@ -217,6 +217,13 @@ class TestExactPolyDerivative:
         with pytest.raises(ValueError):
             rl_exact_poly("left", 1.5, [4], [1.0], 3.0, DOMAIN)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("x", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"])
+    def test_rejects_nan_point(self, side, x):
+        # NaN compares false both ways, so only a test for inclusion rejects it
+        with pytest.raises(ValueError, match="^evaluation point outside the domain$"):
+            rl_exact_poly(side, 1.5, [2], [1.0], x, (0.0, 1.0))
+
     @pytest.mark.parametrize("power", [2.5, True, "4"])
     def test_rejects_non_integer_power(self, power):
         # 2.5 was truncated to 2 and gave the p = 2 value

@@ -289,6 +289,26 @@ class TestProblemValidation:
             dataclasses.replace(problem, **changes)
 
 
+class TestNodes:
+    def test_1d_is_the_interior_nodes(self):
+        p = make_problem_1d(n_cells=9)
+        (x,) = p.nodes
+        np.testing.assert_array_equal(x, p.grid.interior_nodes())
+
+    def test_2d_is_a_column_and_a_row_on_a_rectangular_grid(self):
+        grid_x, grid_y = Grid1D(0.0, 2.0, 7), Grid1D(0.0, 3.0, 10)
+        x, y = grid_x.interior_nodes(), grid_y.interior_nodes()
+        p = Problem2D(
+            grid_x=grid_x, grid_y=grid_y, alpha=1.4, beta=1.6,
+            d_plus=x, d_minus=x, e_plus=y, e_minus=y,
+            forcing=zero_forcing_2d, u0=np.zeros((6, 9)), t_final=0.1, n_steps=1,
+        )
+        nx, ny = p.nodes
+        assert nx.shape == (6, 1) and ny.shape == (1, 9)
+        np.testing.assert_array_equal(nx, x[:, None])
+        np.testing.assert_array_equal(ny, y[None, :])
+
+
 class TestCrankNicolsonSystem:
     def test_row_blocked_pair_matrix_matches_one_shot_sum(self, dense_left):
         # below, at and past a multiple of the block: G in Fortran order with

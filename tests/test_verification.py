@@ -162,6 +162,35 @@ class TestManufactured2D:
         assert got == pytest.approx(want, rel=1e-6)
 
 
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestProblemConstruction:
+    # the coefficients and u0 as written out per dimension before the
+    # problems took their node layout from the 1D interior nodes
+
+    def test_1d_matches_explicit_construction(self):
+        case = manufactured_1d(1.35)
+        p = case.problem(14, 5)
+        x = p.grid.interior_nodes()
+        assert_same_bits(p.d_plus, x**1.35)
+        assert_same_bits(p.d_minus, 2.0 * x**1.35)
+        assert_same_bits(p.u0, case.exact(x, 0.0))
+
+    def test_2d_matches_explicit_construction(self):
+        alpha, beta = 1.25, 1.85  # alpha != beta: a swapped axis shows
+        case = manufactured_2d(alpha, beta)
+        p = case.problem(11, 4)
+        x = p.grid_x.interior_nodes()[:, None]
+        y = p.grid_y.interior_nodes()[None, :]
+        assert_same_bits(p.d_plus, (x**alpha).ravel())
+        assert_same_bits(p.d_minus, 2.0 * (x**alpha).ravel())
+        assert_same_bits(p.e_plus, (y**beta).ravel())
+        assert_same_bits(p.e_minus, 2.0 * (y**beta).ravel())
+        assert_same_bits(p.u0, case.exact(x, y, 0.0))
+
+
 def fresh_case(dim):
     return manufactured_1d(1.3) if dim == 1 else manufactured_2d(1.3, 1.7)
 
@@ -357,7 +386,7 @@ class TestRun:
         case.t_final = 0.6
         problem = case.problem(12, 7)
         x = problem.grid.interior_nodes()
-        (nodes,) = case.nodes(problem)
+        (nodes,) = problem.nodes
         np.testing.assert_array_equal(nodes, x)
         numeric, exact = case.run(problem, (1, 2))
         np.testing.assert_array_equal(numeric, solve_1d(problem, (1, 2)))
@@ -369,7 +398,7 @@ class TestRun:
         problem = case.problem(10, 6)
         x = problem.grid_x.interior_nodes()[:, None]
         y = problem.grid_y.interior_nodes()[None, :]
-        nodes = case.nodes(problem)
+        nodes = problem.nodes
         assert len(nodes) == 2
         np.testing.assert_array_equal(nodes[0], x)
         np.testing.assert_array_equal(nodes[1], y)
