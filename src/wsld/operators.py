@@ -188,6 +188,20 @@ class _TwoSided:
             block *= self.scale
         return gt.T
 
+    def stencil(self) -> tuple[np.ndarray, int]:
+        """``(phi, m)`` with ``A[i, j] = phi[i - j + m]``, read off the first row
+        and column of A; m is the last nonzero superdiagonal (0 if none)."""
+        a = self.a
+        nonzero = np.flatnonzero(a[0])
+        m = int(nonzero[-1]) if len(nonzero) else 0
+        return np.concatenate((a[0, m::-1], a[1:, 0])), m
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``G x`` in O(n log n) through ``_toeplitz_pair``, equal to
+        ``dense() @ x`` up to round-off."""
+        a_x, at_x = _toeplitz_pair(*self.stencil(), len(self.a))(x)
+        return self.scale * (self.c_plus * a_x + self.c_minus * at_x)
+
 
 def apply_stencil(
     side: str,

@@ -6,15 +6,28 @@ is advanced by
 
     (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
-with ``I - G`` LU-factored once per run.  G is one two-sided operator,
-``operators._TwoSided``, and ``I + G`` is never applied.  A run that
-returns its history, or has fewer steps than unknowns (the inverse costs
-about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
-overhead), solves with the factors,
+with ``I - G`` factored once per run.  G is one two-sided operator,
+``operators._TwoSided``, and ``I + G`` is never applied.  From
+``_HODLR_MIN_INTERIOR`` interior nodes every run solves with a
+hierarchically off-diagonal low-rank (HODLR) factorization, ``_Hodlr``,
+built from the operator's O(n) data, so ``I - G`` is never formed:
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
-Any other marches ``w = (I - G) U``, for which the same equation is
+The nodes are halved down to leaves of at most ``_HODLR_LEAF``; leaves are
+inverted through LU, and the two off-diagonal blocks of every split are
+low-rank products, truncated at ``_HODLR_TOL`` of a bound on
+``||I - G||``.  All of them are cut, up to diagonal scalings and an
+``m x m`` corner, from one Hankel matrix of the stencil, which an adaptive
+randomized range finder compresses once (Halko, Martinsson & Tropp, SIAM
+Review 53 (2011)); the Woodbury formula joins the levels.  A fixed probe
+solve checks the factorization against the O(n log n)
+``_TwoSided.matvec``, and one that fails falls back to the dense path.
+Smaller grids LU-factor the dense ``I - G``.  A run that returns its
+history, or has fewer steps than unknowns (the inverse costs about
+``2 n^3`` flops and saves only the per-step ``lu_solve`` call overhead),
+solves with the factors, by the same equation.  Any other marches
+``w = (I - G) U``, for which the same equation is
 
     w^{n+1} = P w^n + tau F^{n+1/2},   P = (I + G) (I - G)^{-1} = 2 (I - G)^{-1} - I,
 
@@ -37,7 +50,8 @@ row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
 the declaration.  A 1D run with P that has steps enough to pay for the
-squarings composes its blocks instead:
+squarings, and room for them within ``_POWERS_BYTES``, composes its blocks
+instead:
 a block of ``2**L - 1`` affine steps is reduced pairwise, as in a
 parallel prefix (Blelloch 1990), in L matrix products with
 ``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
@@ -53,6 +67,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lu_factor, lu_solve
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, _integer, validate_order
@@ -104,9 +119,59 @@ _MAX_STEPS = 2**53
 # time at 399).
 _SQUARING_SHARE = 2
 
+# Bytes that P and its squares may take together: L <= _POWERS_BYTES / (8 n^2).
+# It binds from n = 1025, so every run below _HODLR_MIN_INTERIOR keeps its L;
+# above, only a run whose HODLR check failed reaches the reduction.  There,
+# n = 1199 with 2 n steps takes L = 3 for 4: tracemalloc peak 3.03 against
+# 4.04 x 8n^2 (34.9 against 46.5 MB), for 1.64-1.77 against 1.35-1.52 s
+# (two runs, one BLAS thread), and n = 1999
+# with 1.5 n steps holds P alone instead of P and three squares (32 against
+# 128 MB).
+_POWERS_BYTES = 40 * 2**20
+
 # Magnitude bound below which a reduced block stands: 2**64 under overflow,
 # room for the round-off of summing the block in either order.
 _REDUCE_LIMIT = 2.0**960
+
+# 1D runs with at least this many interior nodes solve with ``_Hodlr`` instead
+# of dense LU or the inverse (at least _IN_PLACE_MIN_INTERIOR, from which
+# ``solve_1d`` holds the operator it is built from).  Whole ``solve_1d`` runs, HODLR over dense LU,
+# best of seven, one BLAS thread on a 2-vCPU Xeon, both benchmark tuples:
+# 1.02-1.10 at n = 800 with 1 step, 0.78-0.92 with 10, 0.60-0.62 with 100;
+# 0.89-1.19, 0.83-1.01 and 0.53-0.55 at 900; 0.68-0.86, 0.78 and 0.47-0.59
+# at 950; 0.77-0.78, 0.74 and 0.53-0.55 at 999; 0.48-0.49 and 0.42-0.44 at
+# 1500 with 10 and 100 steps.  Final states from ``n_steps >= n``: see
+# ``solve_1d``.
+_HODLR_MIN_INTERIOR = 950
+
+# Largest leaf of the HODLR tree.  Whole ``solve_1d`` runs with 100 steps at
+# n = 999 / 1999 / 2999, ms: leaves of 64: 82 / 111 / 204; 96: 69 / 112 /
+# 161; 128: 69 / 92 / 157; 192: 69 / 91 / 152; 256: 69 / 104 / 160.
+_HODLR_LEAF = 128
+
+# Off-diagonal blocks are truncated at this times a bound on ||I - G||.  Single
+# solves at n = 2999 (alpha 1.7, the second benchmark tuple, tau = 1/100)
+# differ from dense LU with refinement by 1.4e-11 of max|x| at 1e-14 and by
+# 1.4e-12 from 1e-15 to 1e-17 (dense LU alone: 1.0e-13).  Past 1e-15 the
+# truncation sits under round-off: the computed singular values of the
+# Hankel matrix level off at 3.6e-16, about eps times its largest (3.9).
+_HODLR_TOL = 1e-15
+
+# Seed of the Gaussian sketches and of the check's probe, so runs repeat bit for bit.
+_HODLR_SEED = 0
+
+# First width of the Hankel sketch, doubled until the probes pass: block ranks
+# measured 15-24 at n = 999 to 2999.
+_HODLR_SKETCH = 32
+
+# Rows of the strided Hankel view read at a time, so H is never formed whole.
+_HODLR_CHUNK = 256
+
+# Largest normwise backward error ``||(I - G) x - b|| / (||I - G|| ||x|| + ||b||)``
+# of the check's probe solve, with the bound on ``||I - G||``.  Measured at
+# most 2.2e-16 over n = 1000, 2001 and 3000, alpha 1.05, 1.5 and 1.95, both
+# benchmark tuples and tau from 1e-6 to 1e-1.
+_HODLR_CHECK = 1e-13
 
 
 def _finite_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -370,10 +435,177 @@ def _reduce(powers: Sequence[np.ndarray], growth: float, u: np.ndarray, tau: flo
 def _levels(n: int, n_steps: int) -> int:
     """Levels L of the block reduction for ``n`` unknowns and ``n_steps``
     steps, or 0 when its squarings do not pay.  Blocks of ``2**L - 1`` steps
-    fit in ``_BLOCK_BYTES``, and L is at most the bit length of ``n_steps``."""
+    fit in ``_BLOCK_BYTES``, and L is at most the bit length of ``n_steps``.
+    A reduction that pays is then cut to the L matrices
+    ``P, ..., P^(2^(L-1))`` that fit in ``_POWERS_BYTES``; the cut never
+    turns one on."""
     by_memory = (max(1, _BLOCK_BYTES // (8 * n)) + 1).bit_length() - 1
     levels = min(by_memory, int(n_steps).bit_length())
-    return levels if (levels - 1) * n <= _SQUARING_SHARE * n_steps else 0
+    if (levels - 1) * n > _SQUARING_SHARE * n_steps:
+        return 0
+    return min(levels, _POWERS_BYTES // (8 * n * n))
+
+
+def _truncate(u: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(u', v')`` with ``u' v'^T`` the best approximation of ``u v^T`` whose
+    dropped singular values are all at most ``tol``."""
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
+    w, sigma, zt = np.linalg.svd(ru @ rv.T)
+    k = int(np.count_nonzero(sigma > tol))
+    return qu @ (w[:, :k] * sigma[:k]), qv @ zt[:k].T
+
+
+def _hankel_factors(col: np.ndarray, rows: int,
+                    tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Factors ``(p, q)`` with ``H ~ p q^T`` for the Hankel matrix
+    ``H[i, k] = col[i + k]`` with ``rows`` rows, or None.
+
+    An adaptive randomized range finder (Halko, Martinsson & Tropp, SIAM
+    Review 53 (2011), 4.3-4.4): p is an orthonormal basis of ``H omega`` for
+    ``_HODLR_SKETCH`` Gaussian columns, doubled until ten more probes leave
+    residuals that bound ``||H - p p^T H||`` by ``tol`` (failing with
+    probability 1e-10); ``q = H^T p``.  H is read in row chunks of its
+    strided view, never formed whole.  None when the sketch would need more
+    columns than half of H has.
+    """
+    h = sliding_window_view(col, len(col) - rows + 1)[:rows]
+    rng = np.random.default_rng(_HODLR_SEED)
+    width = _HODLR_SKETCH
+    while 2 * width <= min(h.shape):
+        y = _chunked(h, rng.standard_normal((h.shape[1], width + 10)))
+        p = np.linalg.qr(y[:, :width])[0]
+        probes = y[:, width:]
+        for _ in range(2):  # a second projection removes the first one's round-off
+            probes -= p @ (p.T @ probes)
+        if 10.0 * math.sqrt(2.0 / math.pi) * np.linalg.norm(probes, axis=0).max() <= tol:
+            return p, _chunked(h.T, p)
+        width *= 2
+    return None
+
+
+def _chunked(h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``h @ x`` over blocks of ``_HODLR_CHUNK`` rows of the strided view ``h``."""
+    out = np.empty((len(h), x.shape[1]))
+    for s in range(0, len(h), _HODLR_CHUNK):
+        np.matmul(h[s : s + _HODLR_CHUNK], x, out=out[s : s + _HODLR_CHUNK])
+    return out
+
+
+class _Hodlr:
+    """``b -> (I - G)^{-1} b``, overwriting b, through a HODLR factorization.
+
+    The nodes are halved down to leaves of at most ``_HODLR_LEAF``.  On the
+    split ``[I1 | I2]`` of a node, ``M = I - G`` is ``D + U Vt`` with
+    ``D = diag(M11, M22)``, ``U = diag(u12, u21)`` and
+    ``Vt = [[0, v12^T], [v21^T, 0]]``, where ``u v^T`` are the two
+    off-diagonal blocks truncated at ``tol``.  Woodbury gives
+    ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with ``Y = D^{-1} U = diag(y1, y2)``
+    and ``K = I + Vt Y``.  ``steps`` lists the leaves ``(lo, hi, inverse)``
+    and nodes ``(lo, mid, hi, K^{-1} Vt, y1, y2)`` in post-order, children
+    before their parent, so one pass over a slice of it is the solve of a
+    subtree.  Each T21 = ``A[I2, I1]`` is ``H[:n2, :n1]`` with its columns
+    reversed, for the Hankel ``H ~ p q^T`` of the root's split; T12 =
+    ``A[I1, I2]`` is zero outside its ``m x m`` corner.
+    """
+
+    def __init__(self, op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray):
+        self.op, self.m, self.tol, self.p, self.q = op, m, tol, p, q
+        self.steps: list[tuple] = []
+        self._build(0, len(op.a))
+
+    def __call__(self, x: np.ndarray, first: int = 0, last: int | None = None,
+                 offset: int = 0) -> np.ndarray:
+        """Apply ``steps[first:last]`` to ``x``, whose row 0 is node ``offset``."""
+        for step in self.steps[first:last]:
+            if len(step) == 3:
+                lo, hi, inv = step
+                x[lo - offset : hi - offset] = inv @ x[lo - offset : hi - offset]
+            else:
+                lo, mid, hi, wt, y1, y2 = step
+                lo, mid, hi = lo - offset, mid - offset, hi - offset
+                c = wt @ x[lo:hi]
+                x[lo:mid] -= y1 @ c[: y1.shape[1]]
+                x[mid:hi] -= y2 @ c[y1.shape[1] :]
+        return x
+
+    def _build(self, lo: int, hi: int) -> None:
+        op = self.op
+        if hi - lo <= _HODLR_LEAF:
+            leaf = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale)
+            g = leaf.dense()
+            self.steps.append((lo, hi, _inverse(_identity_plus(-1.0, g, g))))
+            return
+        mid = (lo + hi) // 2
+        first = len(self.steps)
+        self._build(lo, mid)
+        second = len(self.steps)
+        self._build(mid, hi)
+        u12, v12, u21, v21 = self._blocks(lo, mid, hi)
+        y1 = self(u12, first, second, lo)
+        y2 = self(u21, second, None, mid)
+        r = v12.shape[1]
+        k = np.eye(r + v21.shape[1])
+        k[:r, r:] = v12.T @ y2
+        k[r:, :r] = v21.T @ y1
+        vt = np.zeros((len(k), hi - lo))
+        vt[:r, mid - lo :] = v12.T
+        vt[r:, : mid - lo] = v21.T
+        self.steps.append((lo, mid, hi, np.linalg.solve(k, vt), y1, y2))
+
+    def _blocks(self, lo: int, mid: int, hi: int) -> tuple[np.ndarray, ...]:
+        """``(u12, v12, u21, v21)`` of the blocks ``M[I1, I2]`` and ``M[I2, I1]``."""
+        op, p, q = self.op, self.p, self.q
+        c_plus, c_minus = op.c_plus, op.c_minus
+        n1, n2, k = mid - lo, hi - mid, p.shape[1]
+        w = min(self.m, n1, n2)
+        corner = op.a[mid - w : mid, mid : mid + w]
+        t21_left, t21_right = p[:n2], q[:n1][::-1]  # T21 ~ t21_left t21_right^T
+        # M[I1, I2] = -scale (c+ T12 + c- T21^T)
+        u12, v12 = np.zeros((n1, w + k)), np.zeros((n2, w + k))
+        np.multiply(c_plus[mid - w : mid, None], corner, out=u12[n1 - w :, :w])
+        np.multiply(c_minus[lo:mid, None], t21_right, out=u12[:, w:])
+        v12[:w, :w] = np.eye(w)
+        v12[:, w:] = t21_left
+        # M[I2, I1] = -scale (c+ T21 + c- T12^T)
+        u21, v21 = np.zeros((n2, k + w)), np.zeros((n1, k + w))
+        np.multiply(c_plus[mid:hi, None], t21_left, out=u21[:, :k])
+        np.multiply(c_minus[mid : mid + w, None], corner.T, out=u21[:w, k:])
+        v21[:, :k] = t21_right
+        v21[n1 - w :, k:] = np.eye(w)
+        u12 *= -op.scale
+        u21 *= -op.scale
+        return (*_truncate(u12, v12, self.tol), *_truncate(u21, v21, self.tol))
+
+
+def _hodlr(op: _TwoSided) -> _Hodlr | None:
+    """The HODLR solver of ``I - G``, or None when it fails its check.
+
+    Blocks are truncated at ``_HODLR_TOL`` times ``N = 1 + 2 s max(c)
+    ||phi||_1``, a bound on ``||I - G||_2``.  The check solves one fixed
+    Gaussian probe b and needs the normwise backward error
+    ``||(I - G) x - b|| / (N ||x|| + ||b||)``, with ``G x`` from the
+    O(n log n) ``_TwoSided.matvec``, to be at most ``_HODLR_CHECK``; a NaN
+    fails it.
+    """
+    n = len(op.a)
+    phi, m = op.stencil()
+    weight = op.scale * max(op.c_plus.max(), op.c_minus.max())
+    norm = 1.0 + 2.0 * weight * np.abs(phi).sum()
+    tol = _HODLR_TOL * norm
+    if weight > 0.0:
+        factors = _hankel_factors(op.a[1:, 0], n - n // 2, tol / weight)
+        if factors is None:
+            return None
+    else:
+        factors = np.zeros((n - n // 2, 0)), np.zeros((n // 2, 0))
+    solve = _Hodlr(op, m, tol, *factors)
+    probe = np.random.default_rng(_HODLR_SEED).standard_normal(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = solve(probe.copy())
+        residual = np.linalg.norm(x - op.matvec(x) - probe)
+    backward = residual / (norm * np.linalg.norm(x) + np.linalg.norm(probe))
+    return solve if backward <= _HODLR_CHECK else None
 
 
 def _operator_1d(problem: Problem1D, shifts: ShiftTuple | Sequence[int]) -> _TwoSided:
@@ -400,6 +632,15 @@ def build_cn_system(
     return m_minus, _identity_plus(1.0, g, g)
 
 
+def _minus(problem: Problem1D, shifts, op: _TwoSided | None) -> np.ndarray:
+    """``I - G`` in Fortran order: from ``build_cn_system`` without ``op``,
+    else written alone, in place of ``op.dense()``."""
+    if op is None:
+        return build_cn_system(problem, shifts)[0]
+    g = op.dense()
+    return _identity_plus(-1.0, g, g)
+
+
 def solve_1d(
     problem: Problem1D,
     shifts: ShiftTuple | Sequence[int] = DEFAULT_TUPLE,
@@ -407,21 +648,26 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    ``I - G`` is LU-factored once.  A run that returns its history, or has
-    fewer steps than unknowns, steps ``u -> solve(2 u + tau f) - u`` with
-    the factors.  A final-state run from ``n_steps >= n_interior`` marches
-    ``w = (I - G) u`` instead (see the module docstring): ``w0`` is one
+    From ``_HODLR_MIN_INTERIOR`` (950) interior nodes every run steps
+    ``u -> solve(2 u + tau f) - u`` with the HODLR solver of ``I - G`` (see
+    the module docstring), which matches the dense path to round-off, not
+    bit for bit (README "Known deviations" 4); a factorization that fails
+    its check leaves the run to the dense path.  That path LU-factors
+    ``I - G`` once.  A run that returns its history, or has fewer steps
+    than unknowns, steps the same way with the factors.  A final-state run
+    from ``n_steps >= n_interior`` marches ``w = (I - G) u`` instead (see
+    the module docstring): ``w0`` is one
     matvec before the factorization, each step ``w -> P w + tau f``, and
     ``u = (I - G)^{-1} w`` one matvec at the end.  P is formed in place of
     the inverse and halved back into it after the march, with the inverse's
     diagonal saved aside, so the conversion uses the inverse bit for bit.
     With steps enough to pay for the squarings (``_levels``), blocks of
-    those steps are composed in L products each (see ``_march``); only P
-    and its powers outlive the setup, and the powers go before the
-    conversion.  All of these agree to round-off.  Below
-    ``_IN_PLACE_MIN_INTERIOR`` (600) interior nodes ``I - G`` comes from
-    ``build_cn_system``, from it on it is written alone, in place, with the
-    same entries.  The forcing is sampled at the half steps ``t_{n+1/2}``;
+    those steps are composed in L products each (see ``_march``), with L
+    capped by ``_POWERS_BYTES``; only P and its powers outlive the setup,
+    and the powers go before the conversion.  All of these agree to
+    round-off.  Below ``_IN_PLACE_MIN_INTERIOR`` (600) interior nodes
+    ``I - G`` comes from ``build_cn_system``, from it on it is written
+    alone, in place, with the same entries.  The forcing is sampled at the half steps ``t_{n+1/2}``;
     a non-finite sample raises ``ValueError`` naming the step and its time,
     and any other non-finite state (``w``, or the final ``u`` recovered
     from it, named as the last step) one saying it has infs or NaNs.  With
@@ -430,27 +676,31 @@ def solve_1d(
     """
     n = problem.grid.n_interior
     tau = problem.tau
-    if n < _IN_PLACE_MIN_INTERIOR:
-        m_minus = build_cn_system(problem, shifts)[0]
-    else:
-        m_minus = _operator_1d(problem, shifts).dense()
-        m_minus = _identity_plus(-1.0, m_minus, m_minus)
+    op = None if n < _IN_PLACE_MIN_INTERIOR else _operator_1d(problem, shifts)
     march = (_sampler(problem.forcing, problem.nodes, (n,)),
              problem.n_steps, tau, return_history)
-    # Inverse for final-state runs from n_steps >= n.  Break-even against LU
-    # solves, one BLAS thread on a 2-vCPU Xeon, linear fits over n/8 to
-    # 1.5 n steps, three runs: stepping with the inverse at 17-36 steps for
+    # HODLR for every run from _HODLR_MIN_INTERIOR on, final states from
+    # n_steps >= n too.  Seconds per run, HODLR against the inverse stepped
+    # (n steps) or reduced with L levels, best of two, one BLAS thread:
+    #   n = 999:  n steps 0.19 / 0.47;  2 n 0.34 / 0.58 (L = 5);  4 n 0.63 / 1.04 (L = 5)
+    #   n = 1999: n steps 0.95 / 3.65;  2 n 1.81 / 4.23 (L = 5), 5.58 (L = 4);
+    #             4 n 3.45 / 7.39 (L = 5), 9.60 (L = 4)
+    # Below it, the inverse for final-state runs from n_steps >= n.  Break-even
+    # against LU solves, one BLAS thread on a 2-vCPU Xeon, linear fits over n/8
+    # to 1.5 n steps, three runs: stepping with the inverse at 17-36 steps for
     # n = 119, 178-877 at 599, 860-1547 at 999 and 827-949 at 1999 (one run
-    # never); at 399 its matvec costs about what the two triangular solves
-    # do, 212 and 341 (one run never).  The block reduction at 45-58,
-    # 731-1563, 401-924, 1006-1063 and 1100-2522.  The steps are memory-bound
-    # from ~400 nodes, hence the spread; no workload runs between n/4 and n
-    # steps.
-    if problem.n_steps < n or return_history:
-        lu = lu_factor(m_minus, overwrite_a=True)
+    # never); at 399 its matvec costs about what the two triangular solves do,
+    # 212 and 341 (one run never).  The block reduction at 45-58, 731-1563,
+    # 401-924, 1006-1063 and 1100-2522.  The steps are memory-bound from ~400
+    # nodes, hence the spread; no workload runs between n/4 and n steps.
+    solve = _hodlr(op) if n >= _HODLR_MIN_INTERIOR else None
+    if solve is None and (problem.n_steps < n or return_history):
+        lu = lu_factor(_minus(problem, shifts, op), overwrite_a=True)
+        solve = lambda b: lu_solve(lu, b, check_finite=False)
+    if solve is not None:
         # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
-        step = lambda u, f: lu_solve(lu, 2.0 * u + tau * f, check_finite=False) - u
-        return _march(step, problem.u0, *march)
+        return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, *march)
+    m_minus = _minus(problem, shifts, op)
     # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports a non-finite state
         w = m_minus @ problem.u0

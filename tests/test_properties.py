@@ -6,7 +6,7 @@ from unittest.mock import patch
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from wsld.coefficients import DegenerateTupleError
 from wsld.spectral import CERTIFIED_TUPLES
@@ -52,6 +52,26 @@ def test_stencil_matches_dense_matvec_and_transpose(shifts, alpha, n, seed):
         dense = grid.h**-alpha * (matrix @ u)
         fast = apply_stencil(side, table, grid, u)
         assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@PROPERTY_SETTINGS
+@given(shifts=tuples_8, alpha=alphas, n=stencil_n_cells, seed=st.integers(0, 2**32 - 1))
+def test_two_sided_matvec_matches_dense(shifts, alpha, n, seed):
+    # G x through the FFT pair on the stencil read off A's first row and column
+    grid = Grid1D(0.0, 2.0, n)
+    rng = np.random.default_rng(seed)
+    c_plus, c_minus = rng.uniform(0.0, 2.0, (2, grid.n_interior))
+    try:
+        op = _TwoSided.on(alpha, shifts, grid, c_plus, c_minus, tau=rng.uniform(1e-3, 1.0))
+    except DegenerateTupleError:
+        assume(False)
+    phi, m = op.stencil()
+    row = np.zeros(grid.n_interior)
+    row[: m + 1] = phi[m::-1]
+    np.testing.assert_array_equal(op.a, toeplitz(phi[m:], row))
+    x = rng.normal(size=grid.n_interior)
+    dense = op.dense() @ x
+    assert np.max(np.abs(op.matvec(x) - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @PROPERTY_SETTINGS

@@ -1,15 +1,19 @@
 import dataclasses
 import functools
+import json
 import math
+import os
 import re
 import sys
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgecon
 
 import wsld.operators as operators
 import wsld.solvers as solvers
@@ -434,6 +438,33 @@ class TestSolve1D:
         n = p.grid.n_interior
         assert solvers._levels(n, n_steps) == levels
         assert traced_peak(lambda: solve_1d(p)) < bound * 8 * n * n
+
+    def test_powers_fit_the_byte_budget(self):
+        # P and its squares, L dense matrices, stay within _POWERS_BYTES at
+        # every size; the budget only lowers L, and below the HODLR
+        # threshold, where every final state may reach the reduction, it
+        # leaves every L as it was
+        for n in range(3, 4000, 41):
+            for n_steps in (n, 2 * n, 8 * n):
+                levels = solvers._levels(n, n_steps)
+                with patch.object(solvers, "_POWERS_BYTES", 2**62):
+                    uncapped = solvers._levels(n, n_steps)
+                assert levels * 8 * n * n <= solvers._POWERS_BYTES
+                assert levels <= uncapped
+                if n < solvers._HODLR_MIN_INTERIOR:
+                    assert levels == uncapped
+
+    def test_dense_reduction_holds_its_powers_within_budget(self):
+        # past the HODLR threshold only a failed check reaches the dense
+        # reduction: at n = 1199 with 2n steps the flop rule takes L = 4
+        # (measured 4.04 x 8n^2, 46.5 MB) and the budget cuts it to 3 (3.03)
+        n = 1199
+        p = manufactured_1d(1.5).problem(n + 1, 2 * n)
+        with patch.object(solvers, "_POWERS_BYTES", 2**62):
+            assert solvers._levels(n, 2 * n) == 4
+        assert solvers._levels(n, 2 * n) == 3
+        peak = traced_peak(lambda: dense_solve_1d(p))
+        assert peak < solvers._POWERS_BYTES + 4 * solvers._BLOCK_BYTES
 
     @pytest.mark.parametrize(
         "solve,problem",
@@ -986,3 +1017,145 @@ class TestCoarseGrid:
     def test_smallest_grid_solves(self):
         p = make_problem_1d(n_cells=4, u0=np.ones(3))
         assert np.all(np.isfinite(solve_1d(p)))
+
+
+BENCH_TUPLES = ((1, 2, 1, 0, 1, 2, 1, -2), (1, 2, 1, -3, 1, 2, 1, -2))
+HODLR_MIN = solvers._HODLR_MIN_INTERIOR
+
+
+def dense_solve_1d(p, shifts=DEFAULT_TUPLE, **kwargs):
+    """``solve_1d`` with the HODLR threshold out of reach: the dense path."""
+    with patch.object(solvers, "_HODLR_MIN_INTERIOR", math.inf):
+        return solve_1d(p, shifts, **kwargs)
+
+
+def cond_1(m):
+    """LAPACK's estimate of the 1-norm condition number of ``m``."""
+    rcond, info = dgecon(lu_factor(m)[0], np.abs(m).sum(axis=0).max(), norm="1")
+    assert info == 0
+    return 1.0 / rcond
+
+
+def outcome_1d(solve, p, **kwargs):
+    """The solution, or the message of the ValueError the solve raises."""
+    try:
+        return solve(p, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    half=st.integers(0, 250),
+    odd=st.booleans(),
+    alpha=st.floats(1.05, 1.95),
+    log_tau=st.floats(-6.0, -1.0),
+    shifts=st.sampled_from(BENCH_TUPLES),
+    n_steps=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hodlr_matches_dense_lu(half, odd, alpha, log_tau, shifts, n_steps, seed):
+    # from the threshold to 500 nodes past it, odd and even n: one solve, a
+    # final state and a history against dense LU.  Both sit within round-off
+    # of cond_1(I - G) eps of each other; over 48 histories of 20 steps at
+    # n = 1000, 1001, 1500 and 1501, alpha 1.05, 1.5 and 1.95, both tuples
+    # and tau 1e-6 and 1e-1 the distance was at most 6e-17 cond_1 + 7e-14
+    # of max|u| (3.2e-10 at alpha 1.95, tau 0.1 and n = 1500, where cond_1
+    # is 6.3e6).
+    n = HODLR_MIN + 2 * half + odd
+    tau = 10.0**log_tau
+    p = dataclasses.replace(manufactured_1d(alpha).problem(n + 1, n_steps), t_final=n_steps * tau)
+    m_minus = build_cn_system(p, shifts)[0]
+    bound = 1e-12 + 1e-15 * cond_1(m_minus)
+    b = np.random.default_rng(seed).normal(size=n)
+    ref = lu_solve(lu_factor(m_minus), b)
+    got = solvers._hodlr(solvers._operator_1d(p, shifts))(b.copy())
+    assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+    for history in (False, True):
+        ref = dense_solve_1d(p, shifts, return_history=history)
+        got = solve_1d(p, shifts, return_history=history)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+
+class TestHodlr:
+    def test_benchmark_cases_stay_within_reference_bound(self):
+        # the two large_cn1d solves, against the bench's recorded max_error
+        # and its round-off bound 1e-10 + 1e-9 ref (moved by -9.9e-14 and
+        # -2.0e-11)
+        with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
+            reference = json.load(fh)
+        for shifts, alpha, n_cells in ((BENCH_TUPLES[0], 1.3, 2000), (BENCH_TUPLES[1], 1.7, 3000)):
+            case = manufactured_1d(alpha)
+            p = case.problem(n_cells, 100)
+            assert solvers._hodlr(solvers._operator_1d(p, shifts)) is not None
+            err = max_error(solve_1d(p, shifts), case.exact(p.grid.interior_nodes(), 1.0))
+            tuple_id = ",".join(map(str, shifts))
+            key = f"large_cn1d/({tuple_id})/alpha={alpha}/n_cells={n_cells}/n_steps=100"
+            want = reference[key]["max_error"]
+            assert abs(err - want) <= 1e-10 + 1e-9 * want
+
+    @pytest.mark.parametrize("coefficients", ["zero", "left-only", "random"])
+    def test_other_coefficients_match_dense_lu(self, coefficients):
+        # zero coefficients leave G = 0 and every block of rank 0; one-sided
+        # and random ones (zeros included) are not proportional, so the
+        # weighted norm that makes a certified G dissipative does not apply
+        p = manufactured_1d(1.4).problem(HODLR_MIN + 2, 6)
+        rng = np.random.default_rng(3)
+        c_plus, c_minus = {
+            "zero": (np.zeros(p.u0.size), np.zeros(p.u0.size)),
+            "left-only": (p.d_plus, np.zeros(p.u0.size)),
+            "random": rng.uniform(0.0, 2.0, (2, p.u0.size)) * (rng.random((2, p.u0.size)) > 0.3),
+        }[coefficients]
+        p = dataclasses.replace(p, d_plus=c_plus, d_minus=c_minus)
+        assert solvers._hodlr(solvers._operator_1d(p, DEFAULT_TUPLE)) is not None
+        got, ref = solve_1d(p, return_history=True), dense_solve_1d(p, return_history=True)
+        bound = 1e-12 + 1e-15 * cond_1(build_cn_system(p)[0])
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+    def test_two_runs_are_bit_identical(self):
+        # the sketch has a fixed seed, so the factorization is the same every run
+        p = manufactured_1d(1.6).problem(HODLR_MIN + 2, 12)
+        first, second = (solve_1d(p, return_history=True) for _ in range(2))
+        np.testing.assert_array_equal(first.view(np.int64), second.view(np.int64))
+
+    def test_holds_far_less_than_one_dense_matrix(self):
+        # the large_cn1d solve at n_cells 3000 never forms I - G: measured
+        # 0.17 x 8n^2, against 1.13 on the dense path
+        p = manufactured_1d(1.7).problem(3000, 100)
+        n = p.grid.n_interior
+        assert traced_peak(lambda: solve_1d(p, BENCH_TUPLES[1])) < 0.3 * 8 * n * n
+
+    @pytest.mark.parametrize(
+        "forcing,t_final",
+        [(lambda x, t: np.full_like(x, np.nan) if t > 0.5 else np.zeros_like(x), 1.0),
+         (lambda x, t: np.full_like(x, 1e308), 50.0),
+         (lambda x, t: np.full_like(x, 1e308 if abs(t - 45.0) < 1.0 else 0.0), 50.0)],
+        ids=["nan-forcing-step-3", "overflow-step-0", "overflow-step-4"],
+    )
+    def test_non_finite_errors_name_the_dense_step(self, forcing, t_final):
+        p = dataclasses.replace(
+            make_problem_1d(n_cells=HODLR_MIN + 1, n_steps=5), forcing=forcing, t_final=t_final
+        )
+        assert solvers._hodlr(solvers._operator_1d(p, DEFAULT_TUPLE)) is not None
+        for history in (False, True):
+            got = outcome_1d(solve_1d, p, return_history=history)
+            assert isinstance(got, str)
+            assert got == outcome_1d(dense_solve_1d, p, return_history=history)
+
+    def test_leaves_factor_through_the_module_lu_factor(self, monkeypatch):
+        # the benchmark's solvers.lu_factor span sees every leaf
+        factored = count_calls(monkeypatch, solvers.lu_factor)
+        op = solvers._operator_1d(make_problem_1d(n_cells=HODLR_MIN + 1), DEFAULT_TUPLE)
+        leaves = [step for step in solvers._hodlr(op).steps if len(step) == 3]
+        assert len(factored) == len(leaves) > 1
+        assert all(hi - lo <= solvers._HODLR_LEAF for lo, hi, _ in leaves)
+
+    def test_failed_check_falls_back_to_dense_lu(self, monkeypatch):
+        # a check bound below the backward error of any solve (measured at
+        # most 2.2e-16) rejects every factorization
+        p = manufactured_1d(1.5).problem(HODLR_MIN + 1, 7)
+        monkeypatch.setattr(solvers, "_HODLR_CHECK", 1e-20)
+        assert solvers._hodlr(solvers._operator_1d(p, DEFAULT_TUPLE)) is None
+        got = solve_1d(p, return_history=True)
+        np.testing.assert_array_equal(got, dense_solve_1d(p, return_history=True))
