@@ -272,16 +272,14 @@ def _branch_weights(alpha: float, shifts: tuple[int, ...]) -> list[tuple[float, 
     if len(shifts) == 1:
         return [(1.0, shifts[0])]
     if len(shifts) == 2:
-        w_p, w_q = weights_order2(*shifts)
-        return [(w_p, shifts[0]), (w_q, shifts[1])]
-    if len(shifts) == 4:
-        w_pq, w_rs = weights_order3(alpha, *shifts)
-        return [
-            (w_pq * w, t) for w, t in _branch_weights(alpha, shifts[:2])
-        ] + [(w_rs * w, t) for w, t in _branch_weights(alpha, shifts[2:])]
-    w1, w2 = weights_order4(alpha, shifts)
-    return [(w1 * w, t) for w, t in _branch_weights(alpha, shifts[:4])] + [
-        (w2 * w, t) for w, t in _branch_weights(alpha, shifts[4:])
+        w1, w2 = weights_order2(*shifts)
+    elif len(shifts) == 4:
+        w1, w2 = weights_order3(alpha, *shifts)
+    else:
+        w1, w2 = weights_order4(alpha, shifts)
+    half = len(shifts) // 2
+    return [(w1 * w, t) for w, t in _branch_weights(alpha, shifts[:half])] + [
+        (w2 * w, t) for w, t in _branch_weights(alpha, shifts[half:])
     ]
 
 

@@ -9,15 +9,16 @@ is advanced by
 with ``I - G`` factored once per run.  G is one two-sided operator,
 ``operators._TwoSided``, and ``I + G`` is never applied.  From
 ``_HODLR_MIN_INTERIOR`` interior nodes every run solves with a
-hierarchically off-diagonal low-rank (HODLR) factorization, ``_Hodlr``,
+hierarchically off-diagonal low-rank (HODLR) factorization, ``_hodlr``,
 built from the operator's O(n) data, so ``I - G`` is never formed:
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
-The nodes are halved down to leaves of at most ``_HODLR_LEAF``; leaves are
-inverted through LU, and the two off-diagonal blocks of every split are
-low-rank products, truncated at ``_HODLR_TOL`` of a bound on
-``||I - G||``.  All of them are cut, up to diagonal scalings and an
+The nodes are halved down to leaves of at most ``_HODLR_LEAF`` in a tree of
+tuples (``_node``), which ``_apply`` solves with by recursing on array
+views.  Leaves are inverted through LU, and the two off-diagonal blocks of
+every split are low-rank products, truncated at ``_HODLR_TOL`` of a bound
+on ``||I - G||``.  All of them are cut, up to diagonal scalings and an
 ``m x m`` corner, from one Hankel matrix of the stencil, which an adaptive
 randomized range finder compresses once (Halko, Martinsson & Tropp, SIAM
 Review 53 (2011)); the Woodbury formula joins the levels.  A fixed probe
@@ -62,6 +63,7 @@ same step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -133,7 +135,7 @@ _POWERS_BYTES = 40 * 2**20
 # room for the round-off of summing the block in either order.
 _REDUCE_LIMIT = 2.0**960
 
-# 1D runs with at least this many interior nodes solve with ``_Hodlr`` instead
+# 1D runs with at least this many interior nodes solve with ``_hodlr`` instead
 # of dense LU or the inverse (at least _IN_PLACE_MIN_INTERIOR, from which
 # ``solve_1d`` holds the operator it is built from).  Whole ``solve_1d`` runs, HODLR over dense LU,
 # best of seven, one BLAS thread on a 2-vCPU Xeon, both benchmark tuples:
@@ -492,101 +494,86 @@ def _chunked(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _Hodlr:
-    """``b -> (I - G)^{-1} b``, overwriting b, through a HODLR factorization.
+def _node(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray,
+          lo: int, hi: int) -> tuple:
+    """The HODLR tree of ``M = I - G`` on the grid nodes ``lo:hi``, for ``_apply``.
 
-    The nodes are halved down to leaves of at most ``_HODLR_LEAF``.  On the
-    split ``[I1 | I2]`` of a node, ``M = I - G`` is ``D + U Vt`` with
-    ``D = diag(M11, M22)``, ``U = diag(u12, u21)`` and
-    ``Vt = [[0, v12^T], [v21^T, 0]]``, where ``u v^T`` are the two
-    off-diagonal blocks truncated at ``tol``.  Woodbury gives
-    ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with ``Y = D^{-1} U = diag(y1, y2)``
-    and ``K = I + Vt Y``.  ``steps`` lists the leaves ``(lo, hi, inverse)``
-    and nodes ``(lo, mid, hi, K^{-1} Vt, y1, y2)`` in post-order, children
-    before their parent, so one pass over a slice of it is the solve of a
-    subtree.  Each T21 = ``A[I2, I1]`` is ``H[:n2, :n1]`` with its columns
-    reversed, for the Hankel ``H ~ p q^T`` of the root's split; T12 =
-    ``A[I1, I2]`` is zero outside its ``m x m`` corner.
+    At most ``_HODLR_LEAF`` grid nodes make a leaf, ``(inverse,)``.  More
+    are split ``[I1 | I2]`` after the first ``n1`` into two subtrees, and
+    there ``M = D + U Vt`` with ``D = diag(M11, M22)``,
+    ``U = diag(u12, u21)`` and ``Vt = [[0, v12^T], [v21^T, 0]]``, where
+    ``u v^T`` are the two off-diagonal blocks truncated at ``tol``.  Woodbury
+    gives ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with
+    ``Y = D^{-1} U = diag(y1, y2)`` and ``K = I + Vt Y``; the node is
+    ``(n1, left, right, K^{-1} Vt, y1, y2)``.  Each T21 = ``A[I2, I1]`` is
+    ``H[:n2, :n1]`` with its columns reversed, for the Hankel ``H ~ p q^T``
+    of the root's split; T12 = ``A[I1, I2]`` is zero outside its ``m x m``
+    corner.
     """
+    if hi - lo <= _HODLR_LEAF:
+        g = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale).dense()
+        return (_inverse(_identity_plus(-1.0, g, g)),)
+    mid = (lo + hi) // 2
+    left = _node(op, m, tol, p, q, lo, mid)
+    right = _node(op, m, tol, p, q, mid, hi)
+    c_plus, c_minus = op.c_plus, op.c_minus
+    n1, n2, rank = mid - lo, hi - mid, p.shape[1]
+    w = min(m, n1, n2)
+    corner = op.a[mid - w : mid, mid : mid + w]
+    t21_left, t21_right = p[:n2], q[:n1][::-1]  # T21 ~ t21_left t21_right^T
+    # M[I1, I2] = -scale (c+ T12 + c- T21^T)
+    u12, v12 = np.zeros((n1, w + rank)), np.zeros((n2, w + rank))
+    np.multiply(c_plus[mid - w : mid, None], corner, out=u12[n1 - w :, :w])
+    np.multiply(c_minus[lo:mid, None], t21_right, out=u12[:, w:])
+    v12[:w, :w] = np.eye(w)
+    v12[:, w:] = t21_left
+    # M[I2, I1] = -scale (c+ T21 + c- T12^T)
+    u21, v21 = np.zeros((n2, rank + w)), np.zeros((n1, rank + w))
+    np.multiply(c_plus[mid:hi, None], t21_left, out=u21[:, :rank])
+    np.multiply(c_minus[mid : mid + w, None], corner.T, out=u21[:w, rank:])
+    v21[:, :rank] = t21_right
+    v21[n1 - w :, rank:] = np.eye(w)
+    u12 *= -op.scale
+    u21 *= -op.scale
+    u12, v12 = _truncate(u12, v12, tol)
+    u21, v21 = _truncate(u21, v21, tol)
+    y1, y2 = _apply(left, u12), _apply(right, u21)
+    r = v12.shape[1]
+    k = np.eye(r + v21.shape[1])
+    k[:r, r:] = v12.T @ y2
+    k[r:, :r] = v21.T @ y1
+    vt = np.zeros((len(k), n1 + n2))
+    vt[:r, n1:] = v12.T
+    vt[r:, :n1] = v21.T
+    return (n1, left, right, np.linalg.solve(k, vt), y1, y2)
 
-    def __init__(self, op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray):
-        self.op, self.m, self.tol, self.p, self.q = op, m, tol, p, q
-        self.steps: list[tuple] = []
-        self._build(0, len(op.a))
 
-    def __call__(self, x: np.ndarray, first: int = 0, last: int | None = None,
-                 offset: int = 0) -> np.ndarray:
-        """Apply ``steps[first:last]`` to ``x``, whose row 0 is node ``offset``."""
-        for step in self.steps[first:last]:
-            if len(step) == 3:
-                lo, hi, inv = step
-                x[lo - offset : hi - offset] = inv @ x[lo - offset : hi - offset]
-            else:
-                lo, mid, hi, wt, y1, y2 = step
-                lo, mid, hi = lo - offset, mid - offset, hi - offset
-                c = wt @ x[lo:hi]
-                x[lo:mid] -= y1 @ c[: y1.shape[1]]
-                x[mid:hi] -= y2 @ c[y1.shape[1] :]
+def _apply(node: tuple, x: np.ndarray) -> np.ndarray:
+    """``x`` overwritten by ``M^{-1} x`` for the ``_node`` tree of M, and returned."""
+    if len(node) == 1:
+        x[:] = node[0] @ x
         return x
-
-    def _build(self, lo: int, hi: int) -> None:
-        op = self.op
-        if hi - lo <= _HODLR_LEAF:
-            leaf = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale)
-            g = leaf.dense()
-            self.steps.append((lo, hi, _inverse(_identity_plus(-1.0, g, g))))
-            return
-        mid = (lo + hi) // 2
-        first = len(self.steps)
-        self._build(lo, mid)
-        second = len(self.steps)
-        self._build(mid, hi)
-        u12, v12, u21, v21 = self._blocks(lo, mid, hi)
-        y1 = self(u12, first, second, lo)
-        y2 = self(u21, second, None, mid)
-        r = v12.shape[1]
-        k = np.eye(r + v21.shape[1])
-        k[:r, r:] = v12.T @ y2
-        k[r:, :r] = v21.T @ y1
-        vt = np.zeros((len(k), hi - lo))
-        vt[:r, mid - lo :] = v12.T
-        vt[r:, : mid - lo] = v21.T
-        self.steps.append((lo, mid, hi, np.linalg.solve(k, vt), y1, y2))
-
-    def _blocks(self, lo: int, mid: int, hi: int) -> tuple[np.ndarray, ...]:
-        """``(u12, v12, u21, v21)`` of the blocks ``M[I1, I2]`` and ``M[I2, I1]``."""
-        op, p, q = self.op, self.p, self.q
-        c_plus, c_minus = op.c_plus, op.c_minus
-        n1, n2, k = mid - lo, hi - mid, p.shape[1]
-        w = min(self.m, n1, n2)
-        corner = op.a[mid - w : mid, mid : mid + w]
-        t21_left, t21_right = p[:n2], q[:n1][::-1]  # T21 ~ t21_left t21_right^T
-        # M[I1, I2] = -scale (c+ T12 + c- T21^T)
-        u12, v12 = np.zeros((n1, w + k)), np.zeros((n2, w + k))
-        np.multiply(c_plus[mid - w : mid, None], corner, out=u12[n1 - w :, :w])
-        np.multiply(c_minus[lo:mid, None], t21_right, out=u12[:, w:])
-        v12[:w, :w] = np.eye(w)
-        v12[:, w:] = t21_left
-        # M[I2, I1] = -scale (c+ T21 + c- T12^T)
-        u21, v21 = np.zeros((n2, k + w)), np.zeros((n1, k + w))
-        np.multiply(c_plus[mid:hi, None], t21_left, out=u21[:, :k])
-        np.multiply(c_minus[mid : mid + w, None], corner.T, out=u21[:w, k:])
-        v21[:, :k] = t21_right
-        v21[n1 - w :, k:] = np.eye(w)
-        u12 *= -op.scale
-        u21 *= -op.scale
-        return (*_truncate(u12, v12, self.tol), *_truncate(u21, v21, self.tol))
+    n1, left, right, wt, y1, y2 = node
+    _apply(left, x[:n1])
+    _apply(right, x[n1:])
+    c = wt @ x
+    x[:n1] -= y1 @ c[: y1.shape[1]]
+    x[n1:] -= y2 @ c[y1.shape[1] :]
+    return x
 
 
-def _hodlr(op: _TwoSided) -> _Hodlr | None:
-    """The HODLR solver of ``I - G``, or None when it fails its check.
+def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``b -> (I - G)^{-1} b``, overwriting b, through a HODLR factorization,
+    or None when it fails its check.
 
-    Blocks are truncated at ``_HODLR_TOL`` times ``N = 1 + 2 s max(c)
-    ||phi||_1``, a bound on ``||I - G||_2``.  The check solves one fixed
-    Gaussian probe b and needs the normwise backward error
-    ``||(I - G) x - b|| / (N ||x|| + ||b||)``, with ``G x`` from the
-    O(n log n) ``_TwoSided.matvec``, to be at most ``_HODLR_CHECK``; a NaN
-    fails it.
+    The tree of ``_node`` halves the nodes down to leaves of at most
+    ``_HODLR_LEAF``; the solver is ``_apply`` on its root, which a
+    ``functools.partial`` holds as its one argument.  Blocks are truncated
+    at ``_HODLR_TOL`` times ``N = 1 + 2 s max(c) ||phi||_1``, a bound on
+    ``||I - G||_2``.  The check solves one fixed Gaussian probe b and needs
+    the normwise backward error ``||(I - G) x - b|| / (N ||x|| + ||b||)``,
+    with ``G x`` from the O(n log n) ``_TwoSided.matvec``, to be at most
+    ``_HODLR_CHECK``; a NaN, as from a solve that overflows, fails it.
     """
     n = len(op.a)
     phi, m = op.stencil()
@@ -599,12 +586,12 @@ def _hodlr(op: _TwoSided) -> _Hodlr | None:
             return None
     else:
         factors = np.zeros((n - n // 2, 0)), np.zeros((n // 2, 0))
-    solve = _Hodlr(op, m, tol, *factors)
+    solve = functools.partial(_apply, _node(op, m, tol, *factors, 0, n))
     probe = np.random.default_rng(_HODLR_SEED).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
         x = solve(probe.copy())
         residual = np.linalg.norm(x - op.matvec(x) - probe)
-    backward = residual / (norm * np.linalg.norm(x) + np.linalg.norm(probe))
+        backward = residual / (norm * np.linalg.norm(x) + np.linalg.norm(probe))
     return solve if backward <= _HODLR_CHECK else None
 
 
@@ -630,15 +617,6 @@ def build_cn_system(
     g = _operator_1d(problem, shifts).dense()
     m_minus = _identity_plus(-1.0, g, np.empty_like(g))
     return m_minus, _identity_plus(1.0, g, g)
-
-
-def _minus(problem: Problem1D, shifts, op: _TwoSided | None) -> np.ndarray:
-    """``I - G`` in Fortran order: from ``build_cn_system`` without ``op``,
-    else written alone, in place of ``op.dense()``."""
-    if op is None:
-        return build_cn_system(problem, shifts)[0]
-    g = op.dense()
-    return _identity_plus(-1.0, g, g)
 
 
 def solve_1d(
@@ -694,13 +672,18 @@ def solve_1d(
     # 401-924, 1006-1063 and 1100-2522.  The steps are memory-bound from ~400
     # nodes, hence the spread; no workload runs between n/4 and n steps.
     solve = _hodlr(op) if n >= _HODLR_MIN_INTERIOR else None
-    if solve is None and (problem.n_steps < n or return_history):
-        lu = lu_factor(_minus(problem, shifts, op), overwrite_a=True)
-        solve = lambda b: lu_solve(lu, b, check_finite=False)
+    if solve is None:
+        if op is None:
+            m_minus = build_cn_system(problem, shifts)[0]
+        else:
+            m_minus = op.dense()
+            _identity_plus(-1.0, m_minus, m_minus)
+        if problem.n_steps < n or return_history:
+            lu = lu_factor(m_minus, overwrite_a=True)
+            solve = lambda b: lu_solve(lu, b, check_finite=False)
     if solve is not None:
         # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
         return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, *march)
-    m_minus = _minus(problem, shifts, op)
     # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports a non-finite state
         w = m_minus @ problem.u0

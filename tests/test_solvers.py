@@ -1144,12 +1144,19 @@ class TestHodlr:
             assert got == outcome_1d(dense_solve_1d, p, return_history=history)
 
     def test_leaves_factor_through_the_module_lu_factor(self, monkeypatch):
-        # the benchmark's solvers.lu_factor span sees every leaf
+        # the benchmark's solvers.lu_factor span sees every leaf; a leaf is
+        # (inverse,), a split (n1, left, right, ...)
         factored = count_calls(monkeypatch, solvers.lu_factor)
         op = solvers._operator_1d(make_problem_1d(n_cells=HODLR_MIN + 1), DEFAULT_TUPLE)
-        leaves = [step for step in solvers._hodlr(op).steps if len(step) == 3]
+        leaves, nodes = [], [solvers._hodlr(op).args[0]]
+        while nodes:
+            node = nodes.pop()
+            if len(node) == 1:
+                leaves.append(node[0])
+            else:
+                nodes += node[1:3]
         assert len(factored) == len(leaves) > 1
-        assert all(hi - lo <= solvers._HODLR_LEAF for lo, hi, _ in leaves)
+        assert all(len(inverse) <= solvers._HODLR_LEAF for inverse in leaves)
 
     def test_failed_check_falls_back_to_dense_lu(self, monkeypatch):
         # a check bound below the backward error of any solve (measured at
@@ -1159,3 +1166,35 @@ class TestHodlr:
         assert solvers._hodlr(solvers._operator_1d(p, DEFAULT_TUPLE)) is None
         got = solve_1d(p, return_history=True)
         np.testing.assert_array_equal(got, dense_solve_1d(p, return_history=True))
+
+    def test_overflowing_probe_falls_back_quietly(self):
+        # with d_minus = 0 and shift 0, I - G is lower triangular with an
+        # enormous inverse (dense LU solves the probe to max 1.7e221) and
+        # the HODLR probe solve overflows; its check must fail without a
+        # RuntimeWarning (the subclass below promotes them) and leave the
+        # run to the dense path, which finishes
+        p = manufactured_1d(1.05).problem(HODLR_MIN + 1, 3)
+        p = dataclasses.replace(p, d_minus=np.zeros(p.u0.size), t_final=0.03)
+        assert solvers._hodlr(solvers._operator_1d(p, (0,))) is None
+        np.testing.assert_array_equal(solve_1d(p, (0,)), dense_solve_1d(p, (0,)))
+
+    def test_real_input_fails_the_check_and_falls_back(self):
+        # a certified tuple at alpha 1.99 with random coefficients: the
+        # probe's backward error measured 1.7e-12 against the bound 1e-13,
+        # with cond(I - G) about 5e7, so the run takes the dense path
+        shifts = (1, 2, 1, 0, 1, -1, 1, -2)
+        assert shifts in [t.shifts for t in CERTIFIED_TUPLES]
+        p = dataclasses.replace(manufactured_1d(1.99).problem(2000, 3), t_final=0.03)
+        rng = np.random.default_rng(0)
+        c_plus, c_minus = (
+            rng.uniform(0.0, 2.0, (2, p.u0.size)) * (rng.random((2, p.u0.size)) > 0.3)
+        )
+        p = dataclasses.replace(p, d_plus=c_plus, d_minus=c_minus)
+        assert solvers._hodlr(solvers._operator_1d(p, shifts)) is None
+        got = solve_1d(p, shifts, return_history=True)
+        np.testing.assert_array_equal(got, dense_solve_1d(p, shifts, return_history=True))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestHodlrWarningsAsErrors(TestHodlr):
+    """The same cases with RuntimeWarning promoted to an error."""
