@@ -29,7 +29,7 @@ from .coefficients import (
     lubich_coeffs,
     stencil_coeffs,
 )
-from .spectral import _verdict
+from .spectral import _roundoff_slack, _verdict
 from .spectral import certify as spectral_certify
 from .spectral import generating_function
 from .verification import ManufacturedCase, convergence_study, max_error
@@ -207,7 +207,11 @@ def _cmd_certify(args) -> tuple[str, str]:
         for a, r in zip(args.alpha, reports)
     ]
     # the verdict certify gives over all the alphas at once
-    overall = _verdict(max(r.f_max for r in reports), max(r.lambda_max_sym for r in reports))
+    overall = _verdict(
+        max(r.f_max for r in reports),
+        max(r.lambda_max_sym for r in reports),
+        _roundoff_slack(st, args.alpha),
+    )
     text = _csv_text(config, "tuple,alpha,f_max,lambda_max_sym,verdict", rows)
     return text, f"verdict: {overall}"
 

@@ -141,6 +141,16 @@ class TestCertify:
         assert report.verdict == verdict
         assert capsys.readouterr().out == f"verdict: {report.verdict}\n"
 
+    def test_summary_keeps_the_round_off_slack(self, tmp_path, capsys):
+        # 1.5 + 1e-13 is a rounding-noise lambda_max_sym of (1,2,1,-1,1,-1,1,-2)
+        out = tmp_path / "cert.csv"
+        argv = ["certify", "--tuple", "1,2,1,-1,1,-1,1,-2", "--alpha", "1.4999,1.5000000000001",
+                "--nx", "400", "--x-points", "201", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "verdict: indeterminate\n"
+        verdicts = [r.rsplit(",", 1)[1] for r in read_csv(out)[2]]
+        assert verdicts == ["certified_negative", "indeterminate"]
+
     def test_matrix_not_wider_than_stencil_is_numeric_error(self, capsys):
         assert main(["certify", "--nx", "1", "--x-points", "11"]) == 3
         assert capsys.readouterr().err.startswith(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh, toeplitz
+from scipy.linalg import eigh, eigvalsh, toeplitz
 
 import wsld.spectral as spectral
 from wsld.coefficients import (
@@ -13,6 +13,7 @@ from wsld.coefficients import (
     DegenerateTupleError,
     ShiftTuple,
     branch_weights,
+    lubich_coeffs,
     weights_order3,
 )
 from wsld.operators import Grid1D, assemble_left
@@ -139,6 +140,33 @@ def eigvalsh_sizes():
         yield shapes
 
 
+@contextmanager
+def top_solves():
+    """Collect ``(shape, route)`` for every ``spectral._top_eigenvalue`` call:
+    route ``"eigvalsh"`` when the solve called ``spectral.eigvalsh``, else
+    ``"cholesky"`` (inverse iteration on the Cholesky factor of ``-h``).
+    """
+    solves = []
+    top_eigenvalue, dense_solve = spectral._top_eigenvalue, spectral.eigvalsh
+
+    def top_spy(h):
+        solves.append((np.shape(h), "cholesky"))
+        return top_eigenvalue(h)
+
+    def eigvalsh_spy(*args, **kwargs):
+        solves[-1] = (solves[-1][0], "eigvalsh")
+        return dense_solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_top_eigenvalue", top_spy)
+        mp.setattr(spectral, "eigvalsh", eigvalsh_spy)
+        yield solves
+
+
+def shapes(solves):
+    return [shape for shape, _ in solves]
+
+
 def assert_top_eigenvalue(matrix):
     a = np.asarray(matrix)
     full = np.linalg.eigvalsh((a + a.T) / 2)[-1]
@@ -230,9 +258,9 @@ class TestCentrosymmetricSplit:
     def test_toeplitz_odd_block_solved_only_when_its_top_is_larger(self, n, seed):
         h = toeplitz(np.random.default_rng(seed).normal(size=n))
         even_top, odd_top = even_and_odd_tops(h)
-        with eigvalsh_sizes() as sizes:
+        with top_solves() as solves:
             assert_top_eigenvalue(h)
-        assert sizes == expected_block_sizes(n, odd_top > even_top)
+        assert shapes(solves) == expected_block_sizes(n, odd_top > even_top)
 
     @PROPERTY_SETTINGS
     @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
@@ -241,9 +269,9 @@ class TestCentrosymmetricSplit:
         h = b + b.T
         h = h + h[::-1, ::-1]
         assert not np.array_equal(h[1:, 1:], h[:-1, :-1])
-        with eigvalsh_sizes() as sizes:
+        with top_solves() as solves:
             assert_top_eigenvalue(h)
-        assert sizes == [(n, n)]
+        assert shapes(solves) == [(n, n)]
 
     @pytest.mark.parametrize("n", [6, 8, 40])
     def test_odd_block_solved_when_its_top_is_larger(self, n):
@@ -260,16 +288,16 @@ class TestCentrosymmetricSplit:
     @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
     def test_other_matrices_match_full_spectrum(self, n, seed):
         a = np.random.default_rng(seed).normal(size=(n, n))
-        with eigvalsh_sizes() as sizes:
+        with top_solves() as solves:
             assert_top_eigenvalue(a)
-        assert sizes == [(n, n)]
+        assert shapes(solves) == [(n, n)]
 
     @pytest.mark.parametrize("n,block", [(400, (200, 200)), (401, (201, 201))])
     def test_wsld_operator_solves_even_half_block_only(self, n, block):
         op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, n + 1))
-        with eigvalsh_sizes() as sizes:
+        with top_solves() as solves:
             assert_top_eigenvalue(op)
-        assert sizes == [block]
+        assert solves == [(block, "cholesky")]
 
     def test_other_matrix_gets_one_dense_solve(self):
         op = assemble_left(1.3, DEFAULT_TUPLE, Grid1D(0.0, 1.0, 65)).copy()
@@ -452,10 +480,10 @@ class TestToeplitzRoute:
         r = np.array(data.draw(st.lists(finite_entries, min_size=n, max_size=n)))
         a = toeplitz(c, r)
         want = dense_split_bound(a)
-        with eigvalsh_sizes() as sizes, block_routes() as calls:
+        with top_solves() as solves, block_routes() as calls:
             got = max_real_part_bound(a)
         assert got == want
-        assert sizes in (expected_block_sizes(n, False), expected_block_sizes(n, True))
+        assert shapes(solves) in (expected_block_sizes(n, False), expected_block_sizes(n, True))
         # a 1 x 1 matrix takes the dense route
         assert calls == ([n] if n > 1 else [])
 
@@ -503,3 +531,135 @@ class TestToeplitzRoute:
         with block_routes() as calls:
             certify(DEFAULT_TUPLE)
         assert calls == [64] * 3
+
+
+def negative_definite_toeplitz(n, rng):
+    """Symmetric Toeplitz of the symbol ``-sum_k c_k (1 - cos kx)``, k <= 4,
+    with ``c_1 >= 1``: its maximum 0 is taken at x = 0 only, as for the WSLD
+    operators, so the top eigenvalues are negative and spread out near 0.
+    A 1 x 1 matrix gets a negative entry of its own."""
+    c = np.zeros(n)
+    k = min(n - 1, 4)
+    c[1 : k + 1] = rng.uniform(0.0, 1.0, k)
+    c[1:2] += 1.0
+    t = c / 2
+    t[0] = -c.sum() if n > 1 else -rng.uniform(0.5, 1.5)
+    return toeplitz(t)
+
+
+def negative_definite_dense(n, rng):
+    """``Q diag(lam) Q^T`` for a random orthogonal Q, with top eigenvalue
+    -s and every other one at most -2s."""
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    lams = -rng.uniform(2.0, 100.0, n)
+    lams[0] = -1.0
+    return (q * (lams * rng.uniform(0.01, 10.0))) @ q.T
+
+
+@contextmanager
+def inverse_steps():
+    """Count the ``spectral.dpotrs`` solves, one per inverse-iteration step."""
+    calls = []
+    original = spectral.dpotrs
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "dpotrs", spy)
+        yield calls
+
+
+class TestCholeskyRoute:
+    @PROPERTY_SETTINGS
+    @given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1), dense=st.booleans())
+    def test_negative_definite_matches_full_spectrum(self, n, seed, dense):
+        rng = np.random.default_rng(seed)
+        h = (negative_definite_dense if dense else negative_definite_toeplitz)(n, rng)
+        with top_solves() as solves:
+            assert_top_eigenvalue(h)
+        assert solves and all(route == "cholesky" for _, route in solves)
+
+    @pytest.mark.parametrize("n", [8, 40])
+    def test_j_antisymmetric_top_eigenvector(self, n):
+        # -(2I + Z + Z^T): the top eigenvector alternates in sign, so at even
+        # n it is J-antisymmetric and orthogonal to a constant start
+        h = -(2 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+        top = np.linalg.eigh(h)[1][:, -1]
+        assert np.allclose(top[::-1], -top)
+        with top_solves() as solves:
+            got = spectral._top_eigenvalue(h)
+        assert solves == [((n, n), "cholesky")]
+        assert got == pytest.approx(np.linalg.eigvalsh(h)[-1], rel=1e-12, abs=1e-14)
+        # split into blocks, the top sits in the odd one, so both are solved
+        with top_solves() as solves:
+            assert_top_eigenvalue(h)
+        assert solves == [((n // 2, n // 2), "cholesky")] * 2
+
+    def test_near_tie_reaches_the_cap_and_returns_eigvalsh(self):
+        # lambda_2 / lambda_1 = 1 + 1e-6: successive changes of mu shrink by
+        # a ratio near 1, so the error bound never passes
+        n = 20
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(n, n)))[0]
+        lams = -np.linspace(3.0, 10.0, n)
+        lams[:2] = -1.0, -(1.0 + 1e-6)
+        h = (q * lams) @ q.T
+        h = (h + h.T) / 2
+        with top_solves() as solves, inverse_steps() as steps:
+            got = spectral._top_eigenvalue(h)
+        assert solves == [((n, n), "eigvalsh")]
+        assert len(steps) == spectral._INVERSE_STEPS
+        assert got == eigvalsh(h, subset_by_index=[n - 1, n - 1])[0]
+
+    def test_slow_small_component_is_not_taken_for_convergence(self):
+        # lambda_2 / lambda_1 = 1 + 5e-5, and the start holds 1e-3 of the
+        # second eigenvector: mu starts 5e-11 off but changes by only 5e-15
+        # a step, so only the ratio of successive changes (1 - 1e-4) shows
+        # the error left, and the iteration falls back at the cap
+        n = 20
+        start = np.random.default_rng(0).standard_normal(n)  # the iteration's start
+        e = np.linalg.qr(np.column_stack([start, np.random.default_rng(1).normal(size=(n, n - 1))]))[0]
+        c = 1e-3
+        first = (e[:, 0] - c * e[:, 1]) / np.hypot(1.0, c)
+        second = (c * e[:, 0] + e[:, 1]) / np.hypot(1.0, c)
+        lams = -np.linspace(3.0, 10.0, n)
+        lams[:2] = -1.0, -(1.0 + 5e-5)
+        vecs = np.column_stack([first, second, e[:, 2:]])
+        h = (vecs * lams) @ vecs.T
+        h = (h + h.T) / 2
+        with top_solves() as solves:
+            assert_top_eigenvalue(h)
+        assert solves == [((n, n), "eigvalsh")]
+
+    @pytest.mark.parametrize("shifts", CERTIFIED_TUPLES, ids=str)
+    def test_certify_at_benchmark_size_calls_no_eigvalsh(self, shifts):
+        with eigvalsh_sizes() as sizes:
+            report = certify(shifts, alphas=[1.1, 1.9], n_interior=400)
+        assert sizes == []
+        assert report.verdict == "certified_negative"
+
+
+NEAR_DEGENERATE = ShiftTuple((1, 2, 1, -1, 1, -1, 1, -2))  # degenerate at alpha 1.5
+
+
+class TestRoundoffSlack:
+    @pytest.mark.parametrize("alpha", np.round(np.arange(1.05, 1.951, 0.05), 2))
+    def test_q_bound_holds_and_is_close(self, alpha):
+        # a single shift has sum|w| = 1, so the slack is 8 eps Q
+        q_bound = spectral._roundoff_slack(ShiftTuple((0,)), [alpha]) / (8 * np.finfo(float).eps)
+        total = np.abs(lubich_coeffs(alpha, 100_000)).sum()
+        assert total <= q_bound <= 1.1 * total
+
+    @pytest.mark.parametrize(
+        "alpha, verdict",
+        [(1.4999, "certified_negative"), (1.5 + 1e-9, "certified_negative"),
+         (1.5 + 1e-13, "indeterminate")],
+    )
+    def test_rounding_noise_near_degenerate_weights_is_not_certified(self, alpha, verdict):
+        # at 1.5 + 1e-13, sum|w| = 1.7e13 and lambda_max_sym comes out
+        # +3.3e-3, pure cancellation error, inside a slack of about 0.26
+        report = certify(NEAR_DEGENERATE, alphas=[alpha], n_interior=400)
+        assert report.verdict == verdict
+        slack = spectral._roundoff_slack(NEAR_DEGENERATE, [alpha])
+        assert (abs(report.lambda_max_sym) <= slack) == (verdict == "indeterminate")
