@@ -15,6 +15,7 @@ live in :mod:`wsld.operators`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable, Sequence
@@ -265,12 +266,16 @@ def branch_weights(alpha: float, shifts: ShiftTuple | Sequence[int]) -> list[tup
     """
     alpha = validate_order(alpha)
     st = ShiftTuple.of(shifts)
-    return _branch_weights(alpha, st.shifts)
+    return list(_branch_weights(alpha, st.shifts))
 
 
-def _branch_weights(alpha: float, shifts: tuple[int, ...]) -> list[tuple[float, int]]:
+@functools.lru_cache(maxsize=256)
+def _branch_weights(alpha: float, shifts: tuple[int, ...]) -> tuple[tuple[float, int], ...]:
+    """The branches of ``branch_weights``, cached: ``certify`` needs those of
+    one (tuple, alpha) for the symbol, the stencil and the round-off slack.
+    A degenerate tuple raises each time, since errors are not cached."""
     if len(shifts) == 1:
-        return [(1.0, shifts[0])]
+        return ((1.0, shifts[0]),)
     if len(shifts) == 2:
         w1, w2 = weights_order2(*shifts)
     elif len(shifts) == 4:
@@ -278,9 +283,9 @@ def _branch_weights(alpha: float, shifts: tuple[int, ...]) -> list[tuple[float, 
     else:
         w1, w2 = weights_order4(alpha, shifts)
     half = len(shifts) // 2
-    return [(w1 * w, t) for w, t in _branch_weights(alpha, shifts[:half])] + [
+    return tuple((w1 * w, t) for w, t in _branch_weights(alpha, shifts[:half])) + tuple(
         (w2 * w, t) for w, t in _branch_weights(alpha, shifts[half:])
-    ]
+    )
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,20 @@ built from the operator's O(n) data, so ``I - G`` is never formed:
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
-The nodes are halved down to leaves of at most ``_HODLR_LEAF`` in a tree of
-tuples (``_node``), which ``_apply`` solves with by recursing on array
-views.  Leaves are inverted through LU, and the two off-diagonal blocks of
-every split are low-rank products, truncated at ``_HODLR_TOL`` of a bound
-on ``||I - G||``.  All of them are cut, up to diagonal scalings and an
+The nodes are halved, level by level, until every leaf holds at most
+``_HODLR_LEAF``, and the factorization is stored as stacks, one for the
+leaves and one set per level (``_Stacks``), so that ``_apply`` solves with
+a few products per level, for one right-hand side or a block of them.
+Leaves are inverted through LU, and the two off-diagonal blocks of every
+split are low-rank products, truncated at ``_HODLR_TOL`` of a bound on
+``||I - G||``.  All of them are cut, up to diagonal scalings and an
 ``m x m`` corner, from one Hankel matrix of the stencil, which an adaptive
 randomized range finder compresses once (Halko, Martinsson & Tropp, SIAM
-Review 53 (2011)); the Woodbury formula joins the levels.  A fixed probe
-solve checks the factorization against the O(n log n)
-``_TwoSided.matvec``, and one that fails falls back to the dense path.
+Review 53 (2011)); the Woodbury formula joins the levels, each split
+keeping its small ``K^{-1}`` and its factors (Hackbusch, Hierarchical
+Matrices, Springer (2015)).  A fixed probe solve checks the factorization
+against the O(n log n) ``_TwoSided.matvec``, and one that fails falls back
+to the dense path.
 Smaller grids LU-factor the dense ``I - G``.  A run that returns its
 history, or has fewer steps than unknowns (the inverse costs about
 ``2 n^3`` flops and saves only the per-step ``lu_solve`` call overhead),
@@ -66,11 +70,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, qr
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, _integer, validate_order
 from .operators import Grid1D, _TwoSided
@@ -146,9 +150,11 @@ _REDUCE_LIMIT = 2.0**960
 # ``solve_1d``.
 _HODLR_MIN_INTERIOR = 950
 
-# Largest leaf of the HODLR tree.  Whole ``solve_1d`` runs with 100 steps at
+# Largest HODLR leaf: the nodes are halved until no leaf is larger, so every
+# leaf sits at the same depth.  Whole ``solve_1d`` runs with 100 steps at
 # n = 999 / 1999 / 2999, ms: leaves of 64: 82 / 111 / 204; 96: 69 / 112 /
-# 161; 128: 69 / 92 / 157; 192: 69 / 91 / 152; 256: 69 / 104 / 160.
+# 161; 128: 69 / 92 / 157; 192: 69 / 91 / 152; 256: 69 / 104 / 160 (measured on
+# the recursive tree of tuples that the stacks replaced).
 _HODLR_LEAF = 128
 
 # Off-diagonal blocks are truncated at this times a bound on ||I - G||.  Single
@@ -451,8 +457,8 @@ def _levels(n: int, n_steps: int) -> int:
 def _truncate(u: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``(u', v')`` with ``u' v'^T`` the best approximation of ``u v^T`` whose
     dropped singular values are all at most ``tol``."""
-    qu, ru = np.linalg.qr(u)
-    qv, rv = np.linalg.qr(v)
+    qu, ru = qr(u, mode="economic", check_finite=False)
+    qv, rv = qr(v, mode="economic", check_finite=False)
     w, sigma, zt = np.linalg.svd(ru @ rv.T)
     k = int(np.count_nonzero(sigma > tol))
     return qu @ (w[:, :k] * sigma[:k]), qv @ zt[:k].T
@@ -494,80 +500,138 @@ def _chunked(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray,
-          lo: int, hi: int) -> tuple:
-    """The HODLR tree of ``M = I - G`` on the grid nodes ``lo:hi``, for ``_apply``.
-
-    At most ``_HODLR_LEAF`` grid nodes make a leaf, ``(inverse,)``.  More
-    are split ``[I1 | I2]`` after the first ``n1`` into two subtrees, and
-    there ``M = D + U Vt`` with ``D = diag(M11, M22)``,
-    ``U = diag(u12, u21)`` and ``Vt = [[0, v12^T], [v21^T, 0]]``, where
-    ``u v^T`` are the two off-diagonal blocks truncated at ``tol``.  Woodbury
-    gives ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with
-    ``Y = D^{-1} U = diag(y1, y2)`` and ``K = I + Vt Y``; the node is
-    ``(n1, left, right, K^{-1} Vt, y1, y2)``.  Each T21 = ``A[I2, I1]`` is
-    ``H[:n2, :n1]`` with its columns reversed, for the Hankel ``H ~ p q^T``
-    of the root's split; T12 = ``A[I1, I2]`` is zero outside its ``m x m``
-    corner.
+def _offdiagonal(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray,
+                 lo: int, mid: int, hi: int) -> tuple[np.ndarray, ...]:
+    """The off-diagonal blocks of ``M = I - G`` on the grid nodes ``lo:hi``,
+    split ``[I1 | I2]`` at ``mid``, as factors ``(u12, v12, u21, v21)`` with
+    ``M[I1, I2] ~ u12 v12^T`` and ``M[I2, I1] ~ u21 v21^T``, truncated at
+    ``tol``.  Each T21 = ``A[I2, I1]`` is ``H[:n2, :n1]`` with its columns
+    reversed, for the Hankel ``H ~ p q^T`` of the root's split; T12 =
+    ``A[I1, I2]`` is zero outside its ``m x m`` corner.  The two blocks are
+    formed and truncated one after the other, so only one pair of untruncated
+    factors is held at a time.
     """
-    if hi - lo <= _HODLR_LEAF:
-        g = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale).dense()
-        return (_inverse(_identity_plus(-1.0, g, g)),)
-    mid = (lo + hi) // 2
-    left = _node(op, m, tol, p, q, lo, mid)
-    right = _node(op, m, tol, p, q, mid, hi)
     c_plus, c_minus = op.c_plus, op.c_minus
     n1, n2, rank = mid - lo, hi - mid, p.shape[1]
     w = min(m, n1, n2)
     corner = op.a[mid - w : mid, mid : mid + w]
     t21_left, t21_right = p[:n2], q[:n1][::-1]  # T21 ~ t21_left t21_right^T
     # M[I1, I2] = -scale (c+ T12 + c- T21^T)
-    u12, v12 = np.zeros((n1, w + rank)), np.zeros((n2, w + rank))
-    np.multiply(c_plus[mid - w : mid, None], corner, out=u12[n1 - w :, :w])
-    np.multiply(c_minus[lo:mid, None], t21_right, out=u12[:, w:])
-    v12[:w, :w] = np.eye(w)
-    v12[:, w:] = t21_left
+    u, v = np.zeros((n1, w + rank)), np.zeros((n2, w + rank))
+    np.multiply(c_plus[mid - w : mid, None], corner, out=u[n1 - w :, :w])
+    np.multiply(c_minus[lo:mid, None], t21_right, out=u[:, w:])
+    v[:w, :w] = np.eye(w)
+    v[:, w:] = t21_left
+    u *= -op.scale
+    upper = _truncate(u, v, tol)
     # M[I2, I1] = -scale (c+ T21 + c- T12^T)
-    u21, v21 = np.zeros((n2, rank + w)), np.zeros((n1, rank + w))
-    np.multiply(c_plus[mid:hi, None], t21_left, out=u21[:, :rank])
-    np.multiply(c_minus[mid : mid + w, None], corner.T, out=u21[:w, rank:])
-    v21[:, :rank] = t21_right
-    v21[n1 - w :, rank:] = np.eye(w)
-    u12 *= -op.scale
-    u21 *= -op.scale
-    u12, v12 = _truncate(u12, v12, tol)
-    u21, v21 = _truncate(u21, v21, tol)
-    y1, y2 = _apply(left, u12), _apply(right, u21)
-    r = v12.shape[1]
-    k = np.eye(r + v21.shape[1])
-    k[:r, r:] = v12.T @ y2
-    k[r:, :r] = v21.T @ y1
-    vt = np.zeros((len(k), n1 + n2))
-    vt[:r, n1:] = v12.T
-    vt[r:, :n1] = v21.T
-    return (n1, left, right, np.linalg.solve(k, vt), y1, y2)
+    u, v = np.zeros((n2, rank + w)), np.zeros((n1, rank + w))
+    np.multiply(c_plus[mid:hi, None], t21_left, out=u[:, :rank])
+    np.multiply(c_minus[mid : mid + w, None], corner.T, out=u[:w, rank:])
+    v[:, :rank] = t21_right
+    v[n1 - w :, rank:] = np.eye(w)
+    u *= -op.scale
+    return upper + _truncate(u, v, tol)
 
 
-def _apply(node: tuple, x: np.ndarray) -> np.ndarray:
-    """``x`` overwritten by ``M^{-1} x`` for the ``_node`` tree of M, and returned."""
-    if len(node) == 1:
-        x[:] = node[0] @ x
-        return x
-    n1, left, right, wt, y1, y2 = node
-    _apply(left, x[:n1])
-    _apply(right, x[n1:])
-    c = wt @ x
-    x[:n1] -= y1 @ c[: y1.shape[1]]
-    x[n1:] -= y2 @ c[y1.shape[1] :]
+class _Stacks(NamedTuple):
+    """A HODLR factorization of ``M = I - G``, stacked level by level.
+
+    The nodes are halved level by level, ``[lo, hi)`` into ``[lo, mid)`` and
+    ``[mid, hi)`` at ``mid = (lo + hi) // 2``, until every leaf, all at one
+    depth, holds at most ``_HODLR_LEAF`` nodes.  In the padded layout each
+    leaf takes ``leaves.shape[1]`` rows, unknown i row ``pos[i]``, and the
+    padding rows stay zero; the nodes of any depth are then equal blocks of
+    rows.  ``leaves`` stacks the leaf inverses, zero padded.  ``levels[d]``
+    stacks the Woodbury factors ``(K^{-1}, V12^T, V21^T, Y1, Y2)`` of the
+    ``2**d`` splits at depth d, zero padded to that level's largest rank.
+    """
+
+    pos: np.ndarray
+    leaves: np.ndarray
+    levels: list
+
+    @property
+    def rows(self) -> int:
+        """Rows of the padded layout."""
+        return self.leaves.shape[0] * self.leaves.shape[1]
+
+
+def _stacks(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray) -> _Stacks:
+    """The ``_Stacks`` of ``M = I - G``, built from the leaves up.
+
+    Leaves are inverted one at a time through ``_inverse``.  A split has
+    ``M = D + U Vt`` with ``D = diag(M11, M22)``, ``U = diag(u12, u21)`` and
+    ``Vt = [[0, v12^T], [v21^T, 0]]`` from ``_offdiagonal``; Woodbury gives
+    ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with ``Y = D^{-1} U = diag(Y1, Y2)``
+    and ``K = I + Vt Y``.  ``Y`` of every split at depth d comes from one
+    ``_apply`` down to depth d + 1, on the factors ``u12`` and ``u21`` of the
+    whole level as one block of columns.
+    """
+    n = len(op.a)
+    edges = [[0, n]]  # edges[d]: the node boundaries at depth d
+    while max(np.diff(edges[-1])) > _HODLR_LEAF:
+        e = edges[-1]
+        edges.append(sorted(e + [(lo + hi) // 2 for lo, hi in zip(e, e[1:])]))
+    e = edges[-1]
+    size = max(np.diff(e))
+    leaves = np.zeros((len(e) - 1, size, size))
+    pos = np.empty(n, dtype=np.intp)
+    for j, (lo, hi) in enumerate(zip(e, e[1:])):
+        g = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale).dense()
+        leaves[j, : hi - lo, : hi - lo] = _inverse(_identity_plus(-1.0, g, g))
+        pos[lo:hi] = np.arange(j * size, j * size + hi - lo)
+    stacks = _Stacks(pos, leaves, [None] * (len(edges) - 1))
+    for d in reversed(range(len(stacks.levels))):
+        e, mids = edges[d], edges[d + 1][1::2]
+        blocks = [_offdiagonal(op, m, tol, p, q, *s) for s in zip(e, mids, e[1:])]
+        r = max(f.shape[1] for b in blocks for f in b)
+        u, v = np.zeros((stacks.rows, r)), np.zeros((stacks.rows, r))
+        for (lo, mid, hi), (u12, v12, u21, v21) in zip(zip(e, mids, e[1:]), blocks):
+            u[pos[lo:mid], : u12.shape[1]] = u12
+            u[pos[mid:hi], : u21.shape[1]] = u21
+            v[pos[lo:mid], : v21.shape[1]] = v21
+            v[pos[mid:hi], : v12.shape[1]] = v12
+        del blocks  # before the level's solve, where the build peaks
+        halves = (2**d, 2, stacks.rows // 2 ** (d + 1), r)
+        y = _apply(stacks, u, d + 1).reshape(halves)
+        vt = v.reshape(halves).transpose(0, 1, 3, 2)
+        k = np.zeros((2**d, 2 * r, 2 * r))
+        k[:, :r, r:] = vt[:, 1] @ y[:, 1]
+        k[:, r:, :r] = vt[:, 0] @ y[:, 0]
+        k += np.eye(2 * r)
+        stacks.levels[d] = (np.linalg.inv(k), vt[:, 1], vt[:, 0], y[:, 0], y[:, 1])
+    return stacks
+
+
+def _apply(stacks: _Stacks, x: np.ndarray, top: int = 0) -> np.ndarray:
+    """``D^{-1} x`` for a block of columns x in the padded layout, with D the
+    block diagonal of M over the nodes at depth ``top``: ``M^{-1} x`` at
+    depth 0.  The leaves solve first, then each level from the deepest up,
+    each as a few products on stacks; x is left as it is."""
+    rows, k = x.shape
+    x = (stacks.leaves @ x.reshape(*stacks.leaves.shape[:2], k)).reshape(rows, k)
+    for kinv, v12t, v21t, y1, y2 in reversed(stacks.levels[top:]):
+        halves = x.reshape(len(kinv), 2, rows // (2 * len(kinv)), k)
+        c = kinv @ np.concatenate((v12t @ halves[:, 1], v21t @ halves[:, 0]), axis=1)
+        r = y1.shape[2]
+        halves[:, 0] -= y1 @ c[:, :r]
+        halves[:, 1] -= y2 @ c[:, r:]
     return x
 
 
-def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
-    """``b -> (I - G)^{-1} b``, overwriting b, through a HODLR factorization,
-    or None when it fails its check.
+def _solve(stacks: _Stacks, b: np.ndarray) -> np.ndarray:
+    """``M^{-1} b`` for a vector or a block of columns b, through ``_apply``."""
+    x = np.zeros((stacks.rows, b[0].size))
+    x[stacks.pos] = b.reshape(len(b), -1)
+    return _apply(stacks, x)[stacks.pos].reshape(b.shape)
 
-    The tree of ``_node`` halves the nodes down to leaves of at most
-    ``_HODLR_LEAF``; the solver is ``_apply`` on its root, which a
+
+def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
+    """``b -> (I - G)^{-1} b`` for a vector or a block of columns b, through a
+    HODLR factorization, or None when it fails its check.
+
+    The solver is ``_solve`` on the ``_Stacks`` of ``_stacks``, which a
     ``functools.partial`` holds as its one argument.  Blocks are truncated
     at ``_HODLR_TOL`` times ``N = 1 + 2 s max(c) ||phi||_1``, a bound on
     ``||I - G||_2``.  The check solves one fixed Gaussian probe b and needs
@@ -586,10 +650,10 @@ def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
             return None
     else:
         factors = np.zeros((n - n // 2, 0)), np.zeros((n // 2, 0))
-    solve = functools.partial(_apply, _node(op, m, tol, *factors, 0, n))
+    solve = functools.partial(_solve, _stacks(op, m, tol, *factors))
     probe = np.random.default_rng(_HODLR_SEED).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = solve(probe.copy())
+        x = solve(probe)
         residual = np.linalg.norm(x - op.matvec(x) - probe)
         backward = residual / (norm * np.linalg.norm(x) + np.linalg.norm(probe))
     return solve if backward <= _HODLR_CHECK else None

@@ -38,15 +38,26 @@ def test_package_reexports_are_listed():
     assert unlisted == []
 
 
-def test_import_loads_neither_scipy_fft_nor_signal():
-    # the library's FFTs go through numpy.fft, which numpy already loads; an
-    # eager scipy.fft or scipy.signal import would add to every start-up
+def loaded_by_import(modules):
+    """Those of ``modules`` in ``sys.modules`` after ``import wsld`` in a fresh interpreter."""
     src = str(Path(wsld.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, wsld; print(sorted({'scipy.fft', 'scipy.signal'} & set(sys.modules)))"
+    code = f"import sys, wsld; print(sorted({set(modules)!r} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_neither_scipy_fft_nor_signal():
+    # the library's FFTs go through numpy.fft, which numpy already loads; an
+    # eager scipy.fft or scipy.signal import would add to every start-up
+    assert loaded_by_import({"scipy.fft", "scipy.signal"}) == "[]"
+
+
+def test_import_leaves_out_scipy_special():
+    # the exact derivatives take their Gamma values from math.gamma; importing
+    # scipy.special took about an eighth of `import wsld.cli`
+    assert loaded_by_import({"scipy.special"}) == "[]"

@@ -409,6 +409,31 @@ class TestSharedCosines:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestSharedBranchWeights:
+    def test_one_weight_computation_per_certify(self, monkeypatch):
+        # the symbol, the stencil and the round-off slack of one (tuple,
+        # alpha) share one set of branch weights
+        import wsld.coefficients as coefficients
+
+        calls = []
+        original = coefficients.weights_order4
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(coefficients, "weights_order4", counting)
+        coefficients._branch_weights.cache_clear()
+        certify(DEFAULT_TUPLE, alphas=[1.35, 1.65], n_interior=16, x_points=101)
+        assert [alpha for alpha, _ in calls] == [1.35, 1.65]
+
+    def test_public_list_is_a_fresh_copy(self):
+        first = branch_weights(1.5, DEFAULT_TUPLE)
+        first.append((1.0, 0))
+        assert branch_weights(1.5, DEFAULT_TUPLE) == first[:-1]
+        assert isinstance(branch_weights(1.5, DEFAULT_TUPLE), list)
+
+
 class TestSharedHalfAngle:
     def test_one_half_angle_per_call(self, monkeypatch):
         # sin(x/2), 1 + 3 sin(x/2)**2 and the range check serve the prefactor

@@ -20,7 +20,8 @@ from wsld.verification import (
     observed_rate,
     profile,
 )
-from wsld.solvers import ADI_VARIANTS, solve_1d, solve_2d
+from wsld.operators import Grid1D
+from wsld.solvers import ADI_VARIANTS, Problem1D, solve_1d, solve_2d
 
 ALPHA = 1.3
 
@@ -519,3 +520,23 @@ class TestConvergenceStudy:
             errors.append(max_error(solve_1d(p), case.exact(p.grid.interior_nodes(), 1.0)))
         assert errors[0] > errors[1] > errors[2] * 0.999
         assert errors[2] == pytest.approx(errors[3], rel=0.02)
+
+
+@pytest.mark.parametrize("alpha,low,high", [(1.1, 0.15, 0.19), (1.5, 0.63, 0.64), (1.9, 0.91, 0.93)])
+def test_generic_forcing_converges_below_design_order(alpha, low, high):
+    # README "Known deviations" 5: u0 = 0 and the time-independent forcing
+    # B(x) = x^4 (2-x)^4, which vanishes to fourth order at both ends, with
+    # the paper's coefficients on (0, 2), t_final 0.25 in 64 steps.  The
+    # max-norm rates of the level differences over n_cells 40-640 sit far
+    # below 4, because the solution behaves like a power of x near the ends
+    levels = []
+    for n_cells in (40, 80, 160, 320, 640):
+        grid = Grid1D(0.0, 2.0, n_cells)
+        x = grid.interior_nodes()
+        p = Problem1D(grid=grid, alpha=alpha, d_plus=x**alpha, d_minus=2 * x**alpha,
+                      forcing=lambda x, t: x**4 * (2 - x) ** 4, u0=np.zeros_like(x),
+                      t_final=0.25, n_steps=64)
+        levels.append(np.concatenate(([0.0], solve_1d(p), [0.0])))
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(levels, levels[1:])]
+    rates = np.log2(np.divide(diffs[:-1], diffs[1:]))
+    assert np.all((rates > low - 0.05) & (rates < high + 0.05)), rates
