@@ -26,12 +26,13 @@ randomized range finder compresses once (Halko, Martinsson & Tropp, SIAM
 Review 53 (2011)); the Woodbury formula joins the levels, each split
 keeping its small ``K^{-1}`` and its factors (Hackbusch, Hierarchical
 Matrices, Springer (2015)).  A fixed probe solve checks the factorization
-against the O(n log n) ``_TwoSided.matvec``, and one that fails falls back
-to the dense path.
-Smaller grids LU-factor the dense ``I - G``.  A run that returns its
-history, or has fewer steps than unknowns (the inverse costs about
-``2 n^3`` flops and saves only the per-step ``lu_solve`` call overhead),
-solves with the factors, by the same equation.  Any other marches
+against the O(n log n) ``_TwoSided.matvec``; a run whose factorization
+fails writes ``I - G`` in place on the operator's dense form and solves
+with its LU factors, by the same equation, at every step.
+Smaller grids LU-factor the ``I - G`` of ``build_cn_system``.  A run that
+returns its history, or has fewer steps than unknowns (the inverse costs
+about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
+overhead), solves with the factors too.  Any other marches
 ``w = (I - G) U``, for which the same equation is
 
     w^{n+1} = P w^n + tau F^{n+1/2},   P = (I + G) (I - G)^{-1} = 2 (I - G)^{-1} - I,
@@ -55,8 +56,7 @@ row at a time.  A forcing that declares ``broadcasts_over_t`` fills a
 block with one call on a column of times; any other forcing with one call
 per step.  Both give the same block, so the solution does not depend on
 the declaration.  A 1D run with P that has steps enough to pay for the
-squarings, and room for them within ``_POWERS_BYTES``, composes its blocks
-instead:
+squarings composes its blocks instead:
 a block of ``2**L - 1`` affine steps is reduced pairwise, as in a
 parallel prefix (Blelloch 1990), in L matrix products with
 ``P, P^2, ..., P^(2^(L-1))``, which are formed once by squaring.  Its
@@ -92,12 +92,6 @@ __all__ = [
 
 ADI_VARIANTS = ("peaceman_rachford", "douglas")
 
-# 1D grids with at least this many interior nodes write ``I - G`` alone and in
-# place; smaller grids take it from ``build_cn_system``, which also forms
-# ``M_plus`` (dropped at once).  The switch stays only because the benchmark
-# traces ``build_cn_system`` on its small 1D runs.
-_IN_PLACE_MIN_INTERIOR = 600
-
 # Forcing samples per block, in bytes.  ``_march`` holds a few blocks on top
 # of the solver's matrices: the samples, and the manufactured forcings'
 # scratch while sampling or the rows of ``_reduce``.  Against this cap,
@@ -112,43 +106,37 @@ _MAX_STEPS = 2**53
 # Block reduction on the 1D propagator path (``_march``, ``_reduce``): its
 # L - 1 squarings, 2 n^3 flops each, may cost at most this many times the
 # 2 n^2 n_steps flops of the steps, which turns it on from 3.5 n steps at
-# n = 119, 2.5 n at 399, 2 n at 599 to 999 and 1.5 n at 1999.  Reduced
-# against stepping with P, one BLAS thread on a 2-vCPU Xeon (best of
-# nine): 0.83 at n = 119 with 4 n steps and 0.68 with 8 n; 0.98 at n = 399
-# with 3 n and 1.01 with 5 n; 0.72 at n = 599 with 2 n.  Below the rule:
-# 1.04 and 0.85 at n = 119 with 2 n and 3 n, 1.07 and 1.05 at 399 with 2 n
-# and 2.5 n, 1.03 and 0.87 at 599 with n and 1.5 n.  Against stepping
-# with the inverse, the fits in ``solve_1d`` give 0.74-0.92 at n = 999
-# with 2 n and 0.81-0.87 at 1999 with 1.5 n.  L is the largest that fits,
-# since products with few rows and the forcing sampled in short blocks
-# make a small L slower than stepping (L <= 4 ran 1.06-1.97x the stepped
-# time at 399).
+# n = 119, 2.5 n at 399 and 2 n at 599.  Reduced against stepping with P,
+# one BLAS thread on a 2-vCPU Xeon (best of nine): 0.83 at n = 119 with
+# 4 n steps and 0.68 with 8 n; 0.98 at n = 399 with 3 n and 1.01 with 5 n;
+# 0.72 at n = 599 with 2 n.  Below the rule: 1.04 and 0.85 at n = 119 with
+# 2 n and 3 n, 1.07 and 1.05 at 399 with 2 n and 2.5 n, 1.03 and 0.87 at
+# 599 with n and 1.5 n.  L is the largest that fits, since products with
+# few rows and the forcing sampled in short blocks make a small L slower
+# than stepping (L <= 4 ran 1.06-1.97x the stepped time at 399).
 _SQUARING_SHARE = 2
-
-# Bytes that P and its squares may take together: L <= _POWERS_BYTES / (8 n^2).
-# It binds from n = 1025, so every run below _HODLR_MIN_INTERIOR keeps its L;
-# above, only a run whose HODLR check failed reaches the reduction.  There,
-# n = 1199 with 2 n steps takes L = 3 for 4: tracemalloc peak 3.03 against
-# 4.04 x 8n^2 (34.9 against 46.5 MB), for 1.64-1.77 against 1.35-1.52 s
-# (two runs, one BLAS thread), and n = 1999
-# with 1.5 n steps holds P alone instead of P and three squares (32 against
-# 128 MB).
-_POWERS_BYTES = 40 * 2**20
 
 # Magnitude bound below which a reduced block stands: 2**64 under overflow,
 # room for the round-off of summing the block in either order.
 _REDUCE_LIMIT = 2.0**960
 
-# 1D runs with at least this many interior nodes solve with ``_hodlr`` instead
-# of dense LU or the inverse (at least _IN_PLACE_MIN_INTERIOR, from which
-# ``solve_1d`` holds the operator it is built from).  Whole ``solve_1d`` runs, HODLR over dense LU,
-# best of seven, one BLAS thread on a 2-vCPU Xeon, both benchmark tuples:
-# 1.02-1.10 at n = 800 with 1 step, 0.78-0.92 with 10, 0.60-0.62 with 100;
-# 0.89-1.19, 0.83-1.01 and 0.53-0.55 at 900; 0.68-0.86, 0.78 and 0.47-0.59
-# at 950; 0.77-0.78, 0.74 and 0.53-0.55 at 999; 0.48-0.49 and 0.42-0.44 at
-# 1500 with 10 and 100 steps.  Final states from ``n_steps >= n``: see
-# ``solve_1d``.
-_HODLR_MIN_INTERIOR = 950
+# 1D runs with at least this many interior nodes solve with ``_hodlr``; smaller
+# ones take the dense path of ``solve_1d`` (LU solves, or the inverse stepped
+# or reduced).  Whole ``solve_1d`` runs, HODLR over the dense path, both
+# benchmark tuples, three paired runs of best of seven to nine, one BLAS
+# thread on a 2-vCPU Xeon VM whose varying load explains the spread:
+#
+#   n     1 step     10 steps   100        n          2 n        4 n
+#   599   0.97-1.23  0.93-1.19  0.72-0.86  0.56-0.79  0.84-0.93  1.03-1.29
+#   699   1.00-1.46  0.97-1.12  0.63-0.78  0.47-0.63  0.63-0.74  0.77-0.94
+#   799   0.85-1.01  0.80-0.97  0.55-0.59  0.41-0.44  0.55-0.62  0.64-0.77
+#   949   0.72-0.76  0.67-0.83  0.49-0.55  0.38-0.49  0.53-0.58  0.68-0.78
+#
+# At the switch HODLR loses up to about 3 ms on the 11-19 ms of a 1-10 step
+# run, and up to 29% from 4 n steps, where the block reduction is strong; it
+# wins from 100 steps to 2 n at every size, and breaks even or wins at every
+# step count from n = 799.
+_HODLR_MIN_INTERIOR = 600
 
 # Largest HODLR leaf: the nodes are halved until no leaf is larger, so every
 # leaf sits at the same depth.  Whole ``solve_1d`` runs with 100 steps at
@@ -443,15 +431,10 @@ def _reduce(powers: Sequence[np.ndarray], growth: float, u: np.ndarray, tau: flo
 def _levels(n: int, n_steps: int) -> int:
     """Levels L of the block reduction for ``n`` unknowns and ``n_steps``
     steps, or 0 when its squarings do not pay.  Blocks of ``2**L - 1`` steps
-    fit in ``_BLOCK_BYTES``, and L is at most the bit length of ``n_steps``.
-    A reduction that pays is then cut to the L matrices
-    ``P, ..., P^(2^(L-1))`` that fit in ``_POWERS_BYTES``; the cut never
-    turns one on."""
+    fit in ``_BLOCK_BYTES``, and L is at most the bit length of ``n_steps``."""
     by_memory = (max(1, _BLOCK_BYTES // (8 * n)) + 1).bit_length() - 1
     levels = min(by_memory, int(n_steps).bit_length())
-    if (levels - 1) * n > _SQUARING_SHARE * n_steps:
-        return 0
-    return min(levels, _POWERS_BYTES // (8 * n * n))
+    return 0 if (levels - 1) * n > _SQUARING_SHARE * n_steps else levels
 
 
 def _truncate(u: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -675,7 +658,7 @@ def build_cn_system(
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     Both come in Fortran order, so LAPACK can factor them in place.
-    ``solve_1d`` calls this below ``_IN_PLACE_MIN_INTERIOR`` interior nodes
+    ``solve_1d`` calls this below ``_HODLR_MIN_INTERIOR`` interior nodes
     and uses only ``M_minus``: it never applies ``M_plus``.
     """
     g = _operator_1d(problem, shifts).dense()
@@ -690,26 +673,25 @@ def solve_1d(
 ) -> np.ndarray:
     """March the 1D scheme to t_final and return the interior solution.
 
-    From ``_HODLR_MIN_INTERIOR`` (950) interior nodes every run steps
+    From ``_HODLR_MIN_INTERIOR`` (600) interior nodes every run steps
     ``u -> solve(2 u + tau f) - u`` with the HODLR solver of ``I - G`` (see
-    the module docstring), which matches the dense path to round-off, not
-    bit for bit (README "Known deviations" 4); a factorization that fails
-    its check leaves the run to the dense path.  That path LU-factors
-    ``I - G`` once.  A run that returns its history, or has fewer steps
+    the module docstring), which matches dense LU to round-off, not bit for
+    bit (README "Known deviations" 4).  A factorization that fails its
+    check leaves the run to the LU factors of ``I - G``, written alone and
+    in place, which step it the same way, for any step count and for
+    histories.  Smaller grids take ``I - G`` from ``build_cn_system`` and
+    LU-factor it once.  A run that returns its history, or has fewer steps
     than unknowns, steps the same way with the factors.  A final-state run
     from ``n_steps >= n_interior`` marches ``w = (I - G) u`` instead (see
-    the module docstring): ``w0`` is one
-    matvec before the factorization, each step ``w -> P w + tau f``, and
-    ``u = (I - G)^{-1} w`` one matvec at the end.  P is formed in place of
-    the inverse and halved back into it after the march, with the inverse's
-    diagonal saved aside, so the conversion uses the inverse bit for bit.
-    With steps enough to pay for the squarings (``_levels``), blocks of
-    those steps are composed in L products each (see ``_march``), with L
-    capped by ``_POWERS_BYTES``; only P and its powers outlive the setup,
-    and the powers go before the conversion.  All of these agree to
-    round-off.  Below ``_IN_PLACE_MIN_INTERIOR`` (600) interior nodes
-    ``I - G`` comes from ``build_cn_system``, from it on it is written
-    alone, in place, with the same entries.  The forcing is sampled at the half steps ``t_{n+1/2}``;
+    the module docstring): ``w0`` is one matvec before the factorization,
+    each step ``w -> P w + tau f``, and ``u = (I - G)^{-1} w`` one matvec at
+    the end.  P is formed in place of the inverse and halved back into it
+    after the march, with the inverse's diagonal saved aside, so the
+    conversion uses the inverse bit for bit.  With steps enough to pay for
+    the squarings (``_levels``), blocks of those steps are composed in L
+    products each (see ``_march``); only P and its powers outlive the
+    setup, and the powers go before the conversion.  All of these agree to
+    round-off.  The forcing is sampled at the half steps ``t_{n+1/2}``;
     a non-finite sample raises ``ValueError`` naming the step and its time,
     and any other non-finite state (``w``, or the final ``u`` recovered
     from it, named as the last step) one saying it has infs or NaNs.  With
@@ -718,31 +700,26 @@ def solve_1d(
     """
     n = problem.grid.n_interior
     tau = problem.tau
-    op = None if n < _IN_PLACE_MIN_INTERIOR else _operator_1d(problem, shifts)
+    op = None if n < _HODLR_MIN_INTERIOR else _operator_1d(problem, shifts)
     march = (_sampler(problem.forcing, problem.nodes, (n,)),
              problem.n_steps, tau, return_history)
-    # HODLR for every run from _HODLR_MIN_INTERIOR on, final states from
-    # n_steps >= n too.  Seconds per run, HODLR against the inverse stepped
-    # (n steps) or reduced with L levels, best of two, one BLAS thread:
-    #   n = 999:  n steps 0.19 / 0.47;  2 n 0.34 / 0.58 (L = 5);  4 n 0.63 / 1.04 (L = 5)
-    #   n = 1999: n steps 0.95 / 3.65;  2 n 1.81 / 4.23 (L = 5), 5.58 (L = 4);
-    #             4 n 3.45 / 7.39 (L = 5), 9.60 (L = 4)
-    # Below it, the inverse for final-state runs from n_steps >= n.  Break-even
-    # against LU solves, one BLAS thread on a 2-vCPU Xeon, linear fits over n/8
-    # to 1.5 n steps, three runs: stepping with the inverse at 17-36 steps for
-    # n = 119, 178-877 at 599, 860-1547 at 999 and 827-949 at 1999 (one run
-    # never); at 399 its matvec costs about what the two triangular solves do,
-    # 212 and 341 (one run never).  The block reduction at 45-58, 731-1563,
-    # 401-924, 1006-1063 and 1100-2522.  The steps are memory-bound from ~400
-    # nodes, hence the spread; no workload runs between n/4 and n steps.
-    solve = _hodlr(op) if n >= _HODLR_MIN_INTERIOR else None
+    # Below _HODLR_MIN_INTERIOR, the inverse for final-state runs from
+    # n_steps >= n.  Break-even against LU solves, one BLAS thread on a
+    # 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three runs:
+    # stepping with the inverse at 17-36 steps for n = 119 and 178-877 at
+    # 599; at 399 its matvec costs about what the two triangular solves do,
+    # 212 and 341 (one run never).  The block reduction at 45-58, 1100-2522
+    # and 731-1563.  The steps are memory-bound from ~400 nodes, hence the
+    # spread; no workload runs between n/4 and n steps.  HODLR against the
+    # dense path: see _HODLR_MIN_INTERIOR.
+    solve = None if op is None else _hodlr(op)
     if solve is None:
         if op is None:
             m_minus = build_cn_system(problem, shifts)[0]
-        else:
+        else:  # a failed check: I - G alone, in place, and LU solves for every run
             m_minus = op.dense()
             _identity_plus(-1.0, m_minus, m_minus)
-        if problem.n_steps < n or return_history:
+        if op is not None or problem.n_steps < n or return_history:
             lu = lu_factor(m_minus, overwrite_a=True)
             solve = lambda b: lu_solve(lu, b, check_finite=False)
     if solve is not None:

@@ -13,7 +13,6 @@ from wsld.spectral import CERTIFIED_TUPLES
 from wsld.operators import Grid1D, _TwoSided, apply_stencil, assemble_left, table_for_grid
 import wsld.solvers as solvers
 from wsld.solvers import (
-    _IN_PLACE_MIN_INTERIOR,
     ADI_VARIANTS,
     Problem1D,
     build_cn_system,
@@ -218,13 +217,13 @@ def assert_same_final_state(got, ref):
 @given(
     shifts=st.sampled_from(CERTIFIED_TUPLES),
     alpha=alphas,
-    n=st.integers(4, 60) | st.integers(61, _IN_PLACE_MIN_INTERIOR + 40),
+    n=st.integers(4, 60) | st.integers(61, solvers._HODLR_MIN_INTERIOR - 1),
     levels=st.integers(1, 3),
     extra=st.integers(0, 15),
 )
 def test_block_reduction_matches_stepping_1d(shifts, alpha, n, levels, extra):
-    # propagator path with blocks of 1, 3 and 7 steps, on both sides of the
-    # assembly switch; from 2n steps on every last block length occurs, and
+    # propagator path with blocks of 1, 3 and 7 steps, up to the largest
+    # dense grid; from 2n steps on every last block length occurs, and
     # the reduced final state is the LU-stepped one (a history steps with
     # the LU factors).  Certified tuples keep the run bounded: an
     # uncertified tuple can grow like 1e179 over 2n steps, and then any

@@ -212,6 +212,13 @@ def assert_same_trajectory(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.fixture
+def failed_check(monkeypatch):
+    """Every HODLR factorization fails its check, so a run from
+    ``_HODLR_MIN_INTERIOR`` interior nodes on takes the LU fallback."""
+    monkeypatch.setattr(solvers, "_hodlr", lambda op: None)
+
+
 class TestProblemValidation:
     def test_negative_coefficient_rejected(self):
         grid = Grid1D(0.0, 2.0, 8)
@@ -374,25 +381,28 @@ class TestSolve1D:
         assert np.all(np.isfinite(u))
 
 
-    def test_large_grid_holds_one_dense_matrix(self):
-        # from _IN_PLACE_MIN_INTERIOR on only I - G is formed, in place: no
-        # dense A, no M_plus and no transposed copy for lu_factor
+    def test_large_grid_holds_one_dense_matrix(self, failed_check):
+        # the fallback of a failed HODLR check forms only I - G, in place:
+        # no dense A, no M_plus and no transposed copy for lu_factor
+        # (measured 1.13 x 8n^2)
         p = make_problem_1d(n_cells=800, n_steps=20)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p)) < 1.5 * 8 * n * n
 
     def test_large_grid_inverse_holds_two_dense_matrices(self):
-        # n_steps >= n_interior: I - G is factored in place and the identity
-        # overwritten by the inverse, so only the factors and the inverse live
-        p = make_problem_1d(n_cells=800, n_steps=799)
+        # n_steps >= n_interior on the largest dense grid: M_plus is dropped,
+        # I - G is factored in place and the identity overwritten by the
+        # inverse, so only the factors and the inverse live
+        p = make_problem_1d(n_cells=600, n_steps=599)
         n = p.grid.n_interior
+        assert n == p.n_steps == solvers._HODLR_MIN_INTERIOR - 1
         assert traced_peak(lambda: solve_1d(p)) < 2.5 * 8 * n * n
 
-    def test_large_grid_history_holds_two_dense_matrices(self):
-        # a history steps with LU solves, so the factors of I - G (in its
-        # place) and the history live, plus forcing blocks: measured
-        # 2.06 x 8n^2; a list stacked by np.array, or a second history,
-        # makes it 3 or more
+    def test_large_grid_history_holds_two_dense_matrices(self, failed_check):
+        # a history on the fallback steps with LU solves, so the factors of
+        # I - G (in its place) and the history live, plus forcing blocks:
+        # measured 2.06 x 8n^2; a list stacked by np.array, or a second
+        # history, makes it 3 or more
         p = make_problem_1d(n_cells=800, n_steps=799)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p, return_history=True)) < 2.4 * 8 * n * n
@@ -425,46 +435,40 @@ class TestSolve1D:
 
     @pytest.mark.parametrize(
         "n_cells,n_steps,levels,bound",
-        [(600, 600, 0, 2.5), (600, 1200, 5, 5.6), (800, 1600, 5, 5.6)],
-        ids=["stepped", "reduced", "reduced-in-place"],
+        [(600, 600, 0, 2.5), (600, 1200, 5, 5.6)],
+        ids=["stepped", "reduced"],
     )
     def test_propagator_holds_the_inverse_and_its_powers(self, n_cells, n_steps, levels, bound):
         # neither M_plus nor the LU factors outlive the inverse.  Row by row
         # (n + 1 steps) it is the one matrix left; the block reduction (from
         # 2n steps) forms P = 2 (I - G)^-1 - I in the inverse's place and adds
-        # P^2 .. P^16, on both sides of _IN_PLACE_MIN_INTERIOR (measured 2.13,
-        # 5.17 and 5.13 x 8n^2; P beside the inverse measured 6.17 and 6.12)
+        # P^2 .. P^16 (measured 2.13 and 5.17 x 8n^2; P beside the inverse
+        # measured 6.17)
         p = make_problem_1d(n_cells=n_cells, n_steps=n_steps)
         n = p.grid.n_interior
         assert solvers._levels(n, n_steps) == levels
         assert traced_peak(lambda: solve_1d(p)) < bound * 8 * n * n
 
     def test_powers_fit_the_byte_budget(self):
-        # P and its squares, L dense matrices, stay within _POWERS_BYTES at
-        # every size; the budget only lowers L, and below the HODLR
-        # threshold, where every final state may reach the reduction, it
-        # leaves every L as it was
-        for n in range(3, 4000, 41):
-            for n_steps in (n, 2 * n, 8 * n):
-                levels = solvers._levels(n, n_steps)
-                with patch.object(solvers, "_POWERS_BYTES", 2**62):
-                    uncapped = solvers._levels(n, n_steps)
-                assert levels * 8 * n * n <= solvers._POWERS_BYTES
-                assert levels <= uncapped
-                if n < solvers._HODLR_MIN_INTERIOR:
-                    assert levels == uncapped
+        # only grids below the HODLR switch reach the block reduction, and
+        # there P and its squares, L dense matrices, stay within 16 MiB for
+        # any step count: the most is L = 5 at n = 599 (14.4 MB), since the
+        # blocks of _BLOCK_BYTES lower L as n grows
+        for n in range(3, solvers._HODLR_MIN_INTERIOR):
+            for n_steps in (n, 2 * n, 8 * n, 2**40):
+                assert solvers._levels(n, n_steps) * 8 * n * n <= 16 * 2**20
 
-    def test_dense_reduction_holds_its_powers_within_budget(self):
-        # past the HODLR threshold only a failed check reaches the dense
-        # reduction: at n = 1199 with 2n steps the flop rule takes L = 4
-        # (measured 4.04 x 8n^2, 46.5 MB) and the budget cuts it to 3 (3.03)
+    def test_fallback_final_state_steps_with_lu_solves(self, failed_check, monkeypatch):
+        # past the HODLR switch a failed check leaves even a final state of
+        # 2n steps, where the dense path would reduce blocks with L = 4, to
+        # one lu_solve per step: no inverse and no powers, so the factors of
+        # I - G are the one dense matrix it holds (measured 1.13 x 8n^2)
         n = 1199
         p = manufactured_1d(1.5).problem(n + 1, 2 * n)
-        with patch.object(solvers, "_POWERS_BYTES", 2**62):
-            assert solvers._levels(n, 2 * n) == 4
-        assert solvers._levels(n, 2 * n) == 3
-        peak = traced_peak(lambda: dense_solve_1d(p))
-        assert peak < solvers._POWERS_BYTES + 4 * solvers._BLOCK_BYTES
+        lu_calls = count_lu_solve(monkeypatch)
+        inverses = count_calls(monkeypatch, solvers._inverse)
+        assert traced_peak(lambda: solve_1d(p)) < 1.5 * 8 * n * n
+        assert (len(lu_calls), len(inverses)) == (2 * n, 0)
 
     @pytest.mark.parametrize(
         "solve,problem",
@@ -480,10 +484,11 @@ class TestSolve1D:
         assert extra < 4 * solvers._BLOCK_BYTES
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["dense", "in-place"])
-    def test_one_stencil_table_per_solve(self, offset, monkeypatch):
-        # one table on either side of the assembly switch
+    def test_one_stencil_table_per_solve(self, offset, failed_check, monkeypatch):
+        # one table on either side of the HODLR switch, the fallback's
+        # I - G in place included
         calls = count_calls(monkeypatch, operators.stencil_coeffs)
-        solve_1d(make_problem_1d(n_cells=solvers._IN_PLACE_MIN_INTERIOR + offset + 1, n_steps=2))
+        solve_1d(make_problem_1d(n_cells=solvers._HODLR_MIN_INTERIOR + offset + 1, n_steps=2))
         assert len(calls) == 1
 
     def test_traced_entry_points(self, monkeypatch):
@@ -524,15 +529,14 @@ def test_history_starts_at_u0_bit_for_bit(make):
     np.testing.assert_array_equal(history[0].view(np.int64), p.u0.view(np.int64))
 
 
-@pytest.mark.parametrize("n_steps,levels", [(600, 0), (1200, 5)], ids=["stepped", "reduced"])
+@pytest.mark.parametrize("n_steps,levels", [(599, 0), (1198, 5)], ids=["stepped", "reduced"])
 def test_large_tau_inverse_paths_match_lu_oracle(n_steps, levels):
-    # tau = 1e-2 at n = 600 and alpha = 1.9, where cond(I - G) is 4.1e4 and
-    # the final u = (I - G)^-1 w may amplify the round-off of w by up to that;
-    # measured 2.7e-13 of max|u| on both paths (6.6e-13 and 3.6e-13 when the
-    # march stepped u itself)
-    p = dataclasses.replace(manufactured_1d(1.9).problem(601, n_steps), t_final=1e-2 * n_steps)
+    # tau = 1e-2 on the largest dense grid, n = 599, and alpha = 1.9, where
+    # cond(I - G) is 4.1e4 and the final u = (I - G)^-1 w may amplify the
+    # round-off of w by up to that; measured 1.2e-13 and 1.5e-13 of max|u|
+    p = dataclasses.replace(manufactured_1d(1.9).problem(600, n_steps), t_final=1e-2 * n_steps)
     n = p.grid.n_interior
-    assert n >= solvers._IN_PLACE_MIN_INTERIOR and solvers._levels(n, n_steps) == levels
+    assert n == solvers._HODLR_MIN_INTERIOR - 1 and solvers._levels(n, n_steps) == levels
     ref = lu_stepped_1d(p)[-1]
     assert np.max(np.abs(solve_1d(p) - ref)) <= 5e-12 * np.max(np.abs(ref))
 
@@ -799,23 +803,28 @@ class TestPropagatorStepping:
 
 
 class TestAssemblySwitch:
-    # n_interior = _IN_PLACE_MIN_INTERIOR - 1 takes I - G from build_cn_system;
-    # from the constant on it is written alone.  Neither side applies I + G,
-    # so neither builds the FFT stencil routine.  Both run a 20-step history
-    # with LU solves and an n-step final state with the inverse; measured at
-    # most 1.6e-13 x max|u| from the dense M_plus oracle.
+    # n_interior = _HODLR_MIN_INTERIOR - 1 takes I - G from build_cn_system;
+    # from the constant on, a run whose HODLR check fails writes it alone, in
+    # place.  Neither side applies I + G, so neither builds the FFT stencil
+    # routine.  Both run a 20-step history with LU solves ("lu") and an
+    # n-step final state ("inverse"), which below the switch takes the
+    # inverse (one lu_solve call) and on the fallback steps with LU solves,
+    # never calling _inverse; measured at most 6.5e-14 x max|u| from the
+    # dense M_plus oracle.
     @pytest.mark.parametrize("offset", [-1, 0], ids=["system", "in-place"])
     @pytest.mark.parametrize("backend", ["lu", "inverse"])
-    def test_matches_lu_stepping(self, offset, backend, monkeypatch):
-        n = solvers._IN_PLACE_MIN_INTERIOR + offset
+    def test_matches_lu_stepping(self, offset, backend, failed_check, monkeypatch):
+        n = solvers._HODLR_MIN_INTERIOR + offset
         n_steps = 20 if backend == "lu" else n
         p = manufactured_1d(1.5).problem(n + 1, n_steps)
         builds = count_calls(monkeypatch, operators._toeplitz_pair)
         lu_calls = count_lu_solve(monkeypatch)
+        inverses = count_calls(monkeypatch, solvers._inverse)
         history = backend == "lu"
         got = solve_1d(p, return_history=history)
         assert builds == []
-        assert len(lu_calls) == (n_steps if history else 1)
+        stepped = history or offset == 0
+        assert (len(lu_calls), len(inverses)) == ((n_steps, 0) if stepped else (1, 1))
         ref = lu_stepped_1d(p)
         assert_same_trajectory(got, ref if history else ref[-1])
 
@@ -1055,7 +1064,7 @@ def outcome_1d(solve, p, **kwargs):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_hodlr_matches_dense_lu(half, odd, alpha, log_tau, shifts, n_steps, seed):
-    # from the threshold to 500 nodes past it, odd and even n: one solve, a
+    # from the switch to 500 nodes past it, odd and even n: one solve, a
     # final state and a history against dense LU.  Both sit within round-off
     # of cond_1(I - G) eps of each other; over 48 histories of 20 steps at
     # n = 1000, 1001, 1500 and 1501, alpha 1.05, 1.5 and 1.95, both tuples
@@ -1154,7 +1163,7 @@ class TestHodlr:
         assert leaves.shape[1] <= solvers._HODLR_LEAF
 
     def test_one_stack_per_level_in_a_padded_layout(self):
-        # n = 953 gives leaves of 119 and 120 nodes: each unknown has its
+        # n = 603 gives leaves of 75 and 76 nodes: each unknown has its
         # own row, in order, and the padding rows stay zero through a solve
         op = solvers._operator_1d(manufactured_1d(1.5).problem(HODLR_MIN + 4, 2), DEFAULT_TUPLE)
         stacks = solvers._hodlr(op).args[0]
@@ -1168,7 +1177,7 @@ class TestHodlr:
         x[stacks.pos] = np.random.default_rng(2).normal(size=(len(op.a), 3))
         assert not solvers._apply(stacks, x)[padding].any()
 
-    @pytest.mark.parametrize("n_cells", [HODLR_MIN + 1, HODLR_MIN + 58])
+    @pytest.mark.parametrize("n_cells", [951, 1008])
     def test_block_of_columns_matches_dense_lu(self, n_cells):
         # the one batched apply that serves the steps and the build, on many
         # right-hand sides at once, within test_hodlr_matches_dense_lu's bound

@@ -522,20 +522,47 @@ class TestConvergenceStudy:
         assert errors[2] == pytest.approx(errors[3], rel=0.02)
 
 
-@pytest.mark.parametrize("alpha,low,high", [(1.1, 0.15, 0.19), (1.5, 0.63, 0.64), (1.9, 0.91, 0.93)])
-def test_generic_forcing_converges_below_design_order(alpha, low, high):
-    # README "Known deviations" 5: u0 = 0 and the time-independent forcing
-    # B(x) = x^4 (2-x)^4, which vanishes to fourth order at both ends, with
-    # the paper's coefficients on (0, 2), t_final 0.25 in 64 steps.  The
-    # max-norm rates of the level differences over n_cells 40-640 sit far
-    # below 4, because the solution behaves like a power of x near the ends
+def paper_coefficients(x, alpha):
+    return x**alpha, 2 * x**alpha
+
+
+def constant_coefficients(x, alpha):
+    return np.ones_like(x), np.full_like(x, 2.0)
+
+
+# the rows of README "Known deviations" 5: (id prefix, coefficients, forcing,
+# (alpha, low, high) per column)
+GENERIC_ROWS = [
+    ("", paper_coefficients, lambda x, t: x**4 * (2 - x) ** 4,
+     [(1.1, 0.15, 0.19), (1.5, 0.63, 0.64), (1.9, 0.91, 0.93)]),
+    ("x(2-x)-", paper_coefficients, lambda x, t: x * (2 - x),
+     [(1.1, 0.17, 0.19), (1.5, 0.63, 0.64), (1.9, 0.96, 1.02)]),
+    ("f1-", paper_coefficients, lambda x, t: np.ones_like(x),
+     [(1.1, 0.0, 0.0), (1.5, 0.0, 0.0), (1.9, 0.0, 0.0)]),
+    ("constant-f1-", constant_coefficients, lambda x, t: np.ones_like(x),
+     [(1.1, 0.15, 0.19), (1.5, 0.62, 0.64), (1.9, 0.89, 0.92)]),
+]
+
+
+@pytest.mark.parametrize(
+    "coefficients,forcing,alpha,low,high",
+    [pytest.param(c, f, *cell, id=prefix + "-".join(map(str, cell)))
+     for prefix, c, f, cells in GENERIC_ROWS for cell in cells],
+)
+def test_generic_forcing_converges_below_design_order(coefficients, forcing, alpha, low, high):
+    # README "Known deviations" 5: u0 = 0 and a time-independent forcing on
+    # (0, 2), t_final 0.25 in 64 steps.  The max-norm rates of the level
+    # differences over n_cells 40-640 sit far below 4, even for
+    # B(x) = x^4 (2-x)^4, which vanishes to fourth order at both ends,
+    # because the solution behaves like a power of x near the ends; with
+    # the paper's coefficients and f = 1 they do not shrink at all
     levels = []
     for n_cells in (40, 80, 160, 320, 640):
         grid = Grid1D(0.0, 2.0, n_cells)
         x = grid.interior_nodes()
-        p = Problem1D(grid=grid, alpha=alpha, d_plus=x**alpha, d_minus=2 * x**alpha,
-                      forcing=lambda x, t: x**4 * (2 - x) ** 4, u0=np.zeros_like(x),
-                      t_final=0.25, n_steps=64)
+        d_plus, d_minus = coefficients(x, alpha)
+        p = Problem1D(grid=grid, alpha=alpha, d_plus=d_plus, d_minus=d_minus,
+                      forcing=forcing, u0=np.zeros_like(x), t_final=0.25, n_steps=64)
         levels.append(np.concatenate(([0.0], solve_1d(p), [0.0])))
     diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(levels, levels[1:])]
     rates = np.log2(np.divide(diffs[:-1], diffs[1:]))
