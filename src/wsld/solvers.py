@@ -14,18 +14,20 @@ built from the operator's O(n) data, so ``I - G`` is never formed:
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
-The nodes are halved, level by level, until every leaf holds at most
-``_HODLR_LEAF``, and the factorization is stored as stacks, one for the
-leaves and one set per level (``_Stacks``), so that ``_apply`` solves with
-a few products per level, for one right-hand side or a block of them.
-Leaves are inverted through LU, and the two off-diagonal blocks of every
-split are low-rank products, truncated at ``_HODLR_TOL`` of a bound on
-``||I - G||``.  All of them are cut, up to diagonal scalings and an
-``m x m`` corner, from one Hankel matrix of the stencil, which an adaptive
-randomized range finder compresses once (Halko, Martinsson & Tropp, SIAM
-Review 53 (2011)); the Woodbury formula joins the levels, each split
-keeping its small ``K^{-1}`` and its factors (Hackbusch, Hierarchical
-Matrices, Springer (2015)).  A fixed probe solve checks the factorization
+The nodes are padded with a few zero-coefficient nodes, whose rows of
+``I - G`` are rows of I, and halved, level by level, into equal halves
+until every leaf holds at most ``_HODLR_LEAF``.  The factorization is
+stored as stacks, one for the leaves and one set per level, so that
+``_apply`` solves with a few products per level, for one right-hand side
+or a block of them.  Leaves are inverted through LU, and the two
+off-diagonal blocks of every split are low-rank products, truncated at
+``_HODLR_TOL`` of a bound on ``||I - G||``, a level at a time.  All of
+them are cut, up to diagonal scalings and an ``m x m`` corner, from one
+Hankel matrix of the stencil, which an adaptive randomized range finder
+compresses once (Halko, Martinsson & Tropp, SIAM Review 53 (2011)); the
+Woodbury formula joins the levels, each split keeping its small
+``K^{-1}`` and its factors (Hackbusch, Hierarchical Matrices, Springer
+(2015)).  A fixed probe solve checks the factorization
 against the O(n log n) ``_TwoSided.matvec``; a run whose factorization
 fails writes ``I - G`` in place on the operator's dense form and solves
 with its LU factors, by the same equation, at every step.
@@ -70,11 +72,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lu_factor, lu_solve, qr
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 
 from .coefficients import DEFAULT_TUPLE, ShiftTuple, _integer, validate_order
 from .operators import Grid1D, _TwoSided
@@ -138,11 +140,12 @@ _REDUCE_LIMIT = 2.0**960
 # step count from n = 799.
 _HODLR_MIN_INTERIOR = 600
 
-# Largest HODLR leaf: the nodes are halved until no leaf is larger, so every
-# leaf sits at the same depth.  Whole ``solve_1d`` runs with 100 steps at
-# n = 999 / 1999 / 2999, ms: leaves of 64: 82 / 111 / 204; 96: 69 / 112 /
-# 161; 128: 69 / 92 / 157; 192: 69 / 91 / 152; 256: 69 / 104 / 160 (measured on
-# the recursive tree of tuples that the stacks replaced).
+# Largest HODLR leaf: the n nodes are halved L times, the fewest that leave no
+# larger leaf, into leaves of ceil(n / 2**L), zero-coefficient nodes padding
+# the last.  Whole ``solve_1d`` runs with 100 steps at n = 999 / 1999 / 2999,
+# ms: leaves of 64: 82 / 111 / 204; 96: 69 / 112 / 161; 128: 69 / 92 / 157;
+# 192: 69 / 91 / 152; 256: 69 / 104 / 160 (measured on the recursive tree of
+# tuples that the stacks replaced).
 _HODLR_LEAF = 128
 
 # Off-diagonal blocks are truncated at this times a bound on ||I - G||.  Single
@@ -438,13 +441,17 @@ def _levels(n: int, n_steps: int) -> int:
 
 
 def _truncate(u: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(u', v')`` with ``u' v'^T`` the best approximation of ``u v^T`` whose
-    dropped singular values are all at most ``tol``."""
-    qu, ru = qr(u, mode="economic", check_finite=False)
-    qv, rv = qr(v, mode="economic", check_finite=False)
+    """``(u', vt')`` with ``u'[j] vt'[j]`` the best approximation of
+    ``u[j] v^T`` whose dropped singular values are all at most ``tol``, for a
+    stack u and one v: one QR of v, and the QR and SVD of u batched.
+    Singular values at most ``tol`` are zeroed, and every product keeps as
+    many columns as the largest rank in the stack."""
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
     w, sigma, zt = np.linalg.svd(ru @ rv.T)
-    k = int(np.count_nonzero(sigma > tol))
-    return qu @ (w[:, :k] * sigma[:k]), qv @ zt[:k].T
+    sigma[sigma <= tol] = 0.0
+    k = int(np.count_nonzero(sigma, axis=-1).max())
+    return qu @ (w[..., :k] * sigma[..., None, :k]), zt[..., :k, :] @ qv.T
 
 
 def _hankel_factors(col: np.ndarray, rows: int,
@@ -483,157 +490,149 @@ def _chunked(h: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offdiagonal(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray,
-                 lo: int, mid: int, hi: int) -> tuple[np.ndarray, ...]:
-    """The off-diagonal blocks of ``M = I - G`` on the grid nodes ``lo:hi``,
-    split ``[I1 | I2]`` at ``mid``, as factors ``(u12, v12, u21, v21)`` with
-    ``M[I1, I2] ~ u12 v12^T`` and ``M[I2, I1] ~ u21 v21^T``, truncated at
-    ``tol``.  Each T21 = ``A[I2, I1]`` is ``H[:n2, :n1]`` with its columns
-    reversed, for the Hankel ``H ~ p q^T`` of the root's split; T12 =
-    ``A[I1, I2]`` is zero outside its ``m x m`` corner.  The two blocks are
-    formed and truncated one after the other, so only one pair of untruncated
-    factors is held at a time.
+def _offdiagonal(op: _TwoSided, c_plus: np.ndarray, c_minus: np.ndarray, corner: np.ndarray,
+                 p: np.ndarray, q: np.ndarray,
+                 half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The off-diagonal blocks of ``M = I - G`` over one level's equal splits
+    ``[I1 | I2]`` of ``half`` nodes each, with the padded coefficients
+    ``c_plus`` and ``c_minus``: factors ``(u, v)`` with ``M[I1, I2] ~ u[j] v^T``
+    in split j, then those of ``M[I2, I1]``.
+
+    Every split has the same T21 = ``A[I2, I1]``, which is ``H[:half, :half]``
+    with its columns reversed, for the Hankel ``H ~ p q^T`` of the root's
+    split; T12 = ``A[I1, I2]`` is zero outside its ``w x w`` corner, the
+    trailing block of ``corner``.  Only the coefficients, which scale the
+    rows of u, differ from split to split, so one v serves them all.  The
+    second block is formed after the first is taken, so only one of them
+    is held untruncated at a time.
     """
-    c_plus, c_minus = op.c_plus, op.c_minus
-    n1, n2, rank = mid - lo, hi - mid, p.shape[1]
-    w = min(m, n1, n2)
-    corner = op.a[mid - w : mid, mid : mid + w]
-    t21_left, t21_right = p[:n2], q[:n1][::-1]  # T21 ~ t21_left t21_right^T
+    w, rank = min(len(corner), half), p.shape[1]
+    corner = corner[len(corner) - w :, :w]
+    t21_left, t21_right = p[:half], q[:half][::-1]  # T21 ~ t21_left t21_right^T
+    c_plus, c_minus = (c.reshape(-1, 2, half, 1) for c in (c_plus, c_minus))
     # M[I1, I2] = -scale (c+ T12 + c- T21^T)
-    u, v = np.zeros((n1, w + rank)), np.zeros((n2, w + rank))
-    np.multiply(c_plus[mid - w : mid, None], corner, out=u[n1 - w :, :w])
-    np.multiply(c_minus[lo:mid, None], t21_right, out=u[:, w:])
+    u, v = np.zeros((len(c_plus), half, w + rank)), np.zeros((half, w + rank))
+    np.multiply(c_plus[:, 0, half - w :], corner, out=u[:, half - w :, :w])
+    np.multiply(c_minus[:, 0], t21_right, out=u[:, :, w:])
     v[:w, :w] = np.eye(w)
     v[:, w:] = t21_left
     u *= -op.scale
-    upper = _truncate(u, v, tol)
+    yield u, v
     # M[I2, I1] = -scale (c+ T21 + c- T12^T)
-    u, v = np.zeros((n2, rank + w)), np.zeros((n1, rank + w))
-    np.multiply(c_plus[mid:hi, None], t21_left, out=u[:, :rank])
-    np.multiply(c_minus[mid : mid + w, None], corner.T, out=u[:w, rank:])
+    u, v = np.zeros((len(c_plus), half, rank + w)), np.zeros((half, rank + w))
+    np.multiply(c_plus[:, 1], t21_left, out=u[:, :, :rank])
+    np.multiply(c_minus[:, 1, :w], corner.T, out=u[:, :w, rank:])
     v[:, :rank] = t21_right
-    v[n1 - w :, rank:] = np.eye(w)
+    v[half - w :, rank:] = np.eye(w)
     u *= -op.scale
-    return upper + _truncate(u, v, tol)
+    yield u, v
 
 
-class _Stacks(NamedTuple):
-    """A HODLR factorization of ``M = I - G``, stacked level by level.
+def _stacks(op: _TwoSided, depth: int, tol: float, corner: np.ndarray, p: np.ndarray,
+            q: np.ndarray) -> tuple[np.ndarray, list]:
+    """A HODLR factorization ``(leaves, levels)`` of ``M = I - G`` on the
+    ``N = 2 len(q)`` nodes padded with zero coefficients, built from the
+    leaves up.
 
-    The nodes are halved level by level, ``[lo, hi)`` into ``[lo, mid)`` and
-    ``[mid, hi)`` at ``mid = (lo + hi) // 2``, until every leaf, all at one
-    depth, holds at most ``_HODLR_LEAF`` nodes.  In the padded layout each
-    leaf takes ``leaves.shape[1]`` rows, unknown i row ``pos[i]``, and the
-    padding rows stay zero; the nodes of any depth are then equal blocks of
-    rows.  ``leaves`` stacks the leaf inverses, zero padded.  ``levels[d]``
-    stacks the Woodbury factors ``(K^{-1}, V12^T, V21^T, Y1, Y2)`` of the
-    ``2**d`` splits at depth d, zero padded to that level's largest rank.
-    """
-
-    pos: np.ndarray
-    leaves: np.ndarray
-    levels: list
-
-    @property
-    def rows(self) -> int:
-        """Rows of the padded layout."""
-        return self.leaves.shape[0] * self.leaves.shape[1]
-
-
-def _stacks(op: _TwoSided, m: int, tol: float, p: np.ndarray, q: np.ndarray) -> _Stacks:
-    """The ``_Stacks`` of ``M = I - G``, built from the leaves up.
-
-    Leaves are inverted one at a time through ``_inverse``.  A split has
+    The N nodes are halved ``depth`` times into ``2**depth`` leaves of one
+    size, and every split of a level into equal halves.  ``leaves`` stacks
+    the leaf inverses, each inverted alone through ``_inverse``.  A split has
     ``M = D + U Vt`` with ``D = diag(M11, M22)``, ``U = diag(u12, u21)`` and
-    ``Vt = [[0, v12^T], [v21^T, 0]]`` from ``_offdiagonal``; Woodbury gives
-    ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with ``Y = D^{-1} U = diag(Y1, Y2)``
-    and ``K = I + Vt Y``.  ``Y`` of every split at depth d comes from one
-    ``_apply`` down to depth d + 1, on the factors ``u12`` and ``u21`` of the
-    whole level as one block of columns.
+    ``Vt = [[0, v12^T], [v21^T, 0]]`` from ``_offdiagonal`` and
+    ``_truncate``; Woodbury gives ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with
+    ``Y = D^{-1} U = diag(Y1, Y2)`` and ``K = I + Vt Y``.  ``levels[d]``
+    stacks ``(K^{-1}, Vt, Y)`` of the ``2**d`` splits at depth d: ``Vt[j]``
+    is ``[v12^T, v21^T]`` and ``Y[j]`` is ``[Y1, Y2]``.  ``Y`` of a level
+    comes from one ``_apply`` down to depth d + 1, on its ``u12`` and ``u21``
+    as one block of columns.
     """
-    n = len(op.a)
-    edges = [[0, n]]  # edges[d]: the node boundaries at depth d
-    while max(np.diff(edges[-1])) > _HODLR_LEAF:
-        e = edges[-1]
-        edges.append(sorted(e + [(lo + hi) // 2 for lo, hi in zip(e, e[1:])]))
-    e = edges[-1]
-    size = max(np.diff(e))
-    leaves = np.zeros((len(e) - 1, size, size))
-    pos = np.empty(n, dtype=np.intp)
-    for j, (lo, hi) in enumerate(zip(e, e[1:])):
-        g = _TwoSided(op.a[lo:hi, lo:hi], op.c_plus[lo:hi], op.c_minus[lo:hi], op.scale).dense()
-        leaves[j, : hi - lo, : hi - lo] = _inverse(_identity_plus(-1.0, g, g))
-        pos[lo:hi] = np.arange(j * size, j * size + hi - lo)
-    stacks = _Stacks(pos, leaves, [None] * (len(edges) - 1))
-    for d in reversed(range(len(stacks.levels))):
-        e, mids = edges[d], edges[d + 1][1::2]
-        blocks = [_offdiagonal(op, m, tol, p, q, *s) for s in zip(e, mids, e[1:])]
-        r = max(f.shape[1] for b in blocks for f in b)
-        u, v = np.zeros((stacks.rows, r)), np.zeros((stacks.rows, r))
-        for (lo, mid, hi), (u12, v12, u21, v21) in zip(zip(e, mids, e[1:]), blocks):
-            u[pos[lo:mid], : u12.shape[1]] = u12
-            u[pos[mid:hi], : u21.shape[1]] = u21
-            v[pos[lo:mid], : v21.shape[1]] = v21
-            v[pos[mid:hi], : v12.shape[1]] = v12
+    n, nodes = len(op.a), 2 * len(q)
+    c_plus, c_minus = (np.pad(c, (0, nodes - n)) for c in (op.c_plus, op.c_minus))
+    size = nodes >> depth
+    leaves = np.empty((2**depth, size, size))
+    for j in range(2**depth):
+        leaf = slice(j * size, (j + 1) * size)
+        # every diagonal block of the Toeplitz A is its leading one
+        g = _TwoSided(op.a[:size, :size], c_plus[leaf], c_minus[leaf], op.scale).dense()
+        leaves[j] = _inverse(_identity_plus(-1.0, g, g))
+    levels = [None] * depth
+    for d in reversed(range(depth)):
+        half = nodes >> (d + 1)
+        factors = _offdiagonal(op, c_plus, c_minus, corner, p, q, half)
+        blocks = [_truncate(u, v, tol) for u, v in factors]
+        r = max(u.shape[-1] for u, _ in blocks)
+        u, vt = np.zeros((2**d, 2, half, r)), np.zeros((2**d, 2, r, half))
+        for i, (u_i, vt_i) in enumerate(blocks):
+            u[:, i, :, : u_i.shape[-1]], vt[:, i, : vt_i.shape[1]] = u_i, vt_i
         del blocks  # before the level's solve, where the build peaks
-        halves = (2**d, 2, stacks.rows // 2 ** (d + 1), r)
-        y = _apply(stacks, u, d + 1).reshape(halves)
-        vt = v.reshape(halves).transpose(0, 1, 3, 2)
-        k = np.zeros((2**d, 2 * r, 2 * r))
-        k[:, :r, r:] = vt[:, 1] @ y[:, 1]
-        k[:, r:, :r] = vt[:, 0] @ y[:, 0]
-        k += np.eye(2 * r)
-        stacks.levels[d] = (np.linalg.inv(k), vt[:, 1], vt[:, 0], y[:, 0], y[:, 1])
-    return stacks
+        y = _apply((leaves, levels), u.reshape(nodes, r), d + 1).reshape(u.shape)
+        k = np.zeros((2**d, 2, r, 2, r))
+        k[:, 0, :, 1], k[:, 1, :, 0] = (vt @ y[:, ::-1]).transpose(1, 0, 2, 3)
+        levels[d] = (np.linalg.inv(k.reshape(2**d, 2 * r, 2 * r) + np.eye(2 * r)), vt, y)
+    return leaves, levels
 
 
-def _apply(stacks: _Stacks, x: np.ndarray, top: int = 0) -> np.ndarray:
-    """``D^{-1} x`` for a block of columns x in the padded layout, with D the
+def _apply(stacks: tuple[np.ndarray, list], x: np.ndarray, top: int = 0) -> np.ndarray:
+    """``D^{-1} x`` for a block of columns x on the padded nodes, with D the
     block diagonal of M over the nodes at depth ``top``: ``M^{-1} x`` at
     depth 0.  The leaves solve first, then each level from the deepest up,
     each as a few products on stacks; x is left as it is."""
+    leaves, levels = stacks
     rows, k = x.shape
-    x = (stacks.leaves @ x.reshape(*stacks.leaves.shape[:2], k)).reshape(rows, k)
-    for kinv, v12t, v21t, y1, y2 in reversed(stacks.levels[top:]):
-        halves = x.reshape(len(kinv), 2, rows // (2 * len(kinv)), k)
-        c = kinv @ np.concatenate((v12t @ halves[:, 1], v21t @ halves[:, 0]), axis=1)
-        r = y1.shape[2]
-        halves[:, 0] -= y1 @ c[:, :r]
-        halves[:, 1] -= y2 @ c[:, r:]
+    x = (leaves @ x.reshape(*leaves.shape[:2], k)).reshape(rows, k)
+    for kinv, vt, y in reversed(levels[top:]):
+        halves = x.reshape(*y.shape[:3], k)
+        c = kinv @ (vt @ halves[:, ::-1]).reshape(len(kinv), len(kinv[0]), k)
+        halves -= y @ c.reshape(*vt.shape[:3], k)
     return x
 
 
-def _solve(stacks: _Stacks, b: np.ndarray) -> np.ndarray:
-    """``M^{-1} b`` for a vector or a block of columns b, through ``_apply``."""
-    x = np.zeros((stacks.rows, b[0].size))
-    x[stacks.pos] = b.reshape(len(b), -1)
-    return _apply(stacks, x)[stacks.pos].reshape(b.shape)
+def _solve(stacks: tuple[np.ndarray, list], b: np.ndarray) -> np.ndarray:
+    """``M^{-1} b`` for a vector or a block of columns b: b padded with zeros
+    to every node, ``_apply``, and the rows of b read back."""
+    leaves = stacks[0]
+    x = np.zeros((leaves.shape[0] * leaves.shape[1], b[0].size))
+    x[: len(b)] = b.reshape(len(b), -1)
+    return _apply(stacks, x)[: len(b)].reshape(b.shape)
 
 
 def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
     """``b -> (I - G)^{-1} b`` for a vector or a block of columns b, through a
     HODLR factorization, or None when it fails its check.
 
-    The solver is ``_solve`` on the ``_Stacks`` of ``_stacks``, which a
-    ``functools.partial`` holds as its one argument.  Blocks are truncated
-    at ``_HODLR_TOL`` times ``N = 1 + 2 s max(c) ||phi||_1``, a bound on
-    ``||I - G||_2``.  The check solves one fixed Gaussian probe b and needs
-    the normwise backward error ``||(I - G) x - b|| / (N ||x|| + ||b||)``,
-    with ``G x`` from the O(n log n) ``_TwoSided.matvec``, to be at most
-    ``_HODLR_CHECK``; a NaN, as from a solve that overflows, fails it.
+    The n nodes take the fewest halvings, L, that leave leaves of at most
+    ``_HODLR_LEAF``, and are padded with zero-coefficient nodes to
+    ``s 2**L``, for leaves of ``s = ceil(n / 2**L)``: fewer than ``2**L``
+    padded nodes.  A padded node's row of ``I - G`` is a row of I, so the
+    padded matrix is block upper triangular and solving it on ``[b; 0]``
+    gives ``[(I - G)^{-1} b; 0]``, whatever the coupling block holds; the
+    HODLR approximation keeps those identity rows.  The solver is ``_solve``
+    on the stacks of ``_stacks``, which a ``functools.partial`` holds as its
+    one argument.  Blocks are truncated at ``_HODLR_TOL`` times
+    ``N = 1 + 2 s max(c) ||phi||_1``, a bound on ``||I - G||_2``.  The check
+    solves one fixed Gaussian probe b and needs the normwise backward error
+    ``||(I - G) x - b|| / (N ||x|| + ||b||)``, with ``G x`` from the
+    O(n log n) ``_TwoSided.matvec``, to be at most ``_HODLR_CHECK``; a NaN,
+    as from a solve that overflows, fails it.
     """
     n = len(op.a)
     phi, m = op.stencil()
     weight = op.scale * max(op.c_plus.max(), op.c_minus.max())
     norm = 1.0 + 2.0 * weight * np.abs(phi).sum()
     tol = _HODLR_TOL * norm
+    depth = (-(-n // _HODLR_LEAF) - 1).bit_length()  # 2**depth >= n / _HODLR_LEAF
+    half = -(-n // 2**depth) * 2**depth // 2  # half the padded nodes
     if weight > 0.0:
-        factors = _hankel_factors(op.a[1:, 0], n - n // 2, tol / weight)
+        factors = _hankel_factors(op.a[1:, 0], n - half, tol / weight)
         if factors is None:
             return None
     else:
-        factors = np.zeros((n - n // 2, 0)), np.zeros((n // 2, 0))
-    solve = functools.partial(_solve, _stacks(op, m, tol, *factors))
+        factors = np.zeros((n - half, 0)), np.zeros((half, 0))
+    p, q = factors
+    del factors  # the zero-extended copy replaces p
+    p = np.pad(p, ((0, 2 * half - n), (0, 0)))  # zero rows for the padded nodes
+    corner = toeplitz(phi[:m], np.zeros(m))  # A[I1, I2] on I1's last m and I2's first m nodes
+    solve = functools.partial(_solve, _stacks(op, depth, tol, corner, p, q))
     probe = np.random.default_rng(_HODLR_SEED).standard_normal(n)
     with np.errstate(over="ignore", invalid="ignore"):
         x = solve(probe)

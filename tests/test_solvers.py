@@ -151,11 +151,12 @@ def count_lu_solve(monkeypatch):
 
 def count_calls(monkeypatch, fn):
     """Count calls of ``fn`` through every ``wsld`` module that names it, the
-    way the benchmark's spans wrap its entry points."""
+    way the benchmark's spans wrap its entry points; returns the list of the
+    shapes of their first arguments."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(args[0]) if args else None)
         return fn(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -893,6 +894,13 @@ class TestNonFiniteForcingWarningsAsErrors(TestNonFiniteForcing):
     """The same cases with RuntimeWarning promoted to an error."""
 
 
+def test_numpy_runtime_warning_is_an_error():
+    # pyproject.toml promotes RuntimeWarning to an error in every test, so a
+    # numpy warning that leaks from the library fails the suite
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        np.divide(np.ones(1), 0.0)
+
+
 def declared(forcing):
     forcing.broadcasts_over_t = True
     return forcing
@@ -918,7 +926,6 @@ def solve(p, **kwargs):
     return (solve_1d if isinstance(p, Problem1D) else solve_2d)(p, **kwargs)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("make", BLOCK_SIDES)
 @pytest.mark.parametrize("declare", [False, True], ids=["per-step", "declared"])
 class TestForcingBlocks:
@@ -1087,10 +1094,22 @@ def test_hodlr_matches_dense_lu(half, odd, alpha, log_tau, shifts, n_steps, seed
         assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("steps_per_node", [1, 4])
+def test_long_runs_match_the_lu_fallback(steps_per_node, request):
+    # final states at n = 600 after n and 4 n steps of tau = 1/n_steps: the
+    # HODLR steps and the fallback's LU solves stay within round-off of each
+    # other (measured 3.1e-12 of max|u| at both step counts)
+    p = manufactured_1d(1.7).problem(HODLR_MIN + 1, steps_per_node * HODLR_MIN)
+    got = solve_1d(p, BENCH_TUPLES[1])
+    request.getfixturevalue("failed_check")
+    ref = solve_1d(p, BENCH_TUPLES[1])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
 class TestHodlr:
     def test_benchmark_cases_stay_within_reference_bound(self):
         # the two large_cn1d solves, against the bench's recorded max_error
-        # and its round-off bound 1e-10 + 1e-9 ref (off by -3.5e-13 and
+        # and its round-off bound 1e-10 + 1e-9 ref (off by -4.0e-13 and
         # -1.9e-11)
         with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
             reference = json.load(fh)
@@ -1155,29 +1174,31 @@ class TestHodlr:
 
     def test_leaves_factor_through_the_module_lu_factor(self, monkeypatch):
         # the benchmark's solvers.lu_factor span sees every leaf: each is
-        # inverted alone, then stacked, zero padded to the largest
+        # inverted alone, then stacked, and all have one size
         factored = count_calls(monkeypatch, solvers.lu_factor)
         op = solvers._operator_1d(make_problem_1d(n_cells=HODLR_MIN + 1), DEFAULT_TUPLE)
-        leaves = solvers._hodlr(op).args[0].leaves
+        leaves, _ = solvers._hodlr(op).args[0]
         assert len(factored) == len(leaves) > 1
         assert leaves.shape[1] <= solvers._HODLR_LEAF
+        assert set(factored) == {leaves.shape[1:]}
 
-    def test_one_stack_per_level_in_a_padded_layout(self):
-        # n = 603 gives leaves of 75 and 76 nodes: each unknown has its
-        # own row, in order, and the padding rows stay zero through a solve
+    def test_equal_splits_over_zero_coefficient_padding(self):
+        # n = 603 takes 8 leaves of 76 nodes, 5 of them padded: every split of
+        # a level has equal halves, and a solve of zero-padded columns leaves
+        # exact zeros on the padded rows
         op = solvers._operator_1d(manufactured_1d(1.5).problem(HODLR_MIN + 4, 2), DEFAULT_TUPLE)
-        stacks = solvers._hodlr(op).args[0]
-        depth = len(stacks.levels)
-        assert len(stacks.leaves) == 2**depth
-        assert [len(kinv) for kinv, *_ in stacks.levels] == [2**d for d in range(depth)]
-        assert np.all(np.diff(stacks.pos) > 0) and stacks.pos[-1] < stacks.rows
-        padding = np.setdiff1d(np.arange(stacks.rows), stacks.pos)
-        assert padding.size == stacks.rows - len(op.a) > 0
-        x = np.zeros((stacks.rows, 3))
-        x[stacks.pos] = np.random.default_rng(2).normal(size=(len(op.a), 3))
-        assert not solvers._apply(stacks, x)[padding].any()
+        leaves, levels = stacks = solvers._hodlr(op).args[0]
+        n, nodes, depth = len(op.a), len(leaves) * leaves.shape[1], len(levels)
+        assert len(leaves) == 2**depth
+        assert [len(kinv) for kinv, *_ in levels] == [2**d for d in range(depth)]
+        halves = [(2**d, 2, nodes >> (d + 1)) for d in range(depth)]
+        assert [y.shape[:3] for *_, y in levels] == halves
+        assert 0 < nodes - n < 2**depth
+        x = np.zeros((nodes, 3))
+        x[:n] = np.random.default_rng(2).normal(size=(n, 3))
+        assert not solvers._apply(stacks, x)[n:].any()
 
-    @pytest.mark.parametrize("n_cells", [951, 1008])
+    @pytest.mark.parametrize("n_cells", [951, 1008, 1026])
     def test_block_of_columns_matches_dense_lu(self, n_cells):
         # the one batched apply that serves the steps and the build, on many
         # right-hand sides at once, within test_hodlr_matches_dense_lu's bound
@@ -1205,8 +1226,8 @@ class TestHodlr:
         # with d_minus = 0 and shift 0, I - G is lower triangular with an
         # enormous inverse (dense LU solves the probe to max 1.7e221) and
         # the HODLR probe solve overflows; its check must fail without a
-        # RuntimeWarning (the subclass below promotes them) and leave the
-        # run to the dense path, which finishes
+        # RuntimeWarning (pyproject.toml promotes them to errors) and leave
+        # the run to the dense path, which finishes
         p = manufactured_1d(1.05).problem(HODLR_MIN + 1, 3)
         p = dataclasses.replace(p, d_minus=np.zeros(p.u0.size), t_final=0.03)
         assert solvers._hodlr(solvers._operator_1d(p, (0,))) is None
@@ -1215,8 +1236,8 @@ class TestHodlr:
     def test_ill_conditioned_real_input_passes_the_check(self):
         # a certified tuple at alpha 1.99 with random coefficients, README
         # "Known deviations" 4: cond_1(I - G) is 1.3e8, the probe's backward
-        # error measured 2.2e-14 against the bound 1e-13, and the run
-        # matched dense LU to 1.8e-8 of max|u|, inside 1e-12 + 1e-15 cond_1
+        # error measured 1.7e-16 against the bound 1e-13, and the run
+        # matched dense LU to 1.1e-9 of max|u|, inside 1e-12 + 1e-15 cond_1
         shifts = (1, 2, 1, 0, 1, -1, 1, -2)
         assert shifts in [t.shifts for t in CERTIFIED_TUPLES]
         p = dataclasses.replace(manufactured_1d(1.99).problem(2000, 3), t_final=0.03)
