@@ -155,28 +155,34 @@ def _cmd_coeffs(args) -> tuple[str, None]:
     if k_max < 0:
         raise ConfigError("--k must be nonnegative")
     config = {"command": "coeffs", "alpha": repr(alpha), "k": k_max, "tuple": str(st or "")}
-    g = grunwald_coeffs(alpha, k_max)
-    q = lubich_coeffs(alpha, k_max)
-    if st is None:
-        header = "k,g,q"
-        rows = [f"{k},{g[k]:.12e},{q[k]:.12e}" for k in range(k_max + 1)]
-    else:
-        phi = stencil_coeffs(alpha, st, k_max).phi
-        header = "k,g,q,phi"
-        rows = [f"{k},{g[k]:.12e},{q[k]:.12e},{phi[k]:.12e}" for k in range(k_max + 1)]
-    return _csv_text(config, header, rows), None
+    columns = {"g": grunwald_coeffs(alpha, k_max), "q": lubich_coeffs(alpha, k_max)}
+    if st is not None:
+        columns["phi"] = stencil_coeffs(alpha, st, k_max).phi
+    rows = [",".join([str(k), *(f"{c[k]:.12e}" for c in columns.values())]) for k in range(k_max + 1)]
+    return _csv_text(config, ",".join(["k", *columns]), rows), None
 
 
-def _cmd_spectrum(args) -> tuple[str, None]:
-    st = _pick_tuple(args)
+def _scan(args) -> tuple[ShiftTuple, dict]:
+    """The tuple and config of ``spectrum`` and ``certify``, after the range checks."""
+    nx = getattr(args, "nx", None)  # spectrum has no --nx
     if args.x_points < 2:
         raise ConfigError("--x-points must be at least 2")
+    if nx is not None and nx < 1:
+        raise ConfigError("--nx must be at least 1")
+    st = _pick_tuple(args)
     config = {
-        "command": "spectrum",
+        "command": args.command,
         "tuple": str(st),
         "alphas": ",".join(repr(a) for a in args.alpha),
         "x_points": args.x_points,
     }
+    if nx is not None:
+        config["nx"] = nx
+    return st, config
+
+
+def _cmd_spectrum(args) -> tuple[str, None]:
+    st, config = _scan(args)
     x = np.linspace(0.0, np.pi, args.x_points)
     rows = []
     for a in args.alpha:
@@ -186,18 +192,7 @@ def _cmd_spectrum(args) -> tuple[str, None]:
 
 
 def _cmd_certify(args) -> tuple[str, str]:
-    st = _pick_tuple(args)
-    if args.x_points < 2:
-        raise ConfigError("--x-points must be at least 2")
-    if args.nx < 1:
-        raise ConfigError("--nx must be at least 1")
-    config = {
-        "command": "certify",
-        "tuple": str(st),
-        "alphas": ",".join(repr(a) for a in args.alpha),
-        "nx": args.nx,
-        "x_points": args.x_points,
-    }
+    st, config = _scan(args)
     reports = [
         spectral_certify(st, alphas=[a], n_interior=args.nx, x_points=args.x_points)
         for a in args.alpha
@@ -216,29 +211,27 @@ def _cmd_certify(args) -> tuple[str, str]:
     return text, f"verdict: {overall}"
 
 
-def _manufactured(args, dim: int) -> ManufacturedCase:
-    """The benchmark case in ``dim`` dimensions; ``--beta`` defaults to ``--alpha``."""
+def _manufactured(args, dim: int) -> tuple[ShiftTuple, ManufacturedCase, str, dict]:
+    """The tuple, the benchmark case in ``dim`` dimensions (``--beta`` defaults
+    to ``--alpha``), the ADI variant and the config entries that ``solve1d``,
+    ``solve2d`` and ``converge`` share."""
+    st = _pick_tuple(args)
     if dim == 1:
-        return manufactured_1d(args.alpha)
-    return manufactured_2d(args.alpha, args.alpha if args.beta is None else args.beta)
+        case = manufactured_1d(args.alpha)
+    else:
+        case = manufactured_2d(args.alpha, args.alpha if args.beta is None else args.beta)
+    variant = _ADI_VARIANTS[getattr(args, "adi", None) or "pr"]  # solve1d has no --adi
+    config = {"command": args.command, "alpha": repr(args.alpha), "tuple": str(st)}
+    return st, case, variant, config
 
 
 def _cmd_solve(args) -> tuple[str, str]:
     """``solve1d`` and ``solve2d``: one row per interior node, x-major in 2D."""
     dim = 1 if args.command == "solve1d" else 2
-    st = _pick_tuple(args)
-    case = _manufactured(args, dim)
+    st, case, variant, config = _manufactured(args, dim)
     case.t_final = args.t_final
     problem = case.problem(args.nx, args.nt)
-    variant = _ADI_VARIANTS[getattr(args, "adi", None) or "pr"]  # solve1d has no --adi
-    config = {
-        "command": args.command,
-        "alpha": repr(args.alpha),
-        "tuple": str(st),
-        "nx": args.nx,
-        "nt": problem.n_steps,
-        "t_final": repr(args.t_final),
-    }
+    config.update(nx=args.nx, nt=problem.n_steps, t_final=repr(args.t_final))
     if dim == 2:
         config.update(beta=repr(case.beta), adi=variant)
     u, exact = case.run(problem, st, variant)
@@ -252,25 +245,20 @@ def _cmd_solve(args) -> tuple[str, str]:
 
 
 def _cmd_converge(args) -> tuple[str, None]:
-    alpha, dim = args.alpha, args.dim
-    st = _pick_tuple(args)
-    h_list = args.h_list or _DEFAULT_H_LIST[dim]
+    dim = args.dim
     if dim == 1 and (args.beta is not None or args.adi is not None):
         raise ConfigError("--beta and --adi apply only to --dim 2")
-    variant = _ADI_VARIANTS[args.adi or "pr"]
-    case = _manufactured(args, dim)
-    config = {
-        "command": "converge",
-        "dim": dim,
-        "alpha": repr(alpha),
-        "beta": "" if case.beta is None else repr(case.beta),
-        "tuple": str(st),
-        "h_list": ",".join(repr(h) for h in h_list),
-        "adi": variant if dim == 2 else "",
-    }
+    st, case, variant, config = _manufactured(args, dim)
+    h_list = args.h_list or _DEFAULT_H_LIST[dim]
+    config.update(
+        dim=dim,
+        beta="" if case.beta is None else repr(case.beta),
+        h_list=",".join(repr(h) for h in h_list),
+        adi=variant if dim == 2 else "",
+    )
     table = convergence_study(case, st, h_list, variant=variant)
     # the tuple field contains commas, so it is always quoted
-    fixed = f'"{st}",{alpha:.12e},' + ("" if case.beta is None else f"{case.beta:.12e}")
+    fixed = f'"{st}",{args.alpha:.12e},' + ("" if case.beta is None else f"{case.beta:.12e}")
     rows = [
         f"{fixed},{h:.12e},{tau:.12e},{err:.12e}," + ("" if rate is None else f"{rate:.12e}")
         for h, tau, err, rate in table.rows
@@ -340,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="comma-separated decreasing h values, fractions allowed")
     for p in (solve2d, converge):
         p.add_argument("--beta", type=_parse_number, help="y-direction order (default: alpha)")
-        p.add_argument("--adi", choices=("pr", "douglas"),
+        p.add_argument("--adi", choices=_ADI_VARIANTS,
                        help="ADI variant for the 2D problem (default pr)")
 
     return parser

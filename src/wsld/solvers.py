@@ -97,9 +97,11 @@ ADI_VARIANTS = ("peaceman_rachford", "douglas")
 # Forcing samples per block, in bytes.  ``_march`` holds a few blocks on top
 # of the solver's matrices: the samples, and the manufactured forcings'
 # scratch while sampling or the rows of ``_reduce``.  Against this cap,
-# 1 MiB gave the Table 2 benchmark a peak RSS of 88.3-88.4 MB against
-# 87.9 MB and wall times of 1.23-1.31 s against 1.33-1.35 s (two and three
-# runs, one BLAS thread): too few to settle.
+# 1 MiB gave the Table 2 benchmark (``bench/run.py``, workload
+# ``table2_adi2d``) wall times of 0.98-1.03 s against 1.04-1.16 s and a peak
+# RSS of 87.6-87.7 MB against 87.5-87.9 MB (three alternating pairs, one
+# BLAS thread on a 2-vCPU Xeon): faster in each pair, but too few pairs to
+# settle.
 _BLOCK_BYTES = 256 * 1024
 
 # Largest step count whose half-step times ``(n + 0.5) * tau`` stay distinct.
@@ -142,10 +144,11 @@ _HODLR_MIN_INTERIOR = 600
 
 # Largest HODLR leaf: the n nodes are halved L times, the fewest that leave no
 # larger leaf, into leaves of ceil(n / 2**L), zero-coefficient nodes padding
-# the last.  Whole ``solve_1d`` runs with 100 steps at n = 999 / 1999 / 2999,
-# ms: leaves of 64: 82 / 111 / 204; 96: 69 / 112 / 161; 128: 69 / 92 / 157;
-# 192: 69 / 91 / 152; 256: 69 / 104 / 160 (measured on the recursive tree of
-# tuples that the stacks replaced).
+# the last.  Whole ``solve_1d`` runs with 100 steps at n = 999 / 1999 / 2999
+# (alpha 1.7, the second benchmark tuple, one BLAS thread on a 2-vCPU Xeon,
+# best of five in each of two runs), ms: leaves of 64: 25-28 / 63-68 /
+# 105-106; 96: 24-26 / 62-64 / 95-101; 128: 24-25 / 61-62 / 94-100; 192:
+# 23-26 / 59-60 / 110-112; 256: 33-36 / 77-80 / 111-113.
 _HODLR_LEAF = 128
 
 # Off-diagonal blocks are truncated at this times a bound on ||I - G||.  Single

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import re
 import shlex
 from pathlib import Path
@@ -517,3 +518,53 @@ class TestErrorCategories:
         out = tmp_path / "z.csv"
         main(["coeffs", "--alpha", "1.5", "--k", "3", "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["z.csv"]
+
+
+# One invocation per path of each handler -> (its words, exit code, sha256 of
+# stdout, stderr and the --out file, each followed by a NUL).  "OUT" stands
+# for a fresh --out path.  The digests pin the exact bytes that the CLI writes;
+# they were recorded on x86-64 with OpenBLAS, and another BLAS may round a
+# last printed digit differently.
+GOLDEN = {
+    "coeffs": ("coeffs --alpha 1.5 --k 6", 0,
+        "9018a8ff773c9e273be498801b4a087676bece5be8caa9d2496707eabfbe4431"),
+    "coeffs-phi": ("coeffs --alpha 1.7 --k 6 --tuple 1,2,1,0,1,2,1,-2", 0,
+        "b60569584d6e3992ffd2542c4870732c5226fd3c722b1c29808e1f5b77607223"),
+    "spectrum": ("spectrum --tuple 1,-2 --alpha 1.1,3/2 --x-points 9", 0,
+        "f543b3cd4944c7eb0e925ff2c47f6747d5d40bab50ec7228938631f29e6c9d9a"),
+    "certify": ("certify --order 3 --alpha 1.1,1.9 --nx 16 --x-points 33", 0,
+        "b13a50404ee43a2324714dbd5d276ab5e73f644cb86f386cf66fe6eaa83dbe88"),
+    "certify-out": ("certify --order 2 --alpha 1.5 --nx 12 --x-points 17 --out OUT", 0,
+        "dce809933b1e692ba7a12afa33a535626f901417474282f9b76fc77a21b16435"),
+    "solve1d": ("solve1d --alpha 1.5 --nx 10 --nt 8", 0,
+        "3f01a69a6c8c52bcaa6cd78124b5043202517e0f35f7a42108f0f7afb5abedb5"),
+    "solve2d-pr": ("solve2d --alpha 1.8 --beta 1.9 --nx 6 --nt 4", 0,
+        "f2b80c0aa2badf43e5bec48d6c1496c037e91c352ab91349282648a9ce8f7188"),
+    "solve2d-douglas": ("solve2d --alpha 1.5 --nx 6 --nt 4 --adi douglas --order 3", 0,
+        "419180ffc8818eaff02ea4dcf432a8e8c11f7deff08650356f5390c0c4602c54"),
+    "converge-1d": ("converge --alpha 1.5 --h-list 1/5,1/10", 0,
+        "003638d3d9c8f932481de881628e38efbba6aa548399617443672f352c2df038"),
+    "converge-2d": ("converge --dim 2 --alpha 1.8 --beta 1.9 --adi douglas --h-list 1/4,1/8 --out OUT", 0,
+        "8532352c8608e3e707bbd7595eb116a1735b0ced1477cc51b9f7c887d770e9be"),
+    "k-negative": ("coeffs --alpha 1.5 --k -1", 2,
+        "6e6bbaef29ba71dd9213db3ab4f4d8a1261d9548c852902e651f45265f81c07f"),
+    "x-points-1": ("spectrum --alpha 1.5 --x-points 1", 2,
+        "d1cf05eae2b0a52c6bbdbf9da062396e5e97a55588ccfbcc4c3f80f9822e6f19"),
+    "nx-0": ("certify --nx 0", 2,
+        "6ba5e1a533b39291c0c955dd53a3dcd94281e0952940150df66d5a8bed536714"),
+    "beta-dim-1": ("converge --alpha 1.5 --beta 1.9 --dim 1", 2,
+        "31f19623a8cbab6a2eb24647800a861eb79f93e9f0d56b0a6eca9065ce1f830a"),
+    "solve1d-nx-2": ("solve1d --alpha 1.5 --nx 2", 3,
+        "762f89987d1309434ce3422e3bcbe765b85cfb68a3897ae52b941aca5909666e"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_golden_output(name, tmp_path, capsys):
+    words, code, digest = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    assert main([str(out) if word == "OUT" else word for word in shlex.split(words)]) == code
+    captured = capsys.readouterr()
+    written = out.read_text() if out.exists() else ""
+    text = "".join(part + "\0" for part in (captured.out, captured.err, written))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
