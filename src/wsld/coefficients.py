@@ -89,24 +89,14 @@ class ShiftTuple:
             raise ValueError(
                 f"a shift tuple has 1, 2, 4 or 8 entries, got {len(shifts)}"
             )
-        for a, b in self._pairs():
+        for a, b in zip(shifts[0::2], shifts[1::2]):
             if a == b:
                 raise DegenerateTupleError(f"degenerate pair ({a}, {b})")
-        for p, q, r, s in self._quadruples():
+        for p, q, r, s in zip(shifts[0::4], shifts[1::4], shifts[2::4], shifts[3::4]):
             if r * s == p * q:
                 raise DegenerateTupleError(
                     f"degenerate quadruple ({p}, {q}, {r}, {s}): r*s == p*q"
                 )
-
-    def _pairs(self) -> list[tuple[int, int]]:
-        if len(self.shifts) == 1:
-            return []
-        return [tuple(self.shifts[i : i + 2]) for i in range(0, len(self.shifts), 2)]
-
-    def _quadruples(self) -> list[tuple[int, int, int, int]]:
-        if len(self.shifts) < 4:
-            return []
-        return [tuple(self.shifts[i : i + 4]) for i in range(0, len(self.shifts), 4)]
 
     @property
     def order(self) -> int:

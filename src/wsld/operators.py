@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -124,31 +124,27 @@ def assemble_left(
 
 
 def _toeplitz_pair(
-    phi: np.ndarray, m: int, n: int
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Return ``u -> (A u, A^T u)`` for the n x n left operator A of stencil ``phi``.
+    phi: np.ndarray, m: int, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(A u, A^T u)`` for the n x n left operator A of stencil ``phi``, n = len(u).
 
     With u stored at offset m of a zero buffer v, ``(A u)_i`` is the linear
     convolution ``(phi * v)_{i+2m}`` and ``(A^T u)_j`` the correlation
     ``sum_k phi_k v_{k+j}``.  A power-of-two length >= len(phi) + n keeps
-    both free of wrap-around, so the stencil is transformed once here and
-    each call costs one ``rfft`` and two ``irfft``: O(n log n) instead of
-    the O(n^2) dense products, equal to them up to round-off.
+    both free of wrap-around, so one transform of the stencil, one ``rfft``
+    and two ``irfft`` cost O(n log n) instead of the O(n^2) dense products,
+    equal to them up to round-off.
     """
+    n = len(u)
     phi = phi[: n + m]  # entries past n - 1 + m never reach the output
     size = 1 << (len(phi) + n - 1).bit_length()
     kernel = np.fft.rfft(phi, size)
-    kernel_conj = kernel.conj()
-    buf = np.zeros(size)
-
-    def apply(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        buf[m : m + n] = u
-        spectrum = np.fft.rfft(buf)
-        a_u = np.fft.irfft(kernel * spectrum, size)[2 * m : 2 * m + n]
-        at_u = np.fft.irfft(kernel_conj * spectrum, size)[:n]
-        return a_u, at_u
-
-    return apply
+    v = np.zeros(size)
+    v[m : m + n] = u
+    spectrum = np.fft.rfft(v)
+    a_u = np.fft.irfft(kernel * spectrum, size)[2 * m : 2 * m + n]
+    at_u = np.fft.irfft(kernel.conj() * spectrum, size)[:n]
+    return a_u, at_u
 
 
 # Rows per block of ``_TwoSided.dense``, whose scratch block of this many rows
@@ -205,7 +201,7 @@ class _TwoSided:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``G x`` in O(n log n) through ``_toeplitz_pair``, equal to
         ``dense() @ x`` up to round-off."""
-        a_x, at_x = _toeplitz_pair(*self.stencil(), len(self.a))(x)
+        a_x, at_x = _toeplitz_pair(*self.stencil(), x)
         return self.scale * (self.c_plus * a_x + self.c_minus * at_x)
 
 
@@ -229,7 +225,7 @@ def apply_stencil(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if table.length < n + table.max_shift:
         raise ValueError("coefficient table too short for this grid")
-    a_u, at_u = _toeplitz_pair(table.phi, table.max_shift, n)(u_interior)
+    a_u, at_u = _toeplitz_pair(table.phi, table.max_shift, u_interior)
     return (a_u if side == "left" else at_u) * grid.h ** -table.alpha
 
 

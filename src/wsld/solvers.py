@@ -126,20 +126,21 @@ _REDUCE_LIMIT = 2.0**960
 
 # 1D runs with at least this many interior nodes solve with ``_hodlr``; smaller
 # ones take the dense path of ``solve_1d`` (LU solves, or the inverse stepped
-# or reduced).  Whole ``solve_1d`` runs, HODLR over the dense path, both
-# benchmark tuples, three paired runs of best of seven to nine, one BLAS
-# thread on a 2-vCPU Xeon VM whose varying load explains the spread:
+# or reduced).  Whole ``solve_1d`` runs of the manufactured case at alpha 1.5,
+# HODLR over the dense path with this constant patched in-process, both
+# benchmark tuples, two passes of best of seven alternating runs, one BLAS
+# thread on a 2-vCPU Xeon VM:
 #
 #   n     1 step     10 steps   100        n          2 n        4 n
-#   599   0.97-1.23  0.93-1.19  0.72-0.86  0.56-0.79  0.84-0.93  1.03-1.29
-#   699   1.00-1.46  0.97-1.12  0.63-0.78  0.47-0.63  0.63-0.74  0.77-0.94
-#   799   0.85-1.01  0.80-0.97  0.55-0.59  0.41-0.44  0.55-0.62  0.64-0.77
-#   949   0.72-0.76  0.67-0.83  0.49-0.55  0.38-0.49  0.53-0.58  0.68-0.78
+#   399   1.37-1.51  1.33-1.37  0.97-1.01  0.83-0.90  0.98-1.02  1.18-1.26
+#   599   0.91-0.96  0.85-0.91  0.58-0.60  0.43-0.44  0.65-0.82  0.79-0.81
+#   799   0.68-0.70  0.63-0.66  0.41-0.42  0.27-0.29  0.44-0.48  0.56-0.60
 #
-# At the switch HODLR loses up to about 3 ms on the 11-19 ms of a 1-10 step
-# run, and up to 29% from 4 n steps, where the block reduction is strong; it
-# wins from 100 steps to 2 n at every size, and breaks even or wins at every
-# step count from n = 799.
+# At n = 599, just below the switch, HODLR wins at every step count.  At
+# n = 399 it loses about 1.6 ms on the 3.2-3.9 ms of a 1-10 step run and up
+# to 26% from 4 n steps, where the block reduction is strong, so the
+# break-even lies between 399 and 599 and moves with the step count.  No
+# benchmark workload runs between n = 119 and 1999 to place it more closely.
 _HODLR_MIN_INTERIOR = 600
 
 # Largest HODLR leaf: the n nodes are halved L times, the fewest that leave no

@@ -334,10 +334,10 @@ class TestConfigFile:
         assert rc == 2
         assert "config-error" in capsys.readouterr().err
 
-    def test_malformed_line_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("alpha 1.5\n")
-        assert main(["coeffs", "--config", str(cfg)]) == 2
+    def test_malformed_line_rejected(self, tmp_path, capsys):
+        for line, reason in [("alpha 1.5", "expected 'key = value'"), (" = 3", "empty key")]:
+            assert run_with_config(tmp_path, ["coeffs", "--alpha", "1.5"], line + "\n") == 2
+            assert capsys.readouterr().err == f"config-error: {tmp_path / 'run.cfg'}:1: {reason}\n"
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["coeffs", "--alpha", "1.5", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -385,6 +385,9 @@ MALFORMED = [
     (["coeffs", "--alpha", "1.5", "--k", "x"], None, "--k"),
     (["spectrum", "--x-points", "x"], None, "--x-points"),
     (["converge", "--alpha", "1.5", "--dim", "x"], None, "--dim"),
+    (["coeffs", "--alpha", "abc"], None, "--alpha"),
+    (["coeffs", "--alpha", "1/0"], None, "--alpha"),
+    (["coeffs", "--alpha", "1.5", "--tuple", "1,1"], None, "--tuple"),
     (["solve1d", "--alpha", "1.5"], "order = abc\n", "--order"),
     (["solve1d", "--alpha", "1.5"], "nx = abc\n", "--nx"),
 ]
@@ -510,9 +513,15 @@ class TestErrorCategories:
         assert "numeric-error" in capsys.readouterr().err
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
-        rc = main(["coeffs", "--alpha", "1.5", "--k", "3", "--out", str(tmp_path / "no" / "dir" / "x.csv")])
-        assert rc == 4
-        assert "io-error" in capsys.readouterr().err
+        # a missing directory fails in mkstemp, before any temp file exists;
+        # an existing directory as the target fails the final rename, after it
+        (tmp_path / "existing").mkdir()
+        for out in ("no/dir/x.csv", "existing"):
+            rc = main(["coeffs", "--alpha", "1.5", "--k", "3", "--out", str(tmp_path / out)])
+            assert rc == 4
+            assert "io-error" in capsys.readouterr().err
+            assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+            assert not any((tmp_path / "existing").iterdir())
 
     def test_no_stray_temp_files(self, tmp_path):
         out = tmp_path / "z.csv"

@@ -214,6 +214,10 @@ class TestWeights:
         w1, w2 = weights_order4(alpha, tup)
         assert abs(w1 + w2 - 1.0) < 1e-14
 
+    def test_order4_needs_eight_shifts(self):
+        with pytest.raises(ValueError, match=r"^need an 8-entry shift tuple, got \(1,2,1,-2\)$"):
+            weights_order4(1.5, (1, 2, 1, -2))
+
     def test_order4_alpha_dependent_degeneracy(self):
         # a*bb - ab*b = 72 - 48 alpha vanishes at alpha = 1.5 for this tuple
         tup = ShiftTuple((1, 2, 1, -1, 1, -1, 1, -2))

@@ -176,6 +176,12 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_stencil("up", table, grid, np.zeros(9))
 
+    def test_table_too_short(self):
+        # a 5-cell grid's table has 9 entries; 9 interior nodes need n + m = 11
+        table = table_for_grid(1.5, DEFAULT_TUPLE, Grid1D(0.0, 2.0, 5))
+        with pytest.raises(ValueError, match="^coefficient table too short for this grid$"):
+            apply_stencil("left", table, Grid1D(0.0, 2.0, 10), np.zeros(9))
+
 
 class TestExactPolyDerivative:
     def test_single_monomial(self):
@@ -216,6 +222,16 @@ class TestExactPolyDerivative:
     def test_rejects_point_outside_domain(self):
         with pytest.raises(ValueError):
             rl_exact_poly("left", 1.5, [4], [1.0], 3.0, DOMAIN)
+
+    @pytest.mark.parametrize(
+        "side,powers,message",
+        [("left", [4, 5], "^powers and coeffs must have equal length$"),
+         ("up", [4], "^side must be 'left' or 'right', got 'up'$")],
+        ids=["lengths", "side"],
+    )
+    def test_rejects_bad_arguments(self, side, powers, message):
+        with pytest.raises(ValueError, match=message):
+            rl_exact_poly(side, 1.5, powers, [1.0], 0.5, DOMAIN)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("x", [np.nan, np.array([1.0, np.nan])], ids=["scalar", "array"])

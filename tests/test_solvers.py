@@ -264,6 +264,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="^n_steps must be an integer"):
             dataclasses.replace(make(), n_steps=bad)
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
+    def test_n_steps_below_one_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="^n_steps must be positive$"):
+            dataclasses.replace(make(), n_steps=bad)
+
     @pytest.mark.parametrize("bad", [True, False])
     @pytest.mark.parametrize("make", [make_problem_1d, make_problem_2d])
     def test_bool_n_steps_rejected(self, make, bad):
@@ -1104,6 +1110,39 @@ def test_long_runs_match_the_lu_fallback(steps_per_node, request):
     request.getfixturevalue("failed_check")
     ref = solve_1d(p, BENCH_TUPLES[1])
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "constant,value,widths",
+    [("_HODLR_SKETCH", 4, [4, 8, 16, 32]), ("_HODLR_TOL", 0.0, [32, 64, 128])],
+    ids=["doubled-until-it-passes", "no-width-passes"],
+)
+def test_hankel_sketch_widths(constant, value, widths, monkeypatch, request):
+    # a first width of 4, below the block ranks, is doubled to 32 before its
+    # probes pass, and the run matches dense LU within
+    # test_hodlr_matches_dense_lu's bound; a zero tolerance fails every width
+    # up to half the 300-row Hankel matrix, and the run is the fallback's
+    p = manufactured_1d(1.7).problem(HODLR_MIN + 1, 5)
+    sketches, chunked = [], solvers._chunked
+
+    def counting(h, x):
+        sketches.append(x.shape[1])
+        return chunked(h, x)
+
+    monkeypatch.setattr(solvers, "_chunked", counting)
+    monkeypatch.setattr(solvers, constant, value)
+    got = solve_1d(p, BENCH_TUPLES[1], return_history=True)
+    passed = constant == "_HODLR_SKETCH"
+    # each width samples 10 probe columns more; a pass ends with q = H^T p
+    assert sketches == [w + 10 for w in widths] + widths[-1:] * passed
+    if passed:
+        ref = dense_solve_1d(p, BENCH_TUPLES[1], return_history=True)
+        bound = 1e-12 + 1e-15 * cond_1(build_cn_system(p, BENCH_TUPLES[1])[0])
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+    else:
+        request.getfixturevalue("failed_check")
+        ref = solve_1d(p, BENCH_TUPLES[1], return_history=True)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestHodlr:

@@ -480,6 +480,10 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=rf"^h_list\[{level}\] must be finite and positive"):
             convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=h_list)
 
+    def test_h_must_divide_the_domain(self):
+        with pytest.raises(ValueError, match=r"^h = 0\.15 does not divide the domain width 2\.0$"):
+            convergence_study(manufactured_1d(1.5), DEFAULT_TUPLE, h_list=[1 / 5, 0.15])
+
     @pytest.mark.parametrize(
         "bad", [lambda h: -h * h, lambda h: np.inf, lambda h: 0.0], ids=["-h^2", "inf", "zero"]
     )
