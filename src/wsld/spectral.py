@@ -27,14 +27,17 @@ symbolic proofs, and the report never claims more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigvalsh
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import dpotrf
 
 from .coefficients import ShiftTuple, _integer, branch_weights, stencil_coeffs, validate_order
 from .operators import Grid1D, assemble_left
@@ -209,9 +212,10 @@ def scan_nonpositivity(
     )
 
 
-def _toeplitz_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The half-size blocks whose spectra together make up that of the
-    symmetric Toeplitz ``H_ij = t_|i-j|`` of order n >= 2.
+def _toeplitz_blocks(u: np.ndarray) -> tuple[Callable[[], np.ndarray], Callable[[], np.ndarray]]:
+    """Builders of the negated half-size blocks whose spectra together make
+    up that of the symmetric Toeplitz ``H_ij = t_|i-j|`` of order n >= 2,
+    from ``u = -t``.
 
     H is centrosymmetric (``J H J = H``).  With ``k = n // 2``, ``H[:k, :k]``
     is the Toeplitz ``T_ij = t_|i-j|`` and ``H12 J`` (``H[i, n-1-j]``) the
@@ -220,51 +224,88 @@ def _toeplitz_blocks(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subspace on which H acts as ``T + K`` and ``[x; -Jx]`` one on which it
     acts as ``T - K``.  For odd n the even block is bordered by the middle
     row and column, ``H[:k, k]`` scaled by sqrt(2) and ``H[k, k] = t_0``.
+
+    Each call of a builder returns a fresh ``-(T + K)`` or ``-(T - K)``,
+    built from the views of ``u`` in one C-order allocation.  The block is
+    symmetric, so its transpose is the same block in the Fortran order in
+    which ``dpotrf`` factors it in place.  Negation is exact, so the entries
+    are those of the blocks of H negated, bit for bit.
     """
-    n = len(t)
+    n = len(u)
     k = n // 2
-    toeplitz = sliding_window_view(np.concatenate((t[k - 1 : 0 : -1], t[:k])), k)[::-1]
-    hankel = sliding_window_view(t[::-1], k)[:k]
-    even = toeplitz + hankel
-    odd = toeplitz - hankel
-    if n % 2:
-        border = np.sqrt(2.0) * t[k:0:-1, None]
-        even = np.block([[even, border], [border.T, np.full((1, 1), t[0])]])
+    # windows of [u_(k-1), ..., u_1, u_0, u_1, ..., u_(k-1), u_(n-1), ..., u_0]:
+    # row i of -T starts at k-1-i, row i of -K at 2k-1+i
+    windows = sliding_window_view(np.concatenate((u[k - 1 : 0 : -1], u[:k], u[::-1])), k)
+    toeplitz = windows[k - 1 :: -1]
+    hankel = windows[2 * k - 1 : 3 * k - 1]
+
+    def even() -> np.ndarray:
+        block = np.empty((n - k, n - k))
+        np.add(toeplitz, hankel, out=block[:k, :k])
+        if n % 2:
+            block[k, :k] = block[:k, k] = np.sqrt(2.0) * u[k:0:-1]
+            block[k, k] = u[0]
+        return block
+
+    def odd() -> np.ndarray:
+        return np.subtract(toeplitz, hankel, out=np.empty((k, k)))
+
     return even, odd
 
 
-def _top_eigenvalue(h: np.ndarray) -> float:
-    """Largest eigenvalue of the symmetric ``h``, read from its lower triangle.
+@lru_cache(maxsize=8)
+def _start(m: int) -> np.ndarray:
+    """Unit start vector of inverse iteration on a block of order ``m``.
+
+    The smoothest mode ``sin(pi (i+1) / (2m+1))``, the first half of the
+    smoothest mode of a centrosymmetric H of order 2m, lies close to the top
+    eigenvector of a WSLD even block.  0.1 of a seed-0 Gaussian is added to
+    it before normalising, which keeps every eigenvector's component
+    nonzero: a smooth start alone is nearly orthogonal to the oscillating
+    eigenvectors, such as a J-antisymmetric top eigenvector of a full H.
+    The vector is cached per order and read-only.
+    """
+    x = np.sin(np.arange(1, m + 1) * (np.pi / (2 * m + 1)))
+    x += 0.1 * np.random.default_rng(0).standard_normal(m)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False  # shared by every call at this order
+    return x
+
+
+def _top_eigenvalue(block: Callable[[], np.ndarray]) -> float:
+    """Largest eigenvalue of the symmetric ``h``, given as a builder that
+    returns a fresh ``-h``, symmetric and C-contiguous.
 
     When ``-h`` has a Cholesky factor, ``h`` is negative definite and its
     top eigenvalue is the one nearest 0, so inverse iteration with that
     factor finds it (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-    ch. 4): from a fixed Gaussian start (seed 0; a constant start is
-    orthogonal to every J-antisymmetric eigenvector), each step solves
-    ``y = (-h)^-1 x`` for the unit ``x`` and takes ``mu = x . y``, which
-    rises to ``1 / |top|`` with changes shrinking by a ratio r near
-    ``(top / second)^2``.  Once the last change times ``r / (1 - r)``, the
-    geometric bound on the error left, is below ``_INVERSE_TOL * mu``,
-    ``-1 / mu`` is returned.  A near tie keeps r near 1, so the bound never
-    passes; a tie closer than the tolerance's square root can pass it
-    early, but the value returned then lies, up to the tolerance, between
-    the two tied eigenvalues.  Every other case falls back to one dense
-    ``eigvalsh`` call asked for the top eigenvalue only: no Cholesky factor
-    (the top is >= 0), ``_INVERSE_STEPS`` steps without passing, or a
-    non-finite ``mu``.  The WSLD blocks, whose top eigenvalues sit near 0
-    with ``top / second`` at most 0.25, pass in 9 to 16 steps at n = 400.
+    ch. 4).  The block is built once and factored in place.  From the unit
+    start of ``_start``, each step solves ``y = (-h)^-1 x`` for the unit
+    ``x``, by two triangular solves (``dtrsv``, about twice as fast as one
+    ``dpotrs`` for a single right-hand side at order 200), and takes
+    ``mu = x . y``, which rises to ``1 / |top|`` with changes shrinking by
+    a ratio r near ``(top / second)^2``.  Once the last change times
+    ``r / (1 - r)``, the geometric bound on the error left, is below
+    ``_INVERSE_TOL * mu``, ``-1 / mu`` is returned.  A near
+    tie keeps r near 1, so the bound never passes; a tie closer than the
+    tolerance's square root can pass it early, but the value returned then
+    lies, up to the tolerance, between the two tied eigenvalues.  Every
+    other case rebuilds the block and makes one dense ``eigvalsh`` call on
+    ``h`` asked for the top eigenvalue only: no Cholesky factor (the top is
+    >= 0), ``_INVERSE_STEPS`` steps without passing, or a non-finite
+    ``mu``.  The WSLD blocks, whose top eigenvalues sit near 0 with
+    ``top / second`` at most 0.25, pass in 4 to 11 steps at n = 400, 8.6 on
+    average over the 132 ``certify_sweep`` operators (10 to 16, 13.0 on
+    average, from a plain Gaussian start).
     """
-    n = len(h)
-    # h is symmetric, so the transpose of -h is -h in Fortran order; dpotrf
-    # reads its upper triangle, which is h's lower one
-    factor, info = dpotrf(np.negative(h).T, clean=0, overwrite_a=1)
+    factor, info = dpotrf(block().T, clean=0, overwrite_a=1)
+    n = len(factor)
     if info == 0:
-        x = np.random.default_rng(0).standard_normal(n)
-        x /= np.linalg.norm(x)
+        x = _start(n)
         mu = change = 0.0
         with np.errstate(all="ignore"):  # a non-finite mu falls back below
             for step in range(_INVERSE_STEPS):
-                y = dpotrs(factor, x)[0]
+                y = dtrsv(factor, dtrsv(factor, x, trans=1), overwrite_x=1)
                 new = x @ y
                 last, change, mu = change, abs(new - mu), new
                 # change * r / (1 - r) <= tol * mu with r = change / last
@@ -273,24 +314,27 @@ def _top_eigenvalue(h: np.ndarray) -> float:
                     if np.isfinite(top) and top < 0.0:
                         return float(top)
                     break
-                x = y / np.sqrt(y @ y)
+                y /= math.sqrt(y @ y)
+                x = y
+    h = block()
+    np.negative(h, out=h)
     return float(eigvalsh(h, subset_by_index=[n - 1, n - 1])[0])
 
 
-def _below(block: np.ndarray, top: float) -> bool:
-    """True when ``top * I - block`` has a Cholesky factor.
+def _below(neg: np.ndarray, top: float) -> bool:
+    """True when ``top * I - block`` has a Cholesky factor, for ``neg`` the
+    negated symmetric ``block``, C-contiguous; ``neg`` is overwritten.
 
     Then ``top * I - block`` is positive definite, and every eigenvalue of
-    the symmetric ``block`` lies below ``top``.  Only the diagonal
-    ``top - block_ii`` can overflow, and an infinite pivot would pass the
-    factorization unchecked, so such a block is never screened as below.
+    ``block`` lies below ``top``.  Only the diagonal ``top - block_ii`` can
+    overflow, and an infinite pivot would pass the factorization unchecked,
+    so such a block is never screened as below.
     """
-    scratch = np.negative(block, order="F")
     with np.errstate(over="ignore"):
-        scratch.flat[:: len(block) + 1] += top
-    if not np.isfinite(scratch.diagonal()).all():
+        neg.flat[:: len(neg) + 1] += top
+    if not np.isfinite(neg.diagonal()).all():
         return False
-    return dpotrf(scratch, clean=0, overwrite_a=1)[1] == 0
+    return dpotrf(neg.T, clean=0, overwrite_a=1)[1] == 0
 
 
 def max_real_part_bound(matrix: np.ndarray) -> float:
@@ -300,24 +344,27 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     eigenvalue goes through ``_top_eigenvalue``: a block whose negation has
     a Cholesky factor is solved by inverse iteration on that factor, any
     other by a dense symmetric eigensolver asked for one eigenvalue only.
+    Every block is built negated, as the factorization takes it, in one
+    allocation, and built again only for a dense solve.
 
     A Toeplitz A of order n >= 2, found by comparing ``a[1:, 1:]`` with
     ``a[:-1, :-1]`` (so a NaN never matches), needs no n x n work: its
     first column and row give ``t_k = (a_k0 + a_0k)/2``, the same floats as
     the entries of H, and H is split into two half-size symmetric blocks
     whose spectra together make up its own (Cantoni & Butler, Linear
-    Algebra Appl. 13 (1976) 275-288), formed from views of t.  The even
+    Algebra Appl. 13 (1976) 275-288), formed from views of -t.  The even
     block (with the middle node for odd n) is solved, giving ``top``, and
     the odd block is screened: when ``top * I - odd`` has a Cholesky
     factor, every odd eigenvalue lies below ``top`` and ``top`` is
-    returned.  Otherwise the odd block is solved as well and the larger top
-    eigenvalue returned.  An exact tie fails the screen, so it is solved; a
-    screen that passes bounds the odd top by ``top`` up to the round-off of
-    the factorization, which is of the order of the eigensolver's own
-    error.  The WSLD operators have their top eigenvalue in the even block,
-    so they take one half-size solve and one factorization; the even block
-    is negative definite, so that solve is one more Cholesky factorization
-    and 9 to 16 triangular solve pairs at n = 400, no dense eigensolver.
+    returned.  Otherwise the odd block is built again and solved as well,
+    and the larger top eigenvalue returned.  An exact tie fails the screen,
+    so it is solved; a screen that passes bounds the odd top by ``top`` up
+    to the round-off of the factorization, which is of the order of the
+    eigensolver's own error.  The WSLD operators have their top eigenvalue
+    in the even block, so they take one half-size solve and one
+    factorization; the even block is negative definite, so that solve is
+    one more Cholesky factorization and 4 to 11 triangular solve pairs at
+    n = 400, no dense eigensolver.  The two blocks are never held at once.
 
     Every other matrix, a 1 x 1 one included, forms H and gets one dense
     n x n solve.  A 0 x 0, non-square or non-finite matrix raises
@@ -332,18 +379,22 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
         # Toeplitz: every entry sits in the first column or row
         if not (np.isfinite(a[:, 0]).all() and np.isfinite(a[0]).all()):
             raise ValueError("matrix must be finite")
-        t = a[:, 0] + a[0, :]
-        t *= 0.5
-        even, odd = _toeplitz_blocks(t)
+        u = a[:, 0] + a[0, :]
+        u *= -0.5  # -t, exactly
+        even, odd = _toeplitz_blocks(u)
         top = _top_eigenvalue(even)
-        if not _below(odd, top):
+        if not _below(odd(), top):
             top = max(top, _top_eigenvalue(odd))
         return top
     if not np.isfinite(a).all():
         raise ValueError("matrix must be finite")
-    h = a + a.T
-    h *= 0.5
-    return _top_eigenvalue(h)
+
+    def negated() -> np.ndarray:
+        h = a + a.T
+        h *= -0.5
+        return h
+
+    return _top_eigenvalue(negated)
 
 
 def _roundoff_slack(shifts: ShiftTuple, alphas: Sequence[float]) -> float:

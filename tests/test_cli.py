@@ -514,12 +514,15 @@ class TestErrorCategories:
 
     def test_unwritable_out_is_io_error(self, tmp_path, capsys):
         # a missing directory fails in mkstemp, before any temp file exists;
-        # an existing directory as the target fails the final rename, after it
+        # an existing directory as the target fails the final rename, after it;
+        # the message names the target and the OS error, never a temp file
         (tmp_path / "existing").mkdir()
-        for out in ("no/dir/x.csv", "existing"):
+        for out, error in (("no/dir/x.csv", "No such file or directory"), ("existing", "Is a directory")):
             rc = main(["coeffs", "--alpha", "1.5", "--k", "3", "--out", str(tmp_path / out)])
             assert rc == 4
-            assert "io-error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("io-error: ") and error in err
+            assert repr(str(tmp_path / out)) in err and ".wsld-" not in err
             assert [p.name for p in tmp_path.iterdir()] == ["existing"]
             assert not any((tmp_path / "existing").iterdir())
 
