@@ -11,38 +11,27 @@ even pairs and the change first in odd ones, so a drift in machine speed
 does not favour either side.  Then it prints, for every end-to-end metric
 that ``bench/run.py`` reports, each side's median and quartiles, the
 relative change of the median and the number of pairs in which the change
-was better (``better`` from the change root's ``BENCHMARK.json``, lower when
-it is missing), and the failed operations of each side.  Standard library
-only.
+was lower (every end-to-end metric is lower-is-better), and the failed
+operations of each side.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 
 
-def _run(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run in ``root``: its final JSON line."""
+def _run(root: str, workload: str, seed: int) -> dict:
+    """One ``bench/run.py --seconds 24 --trace 0`` run in ``root``: its final JSON line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", "24", "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def _better(root: str) -> dict[str, str]:
-    """``better`` of each end-to-end metric in ``root``'s ``BENCHMARK.json``."""
-    try:
-        with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-            return {m["name"]: m["better"] for m in json.load(fh).get("end_to_end", [])}
-    except (OSError, ValueError, KeyError):
-        return {}
 
 
 def _spread(values: list[float]) -> str:
@@ -60,7 +49,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=24)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -70,22 +58,21 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         seed = args.first_seed + i
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-            result = _run(sides[side], args.workload, seed, args.seconds)
+            result = _run(sides[side], args.workload, seed)
             results[side].append(result)
             wall = result["metrics"].get("wall_s", {}).get("value")
             print(f"pair {i + 1} seed {seed} {side}: wall_s {wall!r} failed {result['failed']}",
                   flush=True)
 
-    better = _better(args.change)
     names = [n for n in results["base"][0]["metrics"] if n in results["change"][0]["metrics"]]
     print(f"\n{args.workload}: {args.pairs} pairs, seeds {args.first_seed}.."
-          f"{args.first_seed + args.pairs - 1}, --seconds {args.seconds:g}")
-    print("metric  base median [q1, q3]  change median [q1, q3]  change  pairs better")
+          f"{args.first_seed + args.pairs - 1}")
+    print("metric  base median [q1, q3]  change median [q1, q3]  change  pairs lower")
     for name in names:
         base = [r["metrics"][name]["value"] for r in results["base"]]
         change = [r["metrics"][name]["value"] for r in results["change"]]
-        lower = better.get(name, "lower") == "lower"
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        # Every end-to-end metric is lower-is-better.
+        wins = sum(c < b for b, c in zip(base, change))
         rel = statistics.median(change) / statistics.median(base) - 1.0
         print(f"{name}  {_spread(base)}  {_spread(change)}  {rel:+.1%}  {wins}/{args.pairs}")
     for side in ("base", "change"):
