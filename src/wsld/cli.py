@@ -270,17 +270,6 @@ def _cmd_converge(args) -> tuple[str, None]:
     return _csv_text(config, "tuple,alpha,beta,h,tau,max_error,rate", rows), None
 
 
-# subcommand -> handler returning (CSV text, summary line or None)
-_COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "spectrum": _cmd_spectrum,
-    "certify": _cmd_certify,
-    "solve1d": _cmd_solve,
-    "solve2d": _cmd_solve,
-    "converge": _cmd_converge,
-}
-
-
 @functools.cache  # built once per process: parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -289,12 +278,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, alphas=None, order=True):
+    def command(name, help, handler, alphas=None, order=True):
         """Add a subcommand with --alpha, --tuple, [--order], --out and --config.
 
+        ``handler(args)`` runs it and returns (CSV text, summary line or None).
         ``alphas`` makes --alpha a comma-separated list with that default.
         """
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if alphas is None:
             p.add_argument("--alpha", type=_parse_number, help="fractional order in (1,2)")
         else:
@@ -309,24 +300,25 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value file of these flags; flags override")
         return p
 
-    p = command("coeffs", "emit g/q (and phi) coefficient sequences", order=False)
+    p = command("coeffs", "emit g/q (and phi) coefficient sequences", _cmd_coeffs, order=False)
     p.add_argument("--k", type=int, default=5, help="largest coefficient index (default 5)")
 
-    p = command("spectrum", "emit (alpha, x, f) generating-function samples", "1.1,1.3,1.5,1.7,1.9")
+    p = command("spectrum", "emit (alpha, x, f) generating-function samples", _cmd_spectrum,
+                "1.1,1.3,1.5,1.7,1.9")
     p.add_argument("--x-points", type=int, default=2001, help="scan grid size (default 2001)")
 
-    p = command("certify", "stability verdict for a shift tuple", "1.1,1.5,1.9")
+    p = command("certify", "stability verdict for a shift tuple", _cmd_certify, "1.1,1.5,1.9")
     p.add_argument("--nx", type=int, default=64, help="matrix size for the eigenvalue bound (default 64)")
     p.add_argument("--x-points", type=int, default=2001, help="scan grid size (default 2001)")
 
-    solve1d = command("solve1d", "solve the 1D benchmark problem")
-    solve2d = command("solve2d", "solve the 2D benchmark problem (ADI, nx cells per axis)")
+    solve1d = command("solve1d", "solve the 1D benchmark problem", _cmd_solve)
+    solve2d = command("solve2d", "solve the 2D benchmark problem (ADI, nx cells per axis)", _cmd_solve)
     for p in (solve1d, solve2d):
         p.add_argument("--nx", type=int, default=20, help="number of cells per axis (default 20)")
         p.add_argument("--nt", type=int, help="number of time steps (default: h**-2)")
         p.add_argument("--t-final", type=_parse_number, default=1.0, help="final time (default 1.0)")
 
-    converge = command("converge", "refinement study over an h sequence")
+    converge = command("converge", "refinement study over an h sequence", _cmd_converge)
     converge.add_argument("--dim", type=int, choices=(1, 2), default=1, help="1 or 2 (default 1)")
     converge.add_argument("--h-list", type=_parse_float_list,
                           help="comma-separated decreasing h values, fractions allowed")
@@ -344,7 +336,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    keys = set(vars(args)) - {"command", "config"}
+    keys = set(vars(args)) - {"command", "config", "handler"}
     return parser.parse_args([argv[0], *_config_flags(args.config, keys), *argv[1:]])
 
 
@@ -356,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             return int(exc.code or 0)
         if args.alpha is None:
             raise ConfigError(f"{args.command} requires --alpha (flag or config file)")
-        text, summary = _COMMANDS[args.command](args)
+        text, summary = args.handler(args)
     except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2

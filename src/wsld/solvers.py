@@ -309,33 +309,9 @@ def _cayley(inv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _sampler(forcing: Callable, nodes: tuple[np.ndarray, ...], shape: tuple[int, ...]):
-    """``sample(t)``: the forcing at the times ``t`` as one ``(len(t), *shape)`` block.
-
-    A forcing that declares ``broadcasts_over_t`` is called once on a column of
-    times, any other once per time with a float.  A result that does not
-    broadcast to the block raises ``ValueError`` naming the forcing.
-    """
-    if getattr(forcing, "broadcasts_over_t", False):
-        column = (-1,) + (1,) * len(shape)
-
-        def sample(t):
-            f = np.asarray(forcing(*nodes, t.reshape(column)), dtype=float)
-            return _fit(f, (len(t), *shape), f"for {len(t)} times")
-
-    else:
-
-        def sample(t):
-            block = np.empty((len(t), *shape))
-            for k, t_k in enumerate(t.tolist()):
-                f = np.asarray(forcing(*nodes, t_k), dtype=float)
-                block[k] = _fit(f, shape, f"at t = {t_k!r}")
-            return block
-
-    return sample
-
-
-def _fit(f: np.ndarray, shape: tuple[int, ...], when: str) -> np.ndarray:
+def _fit(f, shape: tuple[int, ...], when: str) -> np.ndarray:
+    """The forcing's result ``f`` as floats broadcast to ``shape``."""
+    f = np.asarray(f, dtype=float)
     try:
         return np.broadcast_to(f, shape)
     except ValueError:
@@ -347,19 +323,22 @@ def _fit(f: np.ndarray, shape: tuple[int, ...], when: str) -> np.ndarray:
 def _march(
     step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u0: np.ndarray,
-    sample: Callable[[np.ndarray], np.ndarray],
-    n_steps: int,
-    tau: float,
+    problem: _Problem,
     return_history: bool,
     powers: Sequence[np.ndarray] = (),
 ) -> np.ndarray:
-    """Advance ``u0`` by ``n_steps`` calls ``u = step(u, f[k])``.
+    """Advance ``u0`` by ``problem.n_steps`` calls ``u = step(u, f[k])``.
 
-    The half-step times ``t_{n+1/2}`` go to ``sample`` in blocks of at most
-    ``_BLOCK_BYTES`` of forcing, and the block ``f = sample(t)`` is then
-    stepped one row at a time; with ``return_history`` every state is written
-    into one ``(n_steps + 1, *u0.shape)`` array, ``u0`` first.  When ``step``
-    is ``u -> P u + tau f[k]``, a run without history may pass ``powers``,
+    ``problem.forcing`` is sampled on ``problem.nodes`` at the half-step
+    times ``t_{n+1/2}`` of ``problem.tau``, in blocks ``f`` of at most
+    ``_BLOCK_BYTES`` of samples of ``u0``'s shape, and each block is then
+    stepped one row at a time.  A forcing that declares
+    ``broadcasts_over_t`` is called once per block on a column of times, any
+    other once per time with a float; a result that does not broadcast to
+    the block raises ``ValueError`` naming the forcing.  With
+    ``return_history`` every state is written into one
+    ``(n_steps + 1, *u0.shape)`` array, ``u0`` first.  When ``step`` is
+    ``u -> P u + tau f[k]``, a run without history may pass ``powers``,
     ``P, P^2, ..., P^(2^(L-1))`` (they imply no history): it then takes
     blocks of ``2**L - 1`` steps and reduces each in L products
     (``_reduce``), and steps a block row by row from its first state only
@@ -370,6 +349,9 @@ def _march(
     floating-point warnings are off inside the loop, since the check reports
     their result.
     """
+    forcing, nodes, n_steps, tau = problem.forcing, problem.nodes, problem.n_steps, problem.tau
+    declared = getattr(forcing, "broadcasts_over_t", False)
+    column = (-1,) + (1,) * u0.ndim
     u, history = u0, None
     if return_history:
         history = np.empty((n_steps + 1, *u0.shape))
@@ -385,7 +367,13 @@ def _march(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, block):
             t = (np.arange(start, min(start + block, n_steps)) + 0.5) * tau
-            f = sample(t)
+            if declared:
+                f = _fit(forcing(*nodes, t.reshape(column)), (len(t), *u0.shape),
+                         f"for {len(t)} times")
+            else:
+                f = np.empty((len(t), *u0.shape))
+                for k, t_k in enumerate(t.tolist()):
+                    f[k] = _fit(forcing(*nodes, t_k), u0.shape, f"at t = {t_k!r}")
             if reduce and (end := _reduce(powers, growth, u, tau, f, rows)) is not None:
                 u = end
             else:
@@ -704,8 +692,6 @@ def solve_1d(
     n = problem.grid.n_interior
     tau = problem.tau
     op = None if n < _HODLR_MIN_INTERIOR else _operator_1d(problem, shifts)
-    march = (_sampler(problem.forcing, problem.nodes, (n,)),
-             problem.n_steps, tau, return_history)
     # Below _HODLR_MIN_INTERIOR, the inverse for final-state runs from
     # n_steps >= n.  Break-even against LU solves, one BLAS thread on a
     # 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three runs:
@@ -727,7 +713,7 @@ def solve_1d(
             solve = lambda b: lu_solve(lu, b, check_finite=False)
     if solve is not None:
         # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
-        return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, *march)
+        return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, problem, return_history)
     # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports a non-finite state
         w = m_minus @ problem.u0
@@ -739,7 +725,7 @@ def solve_1d(
         levels = _levels(n, problem.n_steps)
         while len(powers) < levels:
             powers.append(powers[-1] @ powers[-1])
-        w = _march(lambda w, f: p @ w + tau * f, w, *march, powers[:levels])
+        w = _march(lambda w, f: p @ w + tau * f, w, problem, False, powers[:levels])
         del powers  # before the conversion
         # the inverse again, bit for bit: 0.5 (2 x) is x, and the diagonal is restored
         inv = np.multiply(0.5, p, out=p)
@@ -827,11 +813,4 @@ def solve_2d(
     iy = _inverse(minus_y).T
     cy = _cayley(iy)
     tau = problem.tau
-    return _march(
-        lambda u, f: step_adi(u, f, tau, bx, cy, iy),
-        problem.u0,
-        _sampler(problem.forcing, problem.nodes, problem.u0.shape),
-        problem.n_steps,
-        tau,
-        return_history,
-    )
+    return _march(lambda u, f: step_adi(u, f, tau, bx, cy, iy), problem.u0, problem, return_history)

@@ -146,7 +146,8 @@ def generating_function_series(
     table = stencil_coeffs(alpha, st, _integer(n_terms, "n_terms"))
     x = np.asarray(x, dtype=float)
     k = np.arange(table.length) - st.max_shift
-    out = np.cos(np.multiply.outer(x, k)) @ table.phi
+    # one point at a time: the (x.size, n_terms + 1) cosine table can take gigabytes
+    out = np.array([np.cos(xi * k) @ table.phi for xi in x.flat]).reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -295,8 +296,7 @@ def _top_eigenvalue(block: Callable[[], np.ndarray]) -> float:
     >= 0), ``_INVERSE_STEPS`` steps without passing, or a non-finite
     ``mu``.  The WSLD blocks, whose top eigenvalues sit near 0 with
     ``top / second`` at most 0.25, pass in 4 to 11 steps at n = 400, 8.6 on
-    average over the 132 ``certify_sweep`` operators (10 to 16, 13.0 on
-    average, from a plain Gaussian start).
+    average over the 132 ``certify_sweep`` operators.
     """
     factor, info = dpotrf(block().T, clean=0, overwrite_a=1)
     n = len(factor)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wsld.cli import _COMMANDS, _build_parser, main
+from wsld.cli import _build_parser, main
 from wsld.coefficients import lubich_coeffs
 from wsld.spectral import certify
 from wsld.verification import convergence_study, manufactured_1d, manufactured_2d
@@ -420,7 +420,13 @@ def test_missing_subcommand_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("config-error: ")
 
 
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    """The subcommands that ``_build_parser()`` declares, by name."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("command", sorted(subcommands()))
 def test_help_exits_zero(command, capsys):
     assert main([command, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: wsld {command} ")
@@ -444,10 +450,9 @@ SUBCOMMAND_FLAGS = {
 
 
 def test_subcommand_flags():
-    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     declared = {
         name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
-        for name, p in sub.choices.items()
+        for name, p in subcommands().items()
     }
     assert declared == SUBCOMMAND_FLAGS
 
@@ -460,7 +465,7 @@ def readme_commands():
 
 
 def test_readme_has_command_examples():
-    assert {words[1] for words in readme_commands()} == set(_COMMANDS)
+    assert {words[1] for words in readme_commands()} == set(subcommands())
 
 
 @pytest.mark.parametrize("words", readme_commands(), ids=lambda w: w[1])

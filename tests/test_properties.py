@@ -261,14 +261,7 @@ def test_block_reduction_matches_stepping_any_count(shifts, alpha, n, levels, fu
     powers = [prop]
     while len(powers) < levels:
         powers.append(powers[-1] @ powers[-1])
-    march = (
-        lambda u, f: prop @ u + p.tau * f,
-        p.u0,
-        lambda t: p.forcing(p.grid.interior_nodes(), t[:, None]),
-        n_steps,
-        p.tau,
-        False,
-    )
+    march = (lambda u, f: prop @ u + p.tau * f, p.u0, p, False)
     results = []
     for kwargs in ({}, {"powers": powers}):
         try:

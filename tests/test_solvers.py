@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import tracemalloc
+import types
 from unittest.mock import patch
 
 import numpy as np
@@ -1015,7 +1016,13 @@ def test_reduced_block_vouches_for_the_states_it_skips():
     # finite at 0.81e308; the reduction must decline and the row loop name it
     p = 0.9 * np.eye(3)
     g = np.array([[1.0], [1.0], [-0.9]]) * np.full(3, 1e308)
-    march = (lambda u, h: p @ u + h, np.zeros(3), lambda t: g[: len(t)], 3, 1.0, False)
+
+    def forcing(t):  # the rows of g at the block's times, one call per block
+        return g[: len(t)]
+
+    forcing.broadcasts_over_t = True
+    problem = types.SimpleNamespace(forcing=forcing, nodes=(), n_steps=3, tau=1.0)
+    march = (lambda u, h: p @ u + h, np.zeros(3), problem, False)
     with pytest.raises(ValueError, match=r"^state has infs or NaNs at step 1 \(t = 1\.5\)$"):
         solvers._march(*march, powers=[p, p @ p])
     # the same block well inside the float range is reduced to the stepped state

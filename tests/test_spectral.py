@@ -14,6 +14,7 @@ from wsld.coefficients import (
     ShiftTuple,
     branch_weights,
     lubich_coeffs,
+    stencil_coeffs,
     weights_order3,
 )
 from wsld.operators import Grid1D, assemble_left
@@ -71,6 +72,23 @@ class TestGeneratingFunction:
         fine = generating_function_series((1, -2), 1.3, x, n_terms=100_000)
         assert np.max(np.abs(fine - closed)) < 1e-6
         assert np.max(np.abs(fine - closed)) < np.max(np.abs(coarse - closed))
+
+    def test_series_holds_one_cosine_row_at_a_time(self, monkeypatch):
+        # the (201, 100001) cosine table alone would be 161 MB, and its phases
+        # as much again (a 307 MiB peak); one point's row of phases and
+        # cosines, beside the indices k, is 2.4 MB (measured 2.30 MiB).  The
+        # coefficients are built outside the trace: stencil_coeffs peaks at
+        # 10.5 MB on its own
+        table = stencil_coeffs(1.5, ShiftTuple((1, 2)), 100_000)
+        monkeypatch.setattr(spectral, "stencil_coeffs", lambda *args: table)
+        x = np.linspace(0.0, np.pi, 201)
+        tracemalloc.start()
+        try:
+            generating_function_series((1, 2), 1.5, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_order3_weighted_combination_identity(self):
         alpha = 1.3
