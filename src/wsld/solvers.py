@@ -7,10 +7,11 @@ is advanced by
     (I - G) U^{n+1} = (I + G) U^n + tau F^{n+1/2},   G = tau/(2 h^alpha) (D+ A + D- A^T),
 
 with ``I - G`` factored once per run.  G is one two-sided operator,
-``operators._TwoSided``, and ``I + G`` is never applied.  From
-``_HODLR_MIN_INTERIOR`` interior nodes every run solves with a
-hierarchically off-diagonal low-rank (HODLR) factorization, ``_hodlr``,
-built from the operator's O(n) data, so ``I - G`` is never formed:
+``operators._TwoSided``, and ``I + G`` is never applied.  ``solve_1d``
+takes one of three branches.  From ``_HODLR_MIN_INTERIOR`` interior nodes
+every run solves with a hierarchically off-diagonal low-rank (HODLR)
+factorization, ``_hodlr``, built from the operator's O(n) data, so
+``I - G`` is never formed:
 
     U^{n+1} = (I - G)^{-1} (2 U^n + tau F^{n+1/2}) - U^n.
 
@@ -30,20 +31,22 @@ Woodbury formula joins the levels, each split keeping its small
 (2015)).  A fixed probe solve checks the factorization
 against the O(n log n) ``_TwoSided.matvec``; a run whose factorization
 fails writes ``I - G`` in place on the operator's dense form and solves
-with its LU factors, by the same equation, at every step.
-Smaller grids LU-factor the ``I - G`` of ``build_cn_system``.  A run that
-returns its history, or has fewer steps than unknowns (the inverse costs
-about ``2 n^3`` flops and saves only the per-step ``lu_solve`` call
-overhead), solves with the factors too.  Any other marches
-``w = (I - G) U``, for which the same equation is
+with its LU factors (``_lu_solver``), by the same equation, at every step.
+Below the switch, a final-state run with at least as many steps as
+unknowns marches ``w = (I - G) U`` (``_propagate``), for which the same
+equation is
 
     w^{n+1} = P w^n + tau F^{n+1/2},   P = (I + G) (I - G)^{-1} = 2 (I - G)^{-1} - I,
 
 one matvec per step with the Cayley transform P, formed from the inverse
 in O(n^2) and in its place; ``U = (I - G)^{-1} w`` is recovered once at
-the end, with the inverse restored from P bit for bit.  2D adds the
-y-direction analog, one operator per axis, and factors the implicit
-operator into two one-dimensional ones; the Peaceman-Rachford and Douglas
+the end, with the inverse restored from P bit for bit.  Any other run, a
+history or one with fewer steps than unknowns (the inverse costs about
+``2 n^3`` flops and saves only the per-step ``lu_solve`` call overhead),
+solves with the LU factors of the ``I - G`` of ``build_cn_system``.
+
+2D adds the y-direction analog, one operator per axis, and factors the
+implicit operator into two one-dimensional ones; the Peaceman-Rachford and Douglas
 sweeps of that factored equation are one propagator,
 ``u -> Bx (u Cy + g) + g``, three products per step with matrices read
 off the two explicit inverses.  Interior unknowns are stored as arrays
@@ -649,72 +652,36 @@ def build_cn_system(
     exactly off the diagonal and wherever ``|G_ii| < 1``; a larger ``G_ii``
     can leave the diagonal one rounding unit of ``1 + |G_ii|`` from 2.
     Both come in Fortran order, so LAPACK can factor them in place.
-    ``solve_1d`` calls this below ``_HODLR_MIN_INTERIOR`` interior nodes
-    and uses only ``M_minus``: it never applies ``M_plus``.
+    ``solve_1d`` and ``_propagate`` call this below ``_HODLR_MIN_INTERIOR``
+    interior nodes and use only ``M_minus``: they never apply ``M_plus``.
     """
     g = _operator_1d(problem, shifts).dense()
     m_minus = _identity_plus(-1.0, g, np.empty_like(g))
     return m_minus, _identity_plus(1.0, g, g)
 
 
-def solve_1d(
-    problem: Problem1D,
-    shifts: ShiftTuple | Sequence[int] = DEFAULT_TUPLE,
-    return_history: bool = False,
-) -> np.ndarray:
-    """March the 1D scheme to t_final and return the interior solution.
+def _lu_solver(m: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``b -> m^{-1} b`` by the LU factors of ``m``, written in place on it."""
+    lu = lu_factor(m, overwrite_a=True)
+    return lambda b: lu_solve(lu, b, check_finite=False)
 
-    From ``_HODLR_MIN_INTERIOR`` (600) interior nodes every run steps
-    ``u -> solve(2 u + tau f) - u`` with the HODLR solver of ``I - G`` (see
-    the module docstring), which matches dense LU to round-off, not bit for
-    bit (README "Known deviations" 4).  A factorization that fails its
-    check leaves the run to the LU factors of ``I - G``, written alone and
-    in place, which step it the same way, for any step count and for
-    histories.  Smaller grids take ``I - G`` from ``build_cn_system`` and
-    LU-factor it once.  A run that returns its history, or has fewer steps
-    than unknowns, steps the same way with the factors.  A final-state run
-    from ``n_steps >= n_interior`` marches ``w = (I - G) u`` instead (see
-    the module docstring): ``w0`` is one matvec before the factorization,
-    each step ``w -> P w + tau f``, and ``u = (I - G)^{-1} w`` one matvec at
-    the end.  P is formed in place of the inverse and halved back into it
-    after the march, with the inverse's diagonal saved aside, so the
-    conversion uses the inverse bit for bit.  With steps enough to pay for
-    the squarings (``_levels``), blocks of those steps are composed in L
-    products each (see ``_march``); only P and its powers outlive the
-    setup, and the powers go before the conversion.  All of these agree to
-    round-off.  The forcing is sampled at the half steps ``t_{n+1/2}``;
-    a non-finite sample raises ``ValueError`` naming the step and its time,
-    and any other non-finite state (``w``, or the final ``u`` recovered
-    from it, named as the last step) one saying it has infs or NaNs.  With
-    ``return_history=True`` the full ``(n_steps+1, n)`` trajectory is
-    returned instead of the final slice.
+
+def _propagate(problem: Problem1D, shifts: ShiftTuple | Sequence[int]) -> np.ndarray:
+    """The final state of ``problem`` by marching ``w = (I - G) u``.
+
+    For w the scheme is ``w' = P w + tau f``, since ``I + G`` commutes with
+    ``(I - G)^{-1}``: ``w0`` is one matvec with the ``I - G`` of
+    ``build_cn_system`` before ``_inverse`` factors it in place, P is formed
+    in the inverse's place, stepped or, with steps enough to pay for the
+    squarings (``_levels``), reduced in blocks with its powers (``_march``),
+    and halved back into the inverse after the march, with the inverse's
+    diagonal saved aside, so ``u = w (I - G)^{-T}`` uses the inverse bit for
+    bit.  Only P and its powers outlive the setup, and the powers go before
+    the conversion.  A non-finite ``u`` raises ``ValueError`` saying the
+    state has infs or NaNs at the last step.
     """
-    n = problem.grid.n_interior
-    tau = problem.tau
-    op = None if n < _HODLR_MIN_INTERIOR else _operator_1d(problem, shifts)
-    # Below _HODLR_MIN_INTERIOR, the inverse for final-state runs from
-    # n_steps >= n.  Break-even against LU solves, one BLAS thread on a
-    # 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three runs:
-    # stepping with the inverse at 17-36 steps for n = 119 and 178-877 at
-    # 599; at 399 its matvec costs about what the two triangular solves do,
-    # 212 and 341 (one run never).  The block reduction at 45-58, 1100-2522
-    # and 731-1563.  The steps are memory-bound from ~400 nodes, hence the
-    # spread; no workload runs between n/4 and n steps.  HODLR against the
-    # dense path: see _HODLR_MIN_INTERIOR.
-    solve = None if op is None else _hodlr(op)
-    if solve is None:
-        if op is None:
-            m_minus = build_cn_system(problem, shifts)[0]
-        else:  # a failed check: I - G alone, in place, and LU solves for every run
-            m_minus = op.dense()
-            _identity_plus(-1.0, m_minus, m_minus)
-        if op is not None or problem.n_steps < n or return_history:
-            lu = lu_factor(m_minus, overwrite_a=True)
-            solve = lambda b: lu_solve(lu, b, check_finite=False)
-    if solve is not None:
-        # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
-        return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, problem, return_history)
-    # and for w = (I - G) u it is w' = P w + tau f, since I + G commutes with (I - G)^{-1}
+    n, tau = problem.grid.n_interior, problem.tau
+    m_minus = build_cn_system(problem, shifts)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # the check reports a non-finite state
         w = m_minus @ problem.u0
         inv = _inverse(m_minus)
@@ -734,6 +701,54 @@ def solve_1d(
     if not np.isfinite(u).all():
         raise _non_finite("state has infs or NaNs", problem.n_steps - 1, tau)
     return u
+
+
+def solve_1d(
+    problem: Problem1D,
+    shifts: ShiftTuple | Sequence[int] = DEFAULT_TUPLE,
+    return_history: bool = False,
+) -> np.ndarray:
+    """March the 1D scheme to t_final and return the interior solution.
+
+    The run takes one of three branches (see the module docstring):
+
+    - from ``_HODLR_MIN_INTERIOR`` (600) interior nodes, the HODLR solver of
+      ``I - G``, which matches dense LU to round-off, not bit for bit
+      (README "Known deviations" 4); a factorization that fails its check
+      leaves the run to the LU factors of ``I - G``, written alone and in
+      place on the operator's dense form;
+    - below that, a final-state run from ``n_steps >= n_interior`` marches
+      ``w = (I - G) u`` with the propagator P (``_propagate``);
+    - any other run LU-factors the ``I - G`` of ``build_cn_system``.
+
+    HODLR and LU step ``u -> solve(2 u + tau f) - u``, for any step count
+    and for histories.  All of these agree to round-off.  The forcing is
+    sampled at the half steps ``t_{n+1/2}``; a non-finite sample raises
+    ``ValueError`` naming the step and its time, and any other non-finite
+    state (``w``, or the final ``u`` recovered from it, named as the last
+    step) one saying it has infs or NaNs.  With ``return_history=True`` the
+    full ``(n_steps+1, n)`` trajectory is returned instead of the final
+    slice.
+    """
+    n, tau = problem.grid.n_interior, problem.tau
+    if n >= _HODLR_MIN_INTERIOR:
+        op = _operator_1d(problem, shifts)
+        # a failed check: I - G alone, in place, and LU solves for every run
+        solve = _hodlr(op) or _lu_solver(_identity_plus(-1.0, g := op.dense(), g))
+    elif problem.n_steps >= n and not return_history:
+        # Break-even of the inverse against LU solves, one BLAS thread on a
+        # 2-vCPU Xeon, linear fits over n/8 to 1.5 n steps, three runs:
+        # stepping with the inverse at 17-36 steps for n = 119 and 178-877 at
+        # 599; at 399 its matvec costs about what the two triangular solves
+        # do, 212 and 341 (one run never).  The block reduction at 45-58,
+        # 1100-2522 and 731-1563.  The steps are memory-bound from ~400
+        # nodes, hence the spread; no workload runs between n/4 and n steps.
+        # HODLR against the dense path: see _HODLR_MIN_INTERIOR.
+        return _propagate(problem, shifts)
+    else:
+        solve = _lu_solver(build_cn_system(problem, shifts)[0])
+    # (I - G) u' = (I + G) u + tau f is u' = (I - G)^{-1} (2 u + tau f) - u
+    return _march(lambda u, f: solve(2.0 * u + tau * f) - u, problem.u0, problem, return_history)
 
 
 def build_adi_factors(

@@ -28,7 +28,7 @@ symbolic proofs, and the report never claims more.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
 from typing import Callable, Sequence
@@ -477,10 +477,5 @@ def certify(
     lam = max(
         max_real_part_bound(assemble_left(a, st, grid)) for a in alphas
     )
-    return SpectralReport(
-        shifts=st,
-        alpha=partial.alpha,
-        f_max=partial.f_max,
-        lambda_max_sym=float(lam),
-        verdict=_verdict(partial.f_max, lam, _roundoff_slack(st, alphas)),
-    )
+    verdict = _verdict(partial.f_max, lam, _roundoff_slack(st, alphas))
+    return replace(partial, lambda_max_sym=float(lam), verdict=verdict)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wsld.cli as cli
 from wsld.cli import _build_parser, main
 from wsld.coefficients import lubich_coeffs
 from wsld.spectral import certify
@@ -535,6 +536,20 @@ class TestErrorCategories:
         out = tmp_path / "z.csv"
         main(["coeffs", "--alpha", "1.5", "--k", "3", "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["z.csv"]
+
+    def test_interrupted_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # a non-OSError, here an interrupt during the final rename, removes
+        # the temp file and propagates as it was raised
+        interrupt = KeyboardInterrupt()
+
+        def replace(src, dst):
+            raise interrupt
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt) as caught:
+            cli._write_atomic(str(tmp_path / "z.csv"), "text\n")
+        assert caught.value is interrupt
+        assert list(tmp_path.iterdir()) == []  # no .wsld-*.tmp file, and no target
 
 
 # One invocation per path of each handler -> (its words, exit code, sha256 of

@@ -7,6 +7,7 @@ import re
 import sys
 import tracemalloc
 import types
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -1029,6 +1030,31 @@ def test_reduced_block_vouches_for_the_states_it_skips():
     g /= 1e300
     stepped = solvers._march(*march)
     assert_same_trajectory(solvers._march(*march, powers=[p, p @ p]), stepped)
+
+
+def test_propagator_names_a_final_state_that_overflows(monkeypatch):
+    # a finite march whose conversion u = w (I - G)^-T overflows: w is the
+    # largest float times the signs of the inverse's row of largest l1 norm
+    p = manufactured_1d(1.5).problem(16)
+    assert p.n_steps >= p.grid.n_interior  # the propagator's route
+    inv = np.linalg.inv(build_cn_system(p)[0])
+    row = inv[np.argmax(np.abs(inv).sum(axis=1))]
+    assert np.abs(row).sum() > 1.05
+    march = solvers._march
+
+    def spy(*args, **kwargs):
+        w = march(*args, **kwargs)
+        assert np.isfinite(w).all()
+        return np.finfo(float).max * np.sign(row)
+
+    monkeypatch.setattr(solvers, "_march", spy)
+    t = re.escape(repr((p.n_steps - 0.5) * p.tau))
+    message = rf"^state has infs or NaNs at step {p.n_steps - 1} \(t = {t}\)$"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=message):
+            solve_1d(p)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestCoarseGrid:

@@ -660,6 +660,18 @@ class TestCholeskyRoute:
         assert len(steps) == spectral._INVERSE_STEPS
         assert got == eigvalsh(h, subset_by_index=[n - 1, n - 1])[0]
 
+    def test_converged_value_that_is_no_top_returns_eigvalsh(self, monkeypatch):
+        # with the transposed solve negated, y = -x: mu settles at -1 and
+        # passes the bound well before the cap, but -1 / mu = 1 is not below 0
+        n = 20
+        h = -(2 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1))
+        monkeypatch.setattr(spectral, "dtrsv", lambda a, x, trans=0, **kwargs: -x if trans else x)
+        with top_solves() as solves, inverse_steps() as steps:
+            got = spectral._top_eigenvalue(lambda: -h)
+        assert solves == [((n, n), "eigvalsh")]
+        assert len(steps) < spectral._INVERSE_STEPS
+        assert got == eigvalsh(h, subset_by_index=[n - 1, n - 1])[0]
+
     def test_slow_small_component_is_not_taken_for_convergence(self):
         # lambda_2 / lambda_1 = 1 + 5e-5, and the start holds 1e-3 of the
         # second eigenvector: mu starts 5e-11 off but changes by only 5e-15
