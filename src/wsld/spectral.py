@@ -91,6 +91,34 @@ def _theta(x: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan(2.0 * s / (np.cos(x / 2) + np.sqrt(q)))
 
 
+# (x, 2 sin(x/2), 1 + 3 sin(x/2)**2, x - pi/2 - theta(x)) of the last grid
+# that _symbol_grid evaluated, x a private copy; one grid only
+_grid_slot: tuple | None = None
+
+
+def _symbol_grid(x: float | np.ndarray, name: str) -> tuple:
+    """The alpha-independent parts of ``generating_function`` on ``x``:
+    ``(x, 2 sin(x/2), 1 + 3 sin(x/2)**2, x - pi/2 - theta(x))``, ``x`` as a
+    float copy.
+
+    Held in ``_grid_slot``, keyed on that copy, compared by shape and values,
+    so a caller mutating its array in place or alternating grids gets a
+    fresh evaluation.  Its arrays are read-only; a 0-d ``x`` gives float
+    scalars for the other three, as the evaluation does.  A grid outside
+    [0, pi] raises ``ValueError`` naming it ``name`` and stores nothing.
+    """
+    global _grid_slot
+    entry = _grid_slot
+    if entry is None or not np.array_equal(entry[0], x):
+        x, s, q = _half_angle(np.array(x, dtype=float), name)
+        entry = (x, 2.0 * s, q, x - np.pi / 2 - _theta(x, s, q))
+        for part in entry:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        _grid_slot = entry
+    return entry
+
+
 def quadratic_symbol_phase(x: float | np.ndarray) -> float | np.ndarray:
     """Phase angle of the quadratic factor (3 - exp(ix))/2 of the symbol.
 
@@ -111,14 +139,20 @@ def generating_function(
     ``(2 sin(x/2))**alpha (1 + 3 sin(x/2)**2)**(alpha/2) cos(phase - t*x)``
     with ``phase = alpha*(x - pi/2 - theta(x))``; the weighted branch sum
     extends the closed form to every shift tuple.  Evaluated on [0, pi]; the
-    function is even and 2*pi-periodic.  ``sin(x/2)``, ``1 + 3 sin(x/2)**2``
-    and the range check are computed once, for the prefactor and theta.
+    function is even and 2*pi-periodic.
+
+    The parts that do not depend on alpha, with the range check, come from
+    ``_symbol_grid``: its one slot holds the last grid's copy, ``2 sin(x/2)``,
+    ``1 + 3 sin(x/2)**2`` and ``x - pi/2 - theta``, 4 x 8 x ``len(x)`` bytes,
+    so a scan over many alphas on one grid computes them once.  The alpha
+    terms take the same operations in the same order on either path, so the
+    values are the same bit for bit.
     """
     alpha = validate_order(alpha)
     st = ShiftTuple.of(shifts)
-    x, s, q = _half_angle(x, "x")
-    prefactor = (2.0 * s) ** alpha * q ** (alpha / 2)
-    phase = alpha * (x - np.pi / 2 - _theta(x, s, q))
+    x, two_s, q, shifted = _symbol_grid(x, "x")
+    prefactor = two_s ** alpha * q ** (alpha / 2)
+    phase = alpha * shifted
     total = np.zeros_like(x)
     waves = {}  # one cosine per distinct shift; branches often repeat one
     for w, t in branch_weights(alpha, st):
@@ -183,7 +217,8 @@ def scan_nonpositivity(
 
     Returns a partial report (no eigenvalue bound, verdict ``indeterminate``
     unless the scan is already positive beyond round-off).  An empty or
-    non-finite ``x_grid`` raises ``ValueError`` naming it.
+    non-finite ``x_grid``, or one outside [0, pi], raises ``ValueError``
+    naming it.
     """
     st = ShiftTuple.of(shifts)
     alphas = [validate_order(a) for a in alphas]
@@ -196,6 +231,7 @@ def scan_nonpositivity(
         raise ValueError("need a nonempty x grid")
     if not np.all(np.isfinite(x_grid)):
         raise ValueError("x_grid must be finite")
+    _symbol_grid(x_grid, "x_grid")  # the range check by name; fills the slot read below
     f_max = -np.inf
     alpha_at_max = alphas[0]
     for a in alphas:
@@ -280,15 +316,17 @@ def _top_eigenvalue(block: Callable[[], np.ndarray]) -> float:
     When ``-h`` has a Cholesky factor, ``h`` is negative definite and its
     top eigenvalue is the one nearest 0, so inverse iteration with that
     factor finds it (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-    ch. 4).  The block is built once and factored in place.  From the unit
-    start of ``_start``, each step solves ``y = (-h)^-1 x`` for the unit
-    ``x``, by two triangular solves (``dtrsv``, about twice as fast as one
-    ``dpotrs`` for a single right-hand side at order 200), and takes
-    ``mu = x . y``, which rises to ``1 / |top|`` with changes shrinking by
-    a ratio r near ``(top / second)^2``.  Once the last change times
-    ``r / (1 - r)``, the geometric bound on the error left, is below
-    ``_INVERSE_TOL * mu``, ``-1 / mu`` is returned.  A near
-    tie keeps r near 1, so the bound never passes; a tie closer than the
+    ch. 4).  The block is built once and factored in place into its lower
+    triangle, ``-h = L L^T`` (``dpotrf`` with ``lower=1``, about a fifth
+    faster than the upper factor at order 200 with one BLAS thread).  From
+    the unit start of ``_start``, each step solves ``y = (-h)^-1 x`` for the
+    unit ``x``, by two triangular solves, ``L`` then ``L^T`` (``dtrsv``,
+    about twice as fast as one ``dpotrs`` for a single right-hand side at
+    order 200), and takes ``mu = x . y``, which rises to ``1 / |top|`` with
+    changes shrinking by a ratio r near ``(top / second)^2``.  Once the last
+    change times ``r / (1 - r)``, the geometric bound on the error left, is
+    below ``_INVERSE_TOL * mu``, ``-1 / mu`` is returned.  A near tie keeps
+    r near 1, so the bound never passes; a tie closer than the
     tolerance's square root can pass it early, but the value returned then
     lies, up to the tolerance, between the two tied eigenvalues.  Every
     other case rebuilds the block and makes one dense ``eigvalsh`` call on
@@ -298,14 +336,14 @@ def _top_eigenvalue(block: Callable[[], np.ndarray]) -> float:
     ``top / second`` at most 0.25, pass in 4 to 11 steps at n = 400, 8.6 on
     average over the 132 ``certify_sweep`` operators.
     """
-    factor, info = dpotrf(block().T, clean=0, overwrite_a=1)
+    factor, info = dpotrf(block().T, lower=1, clean=0, overwrite_a=1)
     n = len(factor)
     if info == 0:
         x = _start(n)
         mu = change = 0.0
         with np.errstate(all="ignore"):  # a non-finite mu falls back below
             for step in range(_INVERSE_STEPS):
-                y = dtrsv(factor, dtrsv(factor, x, trans=1), overwrite_x=1)
+                y = dtrsv(factor, dtrsv(factor, x, lower=1), trans=1, lower=1, overwrite_x=1)
                 new = x @ y
                 last, change, mu = change, abs(new - mu), new
                 # change * r / (1 - r) <= tol * mu with r = change / last
@@ -326,15 +364,16 @@ def _below(neg: np.ndarray, top: float) -> bool:
     negated symmetric ``block``, C-contiguous; ``neg`` is overwritten.
 
     Then ``top * I - block`` is positive definite, and every eigenvalue of
-    ``block`` lies below ``top``.  Only the diagonal ``top - block_ii`` can
-    overflow, and an infinite pivot would pass the factorization unchecked,
-    so such a block is never screened as below.
+    ``block`` lies below ``top``.  The factor is the lower one, as in
+    ``_top_eigenvalue``, and is not kept.  Only the diagonal
+    ``top - block_ii`` can overflow, and an infinite pivot would pass the
+    factorization unchecked, so such a block is never screened as below.
     """
     with np.errstate(over="ignore"):
         neg.flat[:: len(neg) + 1] += top
     if not np.isfinite(neg.diagonal()).all():
         return False
-    return dpotrf(neg.T, clean=0, overwrite_a=1)[1] == 0
+    return dpotrf(neg.T, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 def max_real_part_bound(matrix: np.ndarray) -> float:
@@ -347,8 +386,11 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
     Every block is built negated, as the factorization takes it, in one
     allocation, and built again only for a dense solve.
 
-    A Toeplitz A of order n >= 2, found by comparing ``a[1:, 1:]`` with
-    ``a[:-1, :-1]`` (so a NaN never matches), needs no n x n work: its
+    A Toeplitz A of order n >= 2 needs no n x n work.  It is found with no
+    comparison when the strides of ``a`` sum to 0, as for the read-only
+    view of ``assemble_left`` and its transpose: then ``a[i+1, j+1]`` is the
+    memory of ``a[i, j]``.  Any other ``a`` is compared, ``a[1:, 1:]``
+    with ``a[:-1, :-1]`` (so a NaN never matches).  Either way, its
     first column and row give ``t_k = (a_k0 + a_0k)/2``, the same floats as
     the entries of H, and H is split into two half-size symmetric blocks
     whose spectra together make up its own (Cantoni & Butler, Linear
@@ -375,7 +417,8 @@ def max_real_part_bound(matrix: np.ndarray) -> float:
         raise ValueError("need a square matrix")
     if a.size == 0:
         raise ValueError("need a nonempty matrix")
-    if len(a) > 1 and np.array_equal(a[1:, 1:], a[:-1, :-1]):
+    # strides summing to 0 put a[i+1, j+1] on the memory of a[i, j]
+    if len(a) > 1 and (sum(a.strides) == 0 or np.array_equal(a[1:, 1:], a[:-1, :-1])):
         # Toeplitz: every entry sits in the first column or row
         if not (np.isfinite(a[:, 0]).all() and np.isfinite(a[0]).all()):
             raise ValueError("matrix must be finite")

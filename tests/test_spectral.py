@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh, eigvalsh, toeplitz
 
 import wsld.spectral as spectral
@@ -453,22 +454,44 @@ class TestSharedBranchWeights:
         assert isinstance(branch_weights(1.5, DEFAULT_TUPLE), list)
 
 
+@pytest.fixture
+def fresh_slot(monkeypatch):
+    """Empty the one-slot cache of the symbol grid for this test only."""
+    monkeypatch.setattr(spectral, "_grid_slot", None)
+
+
+@pytest.fixture
+def half_angle_calls(monkeypatch):
+    """The ``name`` of every ``spectral._half_angle`` call, in order."""
+    calls = []
+    original = spectral._half_angle
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_half_angle", counting)
+    return calls
+
+
 class TestSharedHalfAngle:
-    def test_one_half_angle_per_call(self, monkeypatch):
+    def test_one_half_angle_per_call(self, fresh_slot, half_angle_calls):
         # sin(x/2), 1 + 3 sin(x/2)**2 and the range check serve the prefactor
-        # and theta alike
-        calls = []
-        original = spectral._half_angle
-
-        def counting(*args):
-            calls.append(args[1])
-            return original(*args)
-
-        monkeypatch.setattr(spectral, "_half_angle", counting)
-        generating_function(DEFAULT_TUPLE, 1.5, np.linspace(0.0, np.pi, 11))
+        # and theta alike; a grid no other call has used is a miss
+        calls = half_angle_calls
+        x = np.linspace(0.1, 3.0, 13)
+        generating_function(DEFAULT_TUPLE, 1.5, x)
         assert calls == ["x"]
-        quadratic_symbol_phase(np.linspace(0.0, np.pi, 11))
+        # a hit, at any order, calls it zero times
+        generating_function(DEFAULT_TUPLE, 1.5, x)
+        generating_function(DEFAULT_TUPLE, 1.7, x.copy())
+        assert calls == ["x"]
+        quadratic_symbol_phase(x)
         assert calls == ["x", "argument"]
+
+    def test_scan_computes_the_grid_parts_once(self, fresh_slot, half_angle_calls):
+        scan_nonpositivity(DEFAULT_TUPLE, [1.1, 1.5, 1.9], np.linspace(0.0, np.pi, 17))
+        assert half_angle_calls == ["x_grid"]
 
     # NaN compares false both ways, so only a test for inclusion rejects it
     @pytest.mark.parametrize("bad", [-1e-9, np.pi + 1e-9, np.nan])
@@ -477,6 +500,66 @@ class TestSharedHalfAngle:
             generating_function(DEFAULT_TUPLE, 1.5, np.array([0.5, bad]))
         with pytest.raises(ValueError, match=r"^argument must lie in \[0, pi\]$"):
             quadratic_symbol_phase(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize("bad", [-1e-9, np.pi + 1e-9])
+    def test_scan_range_error_names_x_grid(self, fresh_slot, bad):
+        with pytest.raises(ValueError, match=r"^x_grid must lie in \[0, pi\]$"):
+            scan_nonpositivity(DEFAULT_TUPLE, [1.5], np.array([0.5, bad]))
+        assert spectral._grid_slot is None  # a rejected grid stores nothing
+
+
+def assert_uncached(shifts, alpha, x):
+    """generating_function on ``x`` equals the uncached oracle bit for bit."""
+    got = np.asarray(generating_function(shifts, alpha, x))
+    want = np.asarray(symbol_by_branch(shifts, alpha, np.asarray(x, dtype=float)))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestSymbolGridSlot:
+    def test_repeated_and_equal_valued_grids(self, fresh_slot):
+        x = np.linspace(0.0, np.pi, 2001)
+        for alpha in (1.1, 1.5, 1.1):
+            assert_uncached(DEFAULT_TUPLE, alpha, x)
+            assert_uncached(DEFAULT_TUPLE, alpha, x.copy())
+            assert_uncached(DEFAULT_TUPLE, alpha, list(x))
+
+    def test_mutated_grid_is_evaluated_afresh(self, fresh_slot):
+        x = np.linspace(0.0, np.pi, 101)
+        assert_uncached(DEFAULT_TUPLE, 1.3, x)
+        x[10:20] = 0.5  # same object, same shape, new values
+        assert_uncached(DEFAULT_TUPLE, 1.3, x)
+        x[:] = x[::-1].copy()
+        assert_uncached(DEFAULT_TUPLE, 1.3, x)
+
+    def test_alternating_grids(self, fresh_slot):
+        grids = [np.linspace(0.0, np.pi, 101), np.linspace(0.0, np.pi, 57),
+                 np.linspace(0.0, 3.0, 101), np.linspace(0.0, np.pi, 101).reshape(1, 101)]
+        for x in grids + grids[::-1] + grids:
+            assert_uncached(CERTIFIED_TUPLES[0], 1.7, x)
+
+    @pytest.mark.parametrize(
+        "x", [0.0, 1.234, np.pi, np.float64(0.5), np.array(2.5), [0.0, 1.0]]
+    )
+    def test_scalars_and_short_inputs(self, fresh_slot, x):
+        assert_uncached(DEFAULT_TUPLE, 1.5, x)
+        assert_uncached(DEFAULT_TUPLE, 1.5, x)  # the hit
+        if np.ndim(x) == 0:
+            assert isinstance(generating_function(DEFAULT_TUPLE, 1.5, x), float)
+
+    def test_slot_is_read_only_and_holds_one_grid(self, fresh_slot):
+        x = np.linspace(0.0, np.pi, 301)
+        generating_function(DEFAULT_TUPLE, 1.5, x)
+        slot = spectral._grid_slot
+        assert len(slot) == 4 and sum(part.nbytes for part in slot) == 4 * 8 * len(x)
+        assert not any(part.flags.writeable for part in slot)
+        assert not np.shares_memory(slot[0], x)  # a private copy of the key
+        with pytest.raises(ValueError):
+            slot[1][0] = 1.0
+        y = np.linspace(0.0, np.pi, 77)
+        generating_function(DEFAULT_TUPLE, 1.5, y)
+        assert np.array_equal(spectral._grid_slot[0], y)
+        assert all(part.shape == y.shape for part in spectral._grid_slot)
 
 
 def dense_split_bound(a):
@@ -577,6 +660,89 @@ class TestToeplitzRoute:
         with block_routes() as calls:
             certify(DEFAULT_TUPLE)
         assert calls == [64] * 3
+
+
+@contextmanager
+def comparisons():
+    """Record the shapes of every ``np.array_equal`` call."""
+    calls = []
+    original = np.array_equal
+
+    def spy(a1, a2, *args, **kwargs):
+        calls.append((np.shape(a1), np.shape(a2)))
+        return original(a1, a2, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "array_equal", spy)
+        yield calls
+
+
+def strided_toeplitz(column, row):
+    """The Toeplitz matrix of ``column`` and ``row`` as a read-only strided
+    view of its 2n - 1 diagonals, laid out as ``assemble_left`` lays them."""
+    diagonals = np.concatenate((column[:0:-1], row))
+    return sliding_window_view(diagonals, len(row))[::-1]
+
+
+class TestToeplitzByStrides:
+    @PROPERTY_SETTINGS
+    @given(
+        shifts=st.sampled_from(list(CERTIFIED_TUPLES) + [(0,), (1, 2), (1, -1)]),
+        alpha=st.floats(1.05, 1.95),
+        n=st.integers(3, 60),
+    )
+    def test_view_transpose_and_copy_agree_bit_for_bit(self, shifts, alpha, n):
+        try:
+            view = assemble_left(alpha, shifts, Grid1D(0.0, 1.0, n + 1))
+        except DegenerateTupleError:
+            return
+        assert sum(view.strides) == sum(view.T.strides) == 0
+        with comparisons() as calls:
+            got = [max_real_part_bound(a) for a in (view, view.T)]
+        assert calls == []
+        with comparisons() as calls:
+            dense = max_real_part_bound(np.array(view))
+        assert calls == [((n - 1, n - 1),) * 2]
+        assert got == [dense, dense]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("diagonal", [0, 3, -2])
+    def test_non_finite_view_raises_as_its_dense_copy(self, bad, diagonal):
+        column, row = np.arange(1.0, 7.0), -np.arange(1.0, 7.0)
+        (column if diagonal < 0 else row)[abs(diagonal)] = bad
+        column[0] = row[0]
+        view = strided_toeplitz(column, row)
+        assert sum(view.strides) == 0
+        assert np.array_equal(view, toeplitz(column, row), equal_nan=True)
+        for a in (view, np.array(view)):
+            with eigvalsh_sizes() as sizes, block_routes() as routes:
+                with pytest.raises(ValueError, match="^matrix must be finite$"):
+                    max_real_part_bound(a)
+            assert sizes == [] and routes == []
+
+    def test_strided_non_toeplitz_input_is_compared(self):
+        a = np.random.default_rng(3).normal(size=(9, 9))[:, ::-1]  # strides (72, -8)
+        with comparisons() as calls, top_solves() as solves:
+            got = max_real_part_bound(a)
+        assert calls == [((8, 8),) * 2]
+        assert shapes(solves) == [(9, 9)]
+        assert got == max_real_part_bound(np.array(a))
+
+    def test_strided_toeplitz_with_other_strides_is_compared(self):
+        # reversing both axes keeps a Toeplitz matrix Toeplitz, with strides
+        # of sum -8 (n + 1), so the comparison finds it
+        h = toeplitz(np.random.default_rng(4).normal(size=8))[::-1, ::-1]
+        with comparisons() as calls, block_routes() as routes:
+            got = max_real_part_bound(h)
+        assert calls == [((7, 7),) * 2] and routes == [8]
+        assert got == max_real_part_bound(np.array(h))
+
+    def test_certify_at_benchmark_size_compares_no_matrix(self):
+        with comparisons() as calls, block_routes() as routes:
+            certify(DEFAULT_TUPLE, alphas=[1.3], n_interior=400)
+        assert routes == [400]
+        # only the symbol grid's key, never a 2-D operand
+        assert all(len(a) <= 1 and len(b) <= 1 for a, b in calls)
 
 
 def negative_definite_toeplitz(n, rng):

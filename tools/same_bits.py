@@ -25,7 +25,12 @@ order:
   its message.
 
 Prints ``group parent change same|DIFFERS`` per group and exits 1, naming
-each group that differs, when any does.  Standard library and numpy only.
+each group that differs, when any does.  Under a group that differs it also
+prints the largest absolute and relative difference between the two sides'
+floats, taken entry by entry in digest order (relative to the parent's
+entry; NaN against NaN counts as equal), or that the float counts differ,
+so a change whose outputs move by round-off can state its bound.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -54,8 +59,28 @@ def _digest(items) -> str:
     return h.hexdigest()
 
 
-def _groups(root: str) -> dict[str, str]:
-    """Every group's digest, computed by the library on ``sys.path``."""
+def _floats(items) -> list[float]:
+    """Every float of ``items`` in digest order; strings are left out."""
+    return [v for item in items if not isinstance(item, str)
+            for v in np.ravel(np.asarray(item, dtype=np.float64)).tolist()]
+
+
+def _differences(parent: list[float], change: list[float]) -> str:
+    """The largest absolute and relative entrywise difference of two float lists."""
+    if len(parent) != len(change):
+        return f"float counts differ: {len(parent)} against {len(change)}"
+    p, c = np.array(parent), np.array(change)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        diff = np.abs(c - p)
+        diff[(p == c) | (np.isnan(p) & np.isnan(c))] = 0.0
+        diff[np.isnan(diff)] = np.inf  # a NaN on one side only
+        rel = np.where(diff == 0.0, 0.0, diff / np.abs(p))
+    return (f"max abs diff {diff.max(initial=0.0):.3g}, "
+            f"max rel diff {rel.max(initial=0.0):.3g} over {len(p)} floats")
+
+
+def _groups(root: str) -> dict[str, list]:
+    """Every group's items, computed by the library on ``sys.path``."""
     sys.path.insert(0, os.path.join(root, "bench"))
     import workloads
     import wsld.solvers as solvers
@@ -77,30 +102,30 @@ def _groups(root: str) -> dict[str, str]:
         return [float("nan") if v is None else v for row in table.rows for v in row]
 
     out = {}
-    out["table1"] = _digest(
+    out["table1"] = [
         rows(c, verification.manufactured_1d(c.params["alpha"])) for c in cases("table1_cn1d")
-    )
-    out["table2"] = _digest(
+    ]
+    out["table2"] = [
         rows(c, verification.manufactured_2d(c.params["alpha"], c.params["beta"]),
              variant=c.params["variant"])
         for c in cases("table2_adi2d")
-    )
-    out["large_cn1d"] = _digest(
+    ]
+    out["large_cn1d"] = [
         solvers.solve_1d(
             verification.manufactured_1d(c.params["alpha"]).problem(
                 c.params["n_cells"], c.params["n_steps"]),
             shifts(c.params["tuple"]),
         )
         for c in cases("large_cn1d")
-    )
+    ]
     small = verification.manufactured_1d(1.5)
-    out["small_1d"] = _digest(
+    out["small_1d"] = (
         [solvers.solve_1d(small.problem(40, 30), DEFAULT_TUPLE, return_history=True)]
         + [solvers.solve_1d(small.problem(40, n), DEFAULT_TUPLE) for n in (20, 45, 400)]
     )
     hodlr, solvers._hodlr = solvers._hodlr, lambda op: None
     try:
-        out["hodlr_fallback"] = _digest([solvers.solve_1d(small.problem(700, 20))])
+        out["hodlr_fallback"] = [solvers.solve_1d(small.problem(700, 20))]
     finally:
         solvers._hodlr = hodlr
     reports = []
@@ -112,12 +137,13 @@ def _groups(root: str) -> dict[str, str]:
             reports.append(f"DegenerateTupleError: {exc}")
             continue
         reports += [repr(tuple(r.shifts)), [r.alpha, r.f_max, r.lambda_max_sym], r.verdict]
-    out["certify_sweep"] = _digest(reports)
+    out["certify_sweep"] = reports
     return out
 
 
-def _run(root: str) -> dict[str, str]:
-    """The digests of ``root``, from a subprocess that imports its library."""
+def _run(root: str) -> dict[str, tuple[str, list[float]]]:
+    """Each group's digest and floats in ``root``, from a subprocess that
+    imports its library."""
     root = os.path.abspath(root)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **dict.fromkeys(_THREADS, "1"))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit", root],
@@ -129,14 +155,17 @@ def _run(root: str) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
-        print(json.dumps(_groups(argv[1])))
+        groups = _groups(argv[1])
+        print(json.dumps({g: (_digest(items), _floats(items)) for g, items in groups.items()}))
         return 0
     if len(argv) != 2:
         sys.exit("usage: python3 tools/same_bits.py PARENT_ROOT CHANGE_ROOT")
     parent, change = (_run(root) for root in argv)
-    differ = [g for g in parent if parent[g] != change.get(g)]
+    differ = [g for g in parent if parent[g][0] != change[g][0]]
     for g in parent:
-        print(f"{g}  {parent[g]}  {change.get(g)}  {'DIFFERS' if g in differ else 'same'}")
+        print(f"{g}  {parent[g][0]}  {change[g][0]}  {'DIFFERS' if g in differ else 'same'}")
+        if g in differ:
+            print(f"    {_differences(parent[g][1], change[g][1])}")
     if differ:
         print(f"differs: {', '.join(differ)}", file=sys.stderr)
         return 1
