@@ -20,18 +20,20 @@ The nodes are padded with a few zero-coefficient nodes, whose rows of
 until every leaf holds at most ``_HODLR_LEAF``.  The factorization is
 stored as stacks, one for the leaves and one set per level, so that
 ``_apply`` solves with a few products per level, for one right-hand side
-or a block of them.  Leaves are inverted through LU, and the two
-off-diagonal blocks of every split are low-rank products, truncated at
-``_HODLR_TOL`` of a bound on ``||I - G||``, a level at a time.  All of
-them are cut, up to diagonal scalings and an ``m x m`` corner, from one
-Hankel matrix of the stencil, which an adaptive randomized range finder
-compresses once (Halko, Martinsson & Tropp, SIAM Review 53 (2011)); the
-Woodbury formula joins the levels, each split keeping its small
-``K^{-1}`` and its factors (Hackbusch, Hierarchical Matrices, Springer
-(2015)).  A fixed probe solve checks the factorization
-against the O(n log n) ``_TwoSided.matvec``; a run whose factorization
-fails writes ``I - G`` in place on the operator's dense form and solves
-with its LU factors (``_lu_solver``), by the same equation, at every step.
+or a block of them.  Leaves are inverted through LU.  The two
+off-diagonal blocks of every split are cut, up to diagonal scalings and
+an ``m x m`` corner, from one Hankel matrix of the stencil, which an
+adaptive randomized range finder compresses once (Halko, Martinsson &
+Tropp, SIAM Review 53 (2011)).  All splits of a level cut the same block,
+so each level compresses it once, at ``_HODLR_TOL`` of a bound on
+``||I - G||``, into one orthonormal ``V`` per block orientation that its
+splits share.  The Woodbury formula joins the levels, each split keeping
+its small ``K^{-1}`` and ``Y`` (Hackbusch, Hierarchical Matrices, Springer
+(2015); Massei, Mazza & Robol, SISC 41 (2019)).  A fixed probe solve
+checks the factorization against the O(n log n) ``_TwoSided.matvec``; a
+run whose factorization fails writes ``I - G`` in place on the operator's
+dense form and solves with its LU factors (``_lu_solver``), by the same
+equation, at every step.
 Below the switch, a final-state run with at least as many steps as
 unknowns marches ``w = (I - G) U`` (``_propagate``), for which the same
 equation is
@@ -75,7 +77,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,17 +159,18 @@ _HODLR_LEAF = 128
 
 # Off-diagonal blocks are truncated at this times a bound on ||I - G||.  Single
 # solves at n = 2999 (alpha 1.7, the second benchmark tuple, tau = 1/100)
-# differ from dense LU with refinement by 1.4e-11 of max|x| at 1e-14 and by
-# 1.4e-12 from 1e-15 to 1e-17 (dense LU alone: 1.0e-13).  Past 1e-15 the
-# truncation sits under round-off: the computed singular values of the
-# Hankel matrix level off at 3.6e-16, about eps times its largest (3.9).
+# differ from dense LU with refinement by 8.7e-13 of max|x| at 1e-14,
+# 3.6e-13 at 1e-15, 5.3e-14 at 1e-16 and 2.2e-14 at 1e-17 (dense LU alone:
+# 2.0e-14).  Past 1e-15 the truncation nears round-off: the computed
+# singular values of the Hankel matrix level off at 3.6e-16, about eps
+# times its largest (3.9).
 _HODLR_TOL = 1e-15
 
 # Seed of the Gaussian sketches and of the check's probe, so runs repeat bit for bit.
 _HODLR_SEED = 0
 
 # First width of the Hankel sketch, doubled until the probes pass: block ranks
-# measured 15-24 at n = 999 to 2999.
+# measured 19-25 at n = 999 to 2999.
 _HODLR_SKETCH = 32
 
 # Rows of the strided Hankel view read at a time, so H is never formed whole.
@@ -175,7 +178,7 @@ _HODLR_CHUNK = 256
 
 # Largest normwise backward error ``||(I - G) x - b|| / (||I - G|| ||x|| + ||b||)``
 # of the check's probe solve, with the bound on ``||I - G||``.  Measured at
-# most 2.2e-16 over n = 1000, 2001 and 3000, alpha 1.05, 1.5 and 1.95, both
+# most 1.6e-16 over n = 1000, 2001 and 3000, alpha 1.05, 1.5 and 1.95, both
 # benchmark tuples and tau from 1e-6 to 1e-1.
 _HODLR_CHECK = 1e-13
 
@@ -435,20 +438,6 @@ def _levels(n: int, n_steps: int) -> int:
     return 0 if (levels - 1) * n > _SQUARING_SHARE * n_steps else levels
 
 
-def _truncate(u: np.ndarray, v: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(u', vt')`` with ``u'[j] vt'[j]`` the best approximation of
-    ``u[j] v^T`` whose dropped singular values are all at most ``tol``, for a
-    stack u and one v: one QR of v, and the QR and SVD of u batched.
-    Singular values at most ``tol`` are zeroed, and every product keeps as
-    many columns as the largest rank in the stack."""
-    qu, ru = np.linalg.qr(u)
-    qv, rv = np.linalg.qr(v)
-    w, sigma, zt = np.linalg.svd(ru @ rv.T)
-    sigma[sigma <= tol] = 0.0
-    k = int(np.count_nonzero(sigma, axis=-1).max())
-    return qu @ (w[..., :k] * sigma[..., None, :k]), zt[..., :k, :] @ qv.T
-
-
 def _hankel_factors(col: np.ndarray, rows: int,
                     tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Factors ``(p, q)`` with ``H ~ p q^T`` for the Hankel matrix
@@ -486,41 +475,55 @@ def _chunked(h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _offdiagonal(op: _TwoSided, c_plus: np.ndarray, c_minus: np.ndarray, corner: np.ndarray,
-                 p: np.ndarray, q: np.ndarray,
-                 half: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                 p: np.ndarray, q: np.ndarray, half: int,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The off-diagonal blocks of ``M = I - G`` over one level's equal splits
     ``[I1 | I2]`` of ``half`` nodes each, with the padded coefficients
-    ``c_plus`` and ``c_minus``: factors ``(u, v)`` with ``M[I1, I2] ~ u[j] v^T``
-    in split j, then those of ``M[I2, I1]``.
+    ``c_plus`` and ``c_minus``: factors ``(u, vt)`` with
+    ``M[I1, I2] ~ u[j, 0] vt[0]`` and ``M[I2, I1] ~ u[j, 1] vt[1]`` in split j.
 
     Every split has the same T21 = ``A[I2, I1]``, which is ``H[:half, :half]``
     with its columns reversed, for the Hankel ``H ~ p q^T`` of the root's
-    split; T12 = ``A[I1, I2]`` is zero outside its ``w x w`` corner, the
-    trailing block of ``corner``.  Only the coefficients, which scale the
-    rows of u, differ from split to split, so one v serves them all.  The
-    second block is formed after the first is taken, so only one of them
-    is held untruncated at a time.
+    split, so ``T21 ~ P Q^T``; T12 = ``A[I1, I2]`` is zero outside its
+    ``w x w`` corner C, on the last w nodes of I1 and the first w of I2.
+    The level is compressed once, with one QR of each factor off the rows
+    the corner spans, ``P[w:] = Qp Rp`` and ``Q[:-w] = Qq Rq``, and one SVD
+    per block of its small core, dropping singular values at most ``tol``:
+    ``T21^T = Q P[:w]^T E^T + Q Rp^T Qp^T`` with E the first w columns of I,
+    whose second term ``Q Rp^T`` has the core ``[Rq; Q[-w:]] Rp^T``, and
+    ``T21`` likewise with the roles of P and Q swapped and E' the last w
+    columns of I.  Only the coefficients differ from split to split, so
+    ``u[j, 0] = -scale [D+_j C + D-_j Q P[:w]^T | D-_j Q Rp^T Z]`` and
+    ``u[j, 1]`` share one ``vt[0] = [E | Qp Z]^T`` and one ``vt[1]`` per
+    level, both with orthonormal rows (Qp is zero on the first w nodes),
+    for Z the kept right singular vectors.  A block's rank is w plus the
+    number of singular values it keeps, and the narrower block is padded
+    with zeros to the wider.
     """
-    w, rank = min(len(corner), half), p.shape[1]
+    w = min(len(corner), half)
     corner = corner[len(corner) - w :, :w]
     t21_left, t21_right = p[:half], q[:half][::-1]  # T21 ~ t21_left t21_right^T
+    (qp, rp), (qq, rq) = np.linalg.qr(t21_left[w:]), np.linalg.qr(t21_right[: half - w])
+    z1 = np.linalg.svd(np.vstack([rq, t21_right[half - w :]]) @ rp.T, full_matrices=False)
+    z2 = np.linalg.svd(np.vstack([t21_left[:w], rp]) @ rq.T, full_matrices=False)
+    z1, z2 = (zt[: np.count_nonzero(sigma > tol)].T for _, sigma, zt in (z1, z2))
+    k1, k2 = z1.shape[1], z2.shape[1]
     c_plus, c_minus = (c.reshape(-1, 2, half, 1) for c in (c_plus, c_minus))
+    u, vt = np.zeros((len(c_plus), 2, half, w + max(k1, k2))), np.zeros((2, w + max(k1, k2), half))
     # M[I1, I2] = -scale (c+ T12 + c- T21^T)
-    u, v = np.zeros((len(c_plus), half, w + rank)), np.zeros((half, w + rank))
-    np.multiply(c_plus[:, 0, half - w :], corner, out=u[:, half - w :, :w])
-    np.multiply(c_minus[:, 0], t21_right, out=u[:, :, w:])
-    v[:w, :w] = np.eye(w)
-    v[:, w:] = t21_left
-    u *= -op.scale
-    yield u, v
+    np.multiply(c_minus[:, 0], t21_right @ t21_left[:w].T, out=u[:, 0, :, :w])
+    u[:, 0, half - w :, :w] += c_plus[:, 0, half - w :] * corner
+    np.multiply(c_minus[:, 0], t21_right @ (rp.T @ z1), out=u[:, 0, :, w : w + k1])
+    vt[0, :w, :w] = np.eye(w)
+    vt[0, w : w + k1, w:] = (qp @ z1).T
     # M[I2, I1] = -scale (c+ T21 + c- T12^T)
-    u, v = np.zeros((len(c_plus), half, rank + w)), np.zeros((half, rank + w))
-    np.multiply(c_plus[:, 1], t21_left, out=u[:, :, :rank])
-    np.multiply(c_minus[:, 1, :w], corner.T, out=u[:, :w, rank:])
-    v[:, :rank] = t21_right
-    v[half - w :, rank:] = np.eye(w)
+    np.multiply(c_plus[:, 1], t21_left @ (rq.T @ z2), out=u[:, 1, :, :k2])
+    np.multiply(c_plus[:, 1], t21_left @ t21_right[half - w :].T, out=u[:, 1, :, k2 : k2 + w])
+    u[:, 1, :w, k2 : k2 + w] += c_minus[:, 1, :w] * corner.T
+    vt[1, :k2, : half - w] = (qq @ z2).T
+    vt[1, k2 : k2 + w, half - w :] = np.eye(w)
     u *= -op.scale
-    yield u, v
+    return u, vt
 
 
 def _stacks(op: _TwoSided, depth: int, tol: float, corner: np.ndarray, p: np.ndarray,
@@ -533,13 +536,14 @@ def _stacks(op: _TwoSided, depth: int, tol: float, corner: np.ndarray, p: np.nda
     size, and every split of a level into equal halves.  ``leaves`` stacks
     the leaf inverses, each inverted alone through ``_inverse``.  A split has
     ``M = D + U Vt`` with ``D = diag(M11, M22)``, ``U = diag(u12, u21)`` and
-    ``Vt = [[0, v12^T], [v21^T, 0]]`` from ``_offdiagonal`` and
-    ``_truncate``; Woodbury gives ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}`` with
-    ``Y = D^{-1} U = diag(Y1, Y2)`` and ``K = I + Vt Y``.  ``levels[d]``
-    stacks ``(K^{-1}, Vt, Y)`` of the ``2**d`` splits at depth d: ``Vt[j]``
-    is ``[v12^T, v21^T]`` and ``Y[j]`` is ``[Y1, Y2]``.  ``Y`` of a level
-    comes from one ``_apply`` down to depth d + 1, on its ``u12`` and ``u21``
-    as one block of columns.
+    ``Vt = [[0, v12^T], [v21^T, 0]]`` from ``_offdiagonal``, whose T21 is
+    truncated at ``tol``; Woodbury gives ``M^{-1} = (I - Y K^{-1} Vt) D^{-1}``
+    with ``Y = D^{-1} U = diag(Y1, Y2)`` and ``K = I + Vt Y``.  ``levels[d]``
+    holds ``(K^{-1}, Vt, Y)`` at depth d: ``K^{-1}`` and ``Y[j] = [Y1, Y2]``
+    stacked over the ``2**d`` splits, and the one ``Vt = [v12^T, v21^T]``,
+    of shape ``(2, r, half)``, that they all share.  ``Y`` of a level comes
+    from one ``_apply`` down to depth d + 1, on its ``u12`` and ``u21`` as
+    one block of columns.
     """
     n, nodes = len(op.a), 2 * len(q)
     c_plus, c_minus = (np.pad(c, (0, nodes - n)) for c in (op.c_plus, op.c_minus))
@@ -552,15 +556,10 @@ def _stacks(op: _TwoSided, depth: int, tol: float, corner: np.ndarray, p: np.nda
         leaves[j] = _inverse(_identity_plus(-1.0, g, g))
     levels = [None] * depth
     for d in reversed(range(depth)):
-        half = nodes >> (d + 1)
-        factors = _offdiagonal(op, c_plus, c_minus, corner, p, q, half)
-        blocks = [_truncate(u, v, tol) for u, v in factors]
-        r = max(u.shape[-1] for u, _ in blocks)
-        u, vt = np.zeros((2**d, 2, half, r)), np.zeros((2**d, 2, r, half))
-        for i, (u_i, vt_i) in enumerate(blocks):
-            u[:, i, :, : u_i.shape[-1]], vt[:, i, : vt_i.shape[1]] = u_i, vt_i
-        del blocks  # before the level's solve, where the build peaks
+        u, vt = _offdiagonal(op, c_plus, c_minus, corner, p, q, nodes >> (d + 1), tol)
+        r = vt.shape[1]
         y = _apply((leaves, levels), u.reshape(nodes, r), d + 1).reshape(u.shape)
+        del u  # Y replaces it
         k = np.zeros((2**d, 2, r, 2, r))
         k[:, 0, :, 1], k[:, 1, :, 0] = (vt @ y[:, ::-1]).transpose(1, 0, 2, 3)
         levels[d] = (np.linalg.inv(k.reshape(2**d, 2 * r, 2 * r) + np.eye(2 * r)), vt, y)
@@ -571,14 +570,15 @@ def _apply(stacks: tuple[np.ndarray, list], x: np.ndarray, top: int = 0) -> np.n
     """``D^{-1} x`` for a block of columns x on the padded nodes, with D the
     block diagonal of M over the nodes at depth ``top``: ``M^{-1} x`` at
     depth 0.  The leaves solve first, then each level from the deepest up,
-    each as a few products on stacks; x is left as it is."""
+    each as a few products on stacks, the level's one ``Vt`` broadcast over
+    its splits; x is left as it is."""
     leaves, levels = stacks
     rows, k = x.shape
     x = (leaves @ x.reshape(*leaves.shape[:2], k)).reshape(rows, k)
     for kinv, vt, y in reversed(levels[top:]):
         halves = x.reshape(*y.shape[:3], k)
         c = kinv @ (vt @ halves[:, ::-1]).reshape(len(kinv), len(kinv[0]), k)
-        halves -= y @ c.reshape(*vt.shape[:3], k)
+        halves -= y @ c.reshape(len(kinv), *vt.shape[:2], k)
     return x
 
 
@@ -603,8 +603,11 @@ def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
     gives ``[(I - G)^{-1} b; 0]``, whatever the coupling block holds; the
     HODLR approximation keeps those identity rows.  The solver is ``_solve``
     on the stacks of ``_stacks``, which a ``functools.partial`` holds as its
-    one argument.  Blocks are truncated at ``_HODLR_TOL`` times
-    ``N = 1 + 2 s max(c) ||phi||_1``, a bound on ``||I - G||_2``.  The check
+    one argument.  With ``weight = scale max(c)`` and
+    ``N = 1 + 2 weight ||phi||_1``, a bound on ``||I - G||_2``, the Hankel
+    sketch and every level's compression drop at most ``_HODLR_TOL N /
+    weight`` of the stencil's blocks, so every block of ``I - G`` errs by
+    at most ``_HODLR_TOL N``.  The check
     solves one fixed Gaussian probe b and needs the normwise backward error
     ``||(I - G) x - b|| / (N ||x|| + ||b||)``, with ``G x`` from the
     O(n log n) ``_TwoSided.matvec``, to be at most ``_HODLR_CHECK``; a NaN,
@@ -614,11 +617,11 @@ def _hodlr(op: _TwoSided) -> Callable[[np.ndarray], np.ndarray] | None:
     phi, m = op.stencil()
     weight = op.scale * max(op.c_plus.max(), op.c_minus.max())
     norm = 1.0 + 2.0 * weight * np.abs(phi).sum()
-    tol = _HODLR_TOL * norm
+    tol = _HODLR_TOL * norm / weight if weight > 0.0 else 0.0  # on H and its blocks
     depth = (-(-n // _HODLR_LEAF) - 1).bit_length()  # 2**depth >= n / _HODLR_LEAF
     half = -(-n // 2**depth) * 2**depth // 2  # half the padded nodes
     if weight > 0.0:
-        factors = _hankel_factors(op.a[1:, 0], n - half, tol / weight)
+        factors = _hankel_factors(op.a[1:, 0], n - half, tol)
         if factors is None:
             return None
     else:

@@ -1114,9 +1114,9 @@ def test_hodlr_matches_dense_lu(half, odd, alpha, log_tau, shifts, n_steps, seed
     # final state and a history against dense LU.  Both sit within round-off
     # of cond_1(I - G) eps of each other; over 48 histories of 20 steps at
     # n = 1000, 1001, 1500 and 1501, alpha 1.05, 1.5 and 1.95, both tuples
-    # and tau 1e-6 and 1e-1 the distance was at most 6e-17 cond_1 + 7e-14
-    # of max|u| (3.2e-10 at alpha 1.95, tau 0.1 and n = 1500, where cond_1
-    # is 6.3e6).
+    # and tau 1e-6 and 1e-1 the distance was at most 6e-17 cond_1 + 6.2e-14
+    # of max|u| (1.3e-11 at alpha 1.95, tau 0.1 and n = 1501, where cond_1
+    # is 7.0e6).
     n = HODLR_MIN + 2 * half + odd
     tau = 10.0**log_tau
     p = dataclasses.replace(manufactured_1d(alpha).problem(n + 1, n_steps), t_final=n_steps * tau)
@@ -1137,7 +1137,8 @@ def test_hodlr_matches_dense_lu(half, odd, alpha, log_tau, shifts, n_steps, seed
 def test_long_runs_match_the_lu_fallback(steps_per_node, request):
     # final states at n = 600 after n and 4 n steps of tau = 1/n_steps: the
     # HODLR steps and the fallback's LU solves stay within round-off of each
-    # other (measured 3.1e-12 of max|u| at both step counts)
+    # other (measured 6.7e-14 and 4.9e-13 of max|u|; 3.1e-12 at both counts
+    # when every split was truncated alone)
     p = manufactured_1d(1.7).problem(HODLR_MIN + 1, steps_per_node * HODLR_MIN)
     got = solve_1d(p, BENCH_TUPLES[1])
     request.getfixturevalue("failed_check")
@@ -1181,8 +1182,8 @@ def test_hankel_sketch_widths(constant, value, widths, monkeypatch, request):
 class TestHodlr:
     def test_benchmark_cases_stay_within_reference_bound(self):
         # the two large_cn1d solves, against the bench's recorded max_error
-        # and its round-off bound 1e-10 + 1e-9 ref (off by -4.0e-13 and
-        # -1.9e-11)
+        # and its round-off bound 1e-10 + 1e-9 ref (off by -4.3e-13 and
+        # -3.9e-12)
         with open(os.path.join(os.path.dirname(__file__), "..", "bench", "reference.json")) as fh:
             reference = json.load(fh)
         for shifts, alpha, n_cells in ((BENCH_TUPLES[0], 1.3, 2000), (BENCH_TUPLES[1], 1.7, 3000)):
@@ -1194,6 +1195,57 @@ class TestHodlr:
             key = f"large_cn1d/({tuple_id})/alpha={alpha}/n_cells={n_cells}/n_steps=100"
             want = reference[key]["max_error"]
             assert abs(err - want) <= 1e-10 + 1e-9 * want
+
+    def test_benchmark_cases_match_the_lu_fallback(self, request):
+        # the two large_cn1d final states against the fallback's LU solves
+        # (measured 2.2e-13 and 3.7e-12 of max|u|; 2.4e-13 and 6.5e-11 when
+        # every split was truncated alone)
+        cases = ((BENCH_TUPLES[0], 1.3, 2000), (BENCH_TUPLES[1], 1.7, 3000))
+        problems = [(manufactured_1d(alpha).problem(n_cells, 100), shifts)
+                    for shifts, alpha, n_cells in cases]
+        got = [solve_1d(p, shifts) for p, shifts in problems]
+        request.getfixturevalue("failed_check")
+        for (p, shifts), hodlr in zip(problems, got):
+            ref = solve_1d(p, shifts)
+            assert np.max(np.abs(hodlr - ref)) <= 2e-11 * np.max(np.abs(ref))
+
+    def test_levels_share_one_v_per_orientation(self, monkeypatch):
+        # at n = 1999 each level stores one Vt of shape (2, r, half), with
+        # orthonormal rows past its zero padding, which every split's Y and
+        # K^-1 share; the level takes two QRs whatever its split count (one
+        # per factor of its Hankel block)
+        op = solvers._operator_1d(manufactured_1d(1.3).problem(2000, 1), BENCH_TUPLES[0])
+        qrs, qr, stacks = [], np.linalg.qr, solvers._stacks
+
+        def spied(*args):
+            # count the QRs of the build only, not those of the Hankel sketch
+            monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or qr(a))
+            try:
+                return stacks(*args)
+            finally:
+                monkeypatch.setattr(np.linalg, "qr", qr)
+
+        monkeypatch.setattr(solvers, "_stacks", spied)
+        leaves, levels = solvers._hodlr(op).args[0]
+        nodes = len(leaves) * leaves.shape[1]
+        assert len(levels) > 2
+        for d, (kinv, vt, y) in enumerate(levels):
+            r, half = vt.shape[1], nodes >> (d + 1)
+            assert vt.shape == (2, r, half)
+            assert y.shape == (2**d, 2, half, r) and kinv.shape == (2**d, 2 * r, 2 * r)
+            for v in vt:
+                gram = v @ v.T
+                np.testing.assert_allclose(gram, np.diag(np.diag(gram).round()), atol=1e-13)
+        assert len(qrs) == 2 * len(levels)
+
+    def test_stacks_take_under_a_tenth_of_one_dense_matrix(self):
+        # the large_cn1d factorization at n_cells 3000, leaves and levels:
+        # measured 0.090 x 8n^2 (0.108 when every split stored its own Vt)
+        p = manufactured_1d(1.7).problem(3000, 100)
+        leaves, levels = solvers._hodlr(solvers._operator_1d(p, BENCH_TUPLES[1])).args[0]
+        n = p.grid.n_interior
+        stacks = leaves.nbytes + sum(a.nbytes for level in levels for a in level)
+        assert stacks <= 0.10 * 8 * n * n
 
     @pytest.mark.parametrize("coefficients", ["zero", "left-only", "random"])
     def test_other_coefficients_match_dense_lu(self, coefficients):
@@ -1221,8 +1273,9 @@ class TestHodlr:
 
     def test_holds_far_less_than_one_dense_matrix(self):
         # the large_cn1d solve at n_cells 3000 never forms I - G: measured
-        # 0.160 x 8n^2, against 1.13 on the dense path; the peak is the
-        # build of the root split, on top of the stacks below it
+        # 0.122 x 8n^2 (0.160 when every split was truncated alone), against
+        # 1.13 on the dense path; the peak is the build of the root split,
+        # on top of the stacks below it
         p = manufactured_1d(1.7).problem(3000, 100)
         n = p.grid.n_interior
         assert traced_peak(lambda: solve_1d(p, BENCH_TUPLES[1])) < 0.175 * 8 * n * n
@@ -1287,7 +1340,7 @@ class TestHodlr:
 
     def test_failed_check_falls_back_to_dense_lu(self, monkeypatch):
         # a check bound below the backward error of any solve (measured at
-        # most 2.2e-16) rejects every factorization
+        # most 1.6e-16) rejects every factorization
         p = manufactured_1d(1.5).problem(HODLR_MIN + 1, 7)
         monkeypatch.setattr(solvers, "_HODLR_CHECK", 1e-20)
         assert solvers._hodlr(solvers._operator_1d(p, DEFAULT_TUPLE)) is None
@@ -1309,8 +1362,9 @@ class TestHodlr:
         # the hardest of README "Known deviations" 4's 36 inputs, a certified
         # tuple at alpha 1.93 with random coefficients: cond_1(I - G) is
         # 4.4e8, the probe's backward error measured 1.6e-14 against the
-        # bound 1e-13, and the run matched dense LU to 1.9e-8 of max|u|,
-        # inside 1e-12 + 1e-15 cond_1
+        # bound 1e-13 (1.15e-14 when every split was truncated alone), and
+        # the run matched dense LU to 1.9e-8 of max|u|, inside
+        # 1e-12 + 1e-15 cond_1
         shifts = (1, 2, 1, 0, 1, -1, 1, -2)
         assert shifts in [t.shifts for t in CERTIFIED_TUPLES]
         p = dataclasses.replace(manufactured_1d(1.93).problem(2000, 3), t_final=0.03)
